@@ -52,6 +52,7 @@ from .tensor_core import (
     DenseTensor,
     MajorizationMatrix,
     ScaledSystem,
+    SparseTensor,
     contract_full,
     contract_matrix,
     elementwise_power,

@@ -20,7 +20,6 @@ EXIT_CODES = {
     Status.MAX_ITER: 3,
     Status.NEGATIVE_POWER_RHS: 4,
     Status.SINGULAR_MATRIX: 5,
-    Status.INFEASIBLE_START: 6,
 }
 EXIT_PARSE_ERROR = 65
 
@@ -37,12 +36,17 @@ def rep_seed(seed: int, problem: str, n: int, rep: int) -> int:
 
 
 def _parse_x0(text: str, n: int):
+    """'zero', a comma list, one number for every entry, or a vector file."""
     if text == "zero":
         return np.zeros(n)
     if "," in text:
         return np.array([float(t) for t in text.split(",")])
     try:
-        return np.array([float(text)] * n) if text.replace(".", "").isdigit() else tensorio.read_vector(text)
+        return np.full(n, float(text))
+    except ValueError:
+        pass
+    try:
+        return tensorio.read_vector(text)
     except OSError:
         raise SystemExit(f"cannot read x0 file {text!r}")
 
@@ -186,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iter", type=int, default=3000)
-    p.add_argument("--x0", default="zero", help="'zero', a comma list, or a vector file")
+    p.add_argument("--x0", default="zero", help="'zero', a comma list, a number, or a vector file")
     p.add_argument("--no-scale", action="store_true")
     p.add_argument("--trace", help="write per-iteration CSV trace here")
     p.add_argument("--solution", help="write the solution vector here")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_core import DenseTensor, identity_tensor
+from .tensor_core import DenseTensor, SparseTensor, Tensor, identity_tensor
 
 GRAVITATIONAL_CONSTANT = 6.67e-11
 EARTH_MASS = 5.98e24
@@ -25,7 +25,7 @@ _PROBLEM_CODES = {"P1": 1, "P2": 2, "P3": 3, "P4": 4}
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    tensor: DenseTensor
+    tensor: Tensor
     rhs: np.ndarray
     problem: str
     n: int
@@ -101,23 +101,25 @@ def gen_problem3(n: int) -> ProblemInstance:
     """Discretized boundary-value problem for motion under gravity.
 
     Row i couples x_i to its grid neighbors through -1/3 entries at mixed
-    index positions; the boundary rows pin x_1 and x_n to 6.37e6.
+    index positions; the boundary rows pin x_1 and x_n to 6.37e6.  With at
+    most 7 nonzeros per row the tensor is built in COO storage.
     """
     if n < 3:
         raise ValueError("problem 3 requires n >= 3")
-    arr = np.zeros((n,) * 4)
-    arr[0, 0, 0, 0] = 1.0
-    arr[n - 1, n - 1, n - 1, n - 1] = 1.0
-    for i in range(1, n - 1):
-        arr[i, i, i, i] = 2.0
-        for j in (i - 1, i + 1):
-            arr[i, j, i, i] = -1.0 / 3.0
-            arr[i, i, j, i] = -1.0 / 3.0
-            arr[i, i, i, j] = -1.0 / 3.0
+    interior = np.arange(1, n - 1)
+    idx = [np.repeat(np.arange(n)[:, None], 4, axis=1)]
+    vals = [np.r_[1.0, np.full(n - 2, 2.0), 1.0]]
+    for j in (interior - 1, interior + 1):
+        for pos in (1, 2, 3):
+            block = np.repeat(interior[:, None], 4, axis=1)
+            block[:, pos] = j
+            idx.append(block)
+            vals.append(np.full(n - 2, -1.0 / 3.0))
+    tensor = SparseTensor(4, n, np.concatenate(idx), np.concatenate(vals))
     rhs = np.full(n, GRAVITATIONAL_CONSTANT * EARTH_MASS / (n - 1) ** 2)
     rhs[0] = BOUNDARY_VALUE**3
     rhs[n - 1] = BOUNDARY_VALUE**3
-    return ProblemInstance(DenseTensor(arr), rhs, "P3", n)
+    return ProblemInstance(tensor, rhs, "P3", n)
 
 
 def gen_problem4(n: int, seed: int) -> ProblemInstance:

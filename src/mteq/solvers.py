@@ -24,8 +24,9 @@ from scipy.linalg import solve_triangular
 from .dense_linalg import LuFactorization, lu_solve
 from .errors import NegativePowerRHS, SingularMatrix, ZeroDiagonal
 from .tensor_core import (
-    DenseTensor,
     MajorizationMatrix,
+    Tensor,
+    _contract,
     contract_full,
     elementwise_root,
     majorization,
@@ -39,7 +40,6 @@ METHODS = ("smeqm", "jacobi", "gs", "sor", "anewton")
 class Status(str, Enum):
     CONVERGED = "Converged"
     MAX_ITER = "MaxIterReached"
-    INFEASIBLE_START = "InfeasibleStart"
     NEGATIVE_POWER_RHS = "NegativePowerRHS"
     SINGULAR_MATRIX = "SingularMatrix"
 
@@ -79,7 +79,7 @@ class SolveConfig:
 class IterationTrace:
     """Per-iteration records behind convergence plots and benchmark tables."""
 
-    CSV_HEADER = "k,res2,resinf,mono_violation,eps_fallback,ms"
+    CSV_HEADER = "k,res2,resinf,mono_violation,eps_fallback,ms,feas_violation"
 
     def __init__(self):
         self.k: list[int] = []
@@ -114,10 +114,16 @@ class IterationTrace:
         with open(path, "w") as fh:
             fh.write(self.CSV_HEADER + "\n")
             for row in zip(
-                self.k, self.res2, self.resinf, self.mono_violation, self.eps_fallback, self.ms
+                self.k,
+                self.res2,
+                self.resinf,
+                self.mono_violation,
+                self.eps_fallback,
+                self.ms,
+                self.feas_violation,
             ):
-                k, r2, ri, mono, fb, ms = row
-                fh.write(f"{k},{r2:.16e},{ri:.16e},{mono:.16e},{int(fb)},{ms:.3f}\n")
+                k, r2, ri, mono, fb, ms, feas = row
+                fh.write(f"{k},{r2:.16e},{ri:.16e},{mono:.16e},{int(fb)},{ms:.3f},{feas:.16e}\n")
 
 
 @dataclass(frozen=True)
@@ -148,7 +154,7 @@ class EpsilonState:
         return cls(r_prev=np.asarray(r0, dtype=np.float64), eps=np.zeros_like(r0))
 
 
-def r_correction(T: DenseTensor, M: MajorizationMatrix, x) -> np.ndarray:
+def r_correction(T: Tensor, M: MajorizationMatrix, x) -> np.ndarray:
     """r(x) = (T x^{m-1} - (m-1) M x^[m-1]) / (m-1)."""
     x = np.asarray(x, dtype=np.float64)
     m = T.order
@@ -163,14 +169,14 @@ def epsilon_update(state: EpsilonState, F_k, r_k, alpha: float) -> EpsilonState:
     return EpsilonState(r_prev=r_k, eps=eps, fallback_used=state.fallback_used)
 
 
-def step_smeqm(M_lu: LuFactorization, T: DenseTensor, b, x_k, alpha: float) -> np.ndarray:
+def step_smeqm(M_lu: LuFactorization, T: Tensor, b, x_k, alpha: float) -> np.ndarray:
     """One step of x^[m-1] <- x^[m-1] + alpha*d with M d = -F(x_k)."""
     x_k = np.asarray(x_k, dtype=np.float64)
     d = lu_solve(M_lu, -residual(T, b, x_k))
     return elementwise_root(x_k ** (T.order - 1) + alpha * d, T.order)
 
 
-def step_splitting(T: DenseTensor, b, x_k, alpha: float, variant: str, omega: float = 1.0) -> np.ndarray:
+def step_splitting(T: Tensor, b, x_k, alpha: float, variant: str, omega: float = 1.0) -> np.ndarray:
     """One Jacobi / Gauss-Seidel / SOR step on the splitting M = D - L - U."""
     x_k = np.asarray(x_k, dtype=np.float64)
     M = majorization(T).values
@@ -193,7 +199,7 @@ def step_splitting(T: DenseTensor, b, x_k, alpha: float, variant: str, omega: fl
 
 def step_anewton(
     M_lu: LuFactorization,
-    T: DenseTensor,
+    T: Tensor,
     b,
     x_k,
     alpha: float,
@@ -225,7 +231,7 @@ def step_anewton(
     return cand, new_state
 
 
-def solve(T: DenseTensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome:
+def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome:
     """Run the configured iteration until ||F_hat(x_k)||_2 <= eta or max_iter.
 
     With cfg.scale the system is first divided by its largest absolute
@@ -239,6 +245,8 @@ def solve(T: DenseTensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOu
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     if x.shape != (n,):
         raise ValueError(f"x0 must have length {n}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0 must be finite")
     if np.any(x < 0):
         raise ValueError("x0 must be nonnegative")
 
@@ -247,7 +255,6 @@ def solve(T: DenseTensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOu
         Th, bh, w = scaled.tensor, scaled.rhs, scaled.scale
     else:
         Th, bh, w = T, b, 1.0
-    Tarr = Th.array
     M = majorization(Th)
     alpha = cfg.alpha
     alpha_warning = alpha > 1.0
@@ -272,14 +279,6 @@ def solve(T: DenseTensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOu
     except (SingularMatrix, ZeroDiagonal):
         return outcome(Status.SINGULAR_MATRIX, 0)
 
-    Tflat = Tarr.reshape(-1, n)
-
-    def F_of(v):
-        a = Tflat @ v
-        for _ in range(m - 2):
-            a = a.reshape(-1, n) @ v
-        return a - bh
-
     # For alpha <= 1 a negative x^[m-1] is a hard error.  In the
     # experimental alpha > 1 regime with odd power m-1, the real signed
     # root exists and the iteration continues (oscillating instead of
@@ -291,7 +290,7 @@ def solve(T: DenseTensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOu
             return np.sign(v) * np.abs(v) ** (1.0 / (m - 1))
         return elementwise_root(v, m)
 
-    F = F_of(x)
+    F = residual(Th, bh, x)
     infeasible = bool(np.any(F > cfg.audit_tol) or np.any(x < -cfg.audit_tol))
     audit = cfg.audit_monotone and not infeasible
 
@@ -302,6 +301,8 @@ def solve(T: DenseTensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOu
 
     status = Status.MAX_ITER
     iters = cfg.max_iter
+    # Iterates are float64 vectors of length n (x0 was checked above), so
+    # the loop calls the contraction kernel without contract_full's check.
     for k in range(cfg.max_iter):
         if float(np.linalg.norm(F)) <= cfg.eta:
             status, iters = Status.CONVERGED, k
@@ -312,21 +313,21 @@ def solve(T: DenseTensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOu
         try:
             if cfg.method == "smeqm":
                 x_new = root_step(xpow + alpha * lu_solve(lu, -F))
-                F_new = F_of(x_new)
+                F_new = _contract(Th, x_new, 1) - bh
             elif cfg.method == "jacobi":
                 x_new = root_step(xpow - alpha * F / dvec)
-                F_new = F_of(x_new)
+                F_new = _contract(Th, x_new, 1) - bh
             elif cfg.method in ("gs", "sor"):
                 step = solve_triangular(P, F, lower=True)
                 x_new = root_step(xpow - alpha * w_sor * step)
-                F_new = F_of(x_new)
+                F_new = _contract(Th, x_new, 1) - bh
             else:  # anewton
                 x_new = root_step(xpow + lu_solve(lu, -alpha * F - eps))
-                F_new = F_of(x_new)
+                F_new = _contract(Th, x_new, 1) - bh
                 if np.any(F_new > cfg.audit_tol):
                     fallback = True
                     x_new = root_step(xpow + alpha * lu_solve(lu, -F))
-                    F_new = F_of(x_new)
+                    F_new = _contract(Th, x_new, 1) - bh
                 r_new = (F_new + bh - (m - 1) * (Mvals @ x_new ** (m - 1))) / (m - 1)
                 eps = np.minimum(-alpha * F_new, r_new - r_prev)
                 r_prev = r_new

@@ -17,13 +17,17 @@ import numpy as np
 from .dense_linalg import lu_solve
 from .errors import NoNonnegativeSolution, NotStructured, NotZTensor
 from .tensor_core import (
-    DenseTensor,
+    Tensor,
     contract_full,
+    diagonal,
     elementwise_root,
-    identity_tensor,
+    identity_minus,
     majorization,
+    offdiagonal_max,
     residual,
+    row_sums,
     split_offmajor,
+    stored_values,
 )
 
 
@@ -54,20 +58,12 @@ class FeasibilityReport:
     in_S: bool
 
 
-def _offdiagonal_max(T: DenseTensor) -> float:
-    """Largest entry outside the main diagonal (i, i, ..., i)."""
-    arr = T.array.copy()
-    i = np.arange(T.dim)
-    arr[(i,) * T.order] = -np.inf
-    return float(arr.max())
-
-
-def is_z_tensor(T: DenseTensor) -> bool:
+def is_z_tensor(T: Tensor) -> bool:
     """True iff every off-diagonal entry is <= 0."""
-    return _offdiagonal_max(T) <= 0.0
+    return offdiagonal_max(T) <= 0.0
 
 
-def mtensor_certificate(T: DenseTensor, use_power_method: bool = False) -> MTensorCertificate:
+def mtensor_certificate(T: Tensor, use_power_method: bool = False) -> MTensorCertificate:
     """Certify strong M-tensor structure via the row-sum bound on rho(B).
 
     Decomposes T = s*I - B with s the largest diagonal entry, the choice
@@ -75,10 +71,9 @@ def mtensor_certificate(T: DenseTensor, use_power_method: bool = False) -> MTens
     """
     if not is_z_tensor(T):
         raise NotZTensor("tensor has a positive off-diagonal entry")
-    i = np.arange(T.dim)
-    s = float(T.array[(i,) * T.order].max())
-    B = DenseTensor(s * identity_tensor(T.order, T.dim).array - T.array)
-    row_sum_bound = float(contract_full(B, np.ones(T.dim)).max())
+    s = float(diagonal(T).max())
+    B = identity_minus(T, s)
+    row_sum_bound = float(row_sums(B).max())
     estimate = None
     if use_power_method:
         estimate = spectral_radius_estimate(B, max_iter=200, tol=1e-10)
@@ -86,7 +81,7 @@ def mtensor_certificate(T: DenseTensor, use_power_method: bool = False) -> MTens
     return MTensorCertificate(s, row_sum_bound, estimate, verdict)
 
 
-def spectral_radius_estimate(B: DenseTensor, max_iter: int = 200, tol: float = 1e-10) -> float:
+def spectral_radius_estimate(B: Tensor, max_iter: int = 200, tol: float = 1e-10) -> float:
     """Power-type estimate of the spectral radius of a nonnegative tensor.
 
     Iterates u <- (B u^{m-1})^[1/(m-1)], normalized in the infinity norm,
@@ -94,7 +89,7 @@ def spectral_radius_estimate(B: DenseTensor, max_iter: int = 200, tol: float = 1
     not reach the true radius, but the result never exceeds the row-sum
     bound by more than tol.
     """
-    if np.any(B.array < 0):
+    if np.any(stored_values(B) < 0):
         raise ValueError("spectral radius estimate requires a nonnegative tensor")
     m = B.order
     u = np.ones(B.dim)
@@ -115,7 +110,7 @@ def spectral_radius_estimate(B: DenseTensor, max_iter: int = 200, tol: float = 1
     return estimate
 
 
-def is_feasible_S(T: DenseTensor, b, x, tol: float = 1e-10) -> FeasibilityReport:
+def is_feasible_S(T: Tensor, b, x, tol: float = 1e-10) -> FeasibilityReport:
     """Membership test for S = {x >= 0 : T x^{m-1} <= b}, relaxed by tol."""
     x = np.asarray(x, dtype=np.float64)
     F = residual(T, b, x)
@@ -124,13 +119,13 @@ def is_feasible_S(T: DenseTensor, b, x, tol: float = 1e-10) -> FeasibilityReport
     return FeasibilityReport(is_nonneg, residual_max, is_nonneg and residual_max <= tol)
 
 
-def solve_structured(T: DenseTensor, b) -> np.ndarray:
+def solve_structured(T: Tensor, b) -> np.ndarray:
     """Closed-form solve when only (i, j, ..., j) entries are present.
 
     The equation reduces to M y = b with y = x^[m-1]; a nonnegative y
     yields the unique nonnegative solution x = y^[1/(m-1)].
     """
-    if np.any(split_offmajor(T).array != 0.0):
+    if np.any(stored_values(split_offmajor(T)) != 0.0):
         raise NotStructured("tensor has entries outside the (i, j, ..., j) positions")
     M = majorization(T)
     y = lu_solve(M.lu(), np.asarray(b, dtype=np.float64))
@@ -139,7 +134,7 @@ def solve_structured(T: DenseTensor, b) -> np.ndarray:
     return elementwise_root(np.where(y < 0, 0.0, y), T.order)
 
 
-def existence_sufficient(T: DenseTensor, b) -> Existence:
+def existence_sufficient(T: Tensor, b) -> Existence:
     """Sufficient existence test: sign of y = M^-1 b.
 
     Positive y guarantees a positive solution; nonnegative y a nonnegative

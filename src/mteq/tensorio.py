@@ -9,19 +9,28 @@ from pathlib import Path
 import numpy as np
 
 from .problems import ProblemInstance
-from .tensor_core import DenseTensor
+from .tensor_core import SparseTensor, Tensor, cheaper_storage
 
 
-def write_tensor(path, T: DenseTensor) -> None:
-    idx = np.argwhere(T.array != 0.0)
-    entries = [[int(i + 1) for i in row] + [float(T.array[tuple(row)])] for row in idx]
+def write_tensor(path, T: Tensor) -> None:
+    """Write the stored entries of a COO tensor, or the nonzeros of a dense one."""
+    if isinstance(T, SparseTensor):
+        idx, vals = T.idx, T.vals
+    else:
+        nonzero = T.array != 0.0
+        idx, vals = np.argwhere(nonzero), T.array[nonzero]
+    # One tuple per entry, built column-wise (json writes tuples as arrays).
+    entries = list(zip(*(idx + 1).T.tolist(), vals.tolist()))
     doc = {"order": T.order, "dim": T.dim, "entries": entries}
     Path(path).write_text(json.dumps(doc))
 
 
-def read_tensor(path) -> DenseTensor:
+def read_tensor(path) -> Tensor:
+    """Read a tensor file into COO storage when its listed entries are few
+    enough for that to be the cheaper storage to contract, dense otherwise."""
     doc = json.loads(Path(path).read_text())
-    return DenseTensor.from_entries(int(doc["order"]), int(doc["dim"]), doc["entries"])
+    coo = SparseTensor.from_entries(int(doc["order"]), int(doc["dim"]), doc["entries"])
+    return cheaper_storage(coo)
 
 
 def write_vector(path, v) -> None:

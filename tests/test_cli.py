@@ -86,7 +86,9 @@ class TestSolve:
         np.testing.assert_allclose(tensorio.read_vector(sol_path), [2.0, 2.0], atol=1e-6)
         with open(trace_path) as fh:
             rows = list(csv.DictReader(fh))
-        assert rows and set(rows[0]) == {"k", "res2", "resinf", "mono_violation", "eps_fallback", "ms"}
+        assert rows and set(rows[0]) == {
+            "k", "res2", "resinf", "mono_violation", "eps_fallback", "ms", "feas_violation"
+        }
 
     def test_file_round_trip_matches_generated(self, tmp_path, capsys):
         run(["gen", "--problem", "1", "--n", "6", "--seed", "5", "--out", str(tmp_path / "p")], capsys)
@@ -101,6 +103,36 @@ class TestSolve:
     def test_unknown_problem_is_parse_error(self, capsys):
         code, _ = run(["solve", "--problem", "99"], capsys)
         assert code == 65
+
+    @pytest.mark.parametrize("text", ["1e-3", ".001", "1E-3"])
+    def test_x0_number_in_any_float_form(self, text, capsys):
+        code, out = run(["solve", "--problem", "1", "--n", "6", "--x0", text, "--max-iter", "1"], capsys)
+        assert code == 3
+        assert "iterations: 1" in out
+
+    @pytest.mark.parametrize("text", ["2", "2.", "+2", "20e-1"])
+    def test_x0_number_fills_every_entry(self, text, capsys):
+        # (2, 2) solves ex22, so a start there needs no iteration
+        code, out = run(["solve", "--problem", "ex22", "--x0", text], capsys)
+        assert code == 0
+        assert "iterations: 0" in out
+
+    @pytest.mark.parametrize("text", ["-1", "-0.5", "nan", "inf"])
+    def test_x0_invalid_number_is_parse_error(self, text, capsys):
+        code = cli.main(["solve", "--problem", "ex22", "--x0", text])
+        err = capsys.readouterr().err
+        assert code == 65
+        assert "x0 must be" in err
+
+    def test_x0_vector_file(self, tmp_path, capsys):
+        tensorio.write_vector(tmp_path / "x0.txt", [2.0, 2.0])
+        code, out = run(["solve", "--problem", "ex22", "--x0", str(tmp_path / "x0.txt")], capsys)
+        assert code == 0
+        assert "iterations: 0" in out
+
+    def test_x0_missing_file(self, tmp_path):
+        with pytest.raises(SystemExit, match="cannot read x0 file"):
+            cli.main(["solve", "--problem", "ex22", "--x0", str(tmp_path / "nope.txt")])
 
 
 class TestAnalyze:

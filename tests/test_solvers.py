@@ -160,6 +160,11 @@ class TestSolveBehaviour:
         with pytest.raises(ValueError):
             solve(inst.tensor, inst.rhs, [-0.1, 2.0])
 
+    def test_nonfinite_x0_rejected(self):
+        inst = fixture("ex22")
+        with pytest.raises(ValueError, match="finite"):
+            solve(inst.tensor, inst.rhs, [np.nan, 2.0])
+
     def test_wrong_length_x0_rejected(self):
         inst = fixture("ex22")
         with pytest.raises(ValueError):
@@ -225,6 +230,10 @@ class TestTraceCsv:
         np.testing.assert_allclose(
             [float(r["mono_violation"]) for r in rows], out.trace.mono_violation
         )
+        np.testing.assert_allclose(
+            [float(r["feas_violation"]) for r in rows], out.trace.feas_violation
+        )
+        assert list(rows[0])[-1] == "feas_violation"
 
     def test_residual_series_is_decreasing_for_smeqm(self):
         inst = gen_problem1(6, 13)
