@@ -20,6 +20,7 @@ EXIT_CODES = {
     Status.MAX_ITER: 3,
     Status.NEGATIVE_POWER_RHS: 4,
     Status.SINGULAR_MATRIX: 5,
+    Status.NON_FINITE: 7,
 }
 EXIT_PARSE_ERROR = 65
 

@@ -1,8 +1,12 @@
-"""Small dense linear-algebra kernel: partial-pivoting LU and triangular solves.
+"""Small dense linear-algebra kernel: LAPACK LU and triangular solves.
 
-The majorization matrix is factored once per solver run; every iteration
-then costs O(n^2).  Matrices here are small (n <= a few hundred) and, for
-strong M-tensors, well conditioned, so plain partial pivoting suffices.
+The majorization matrix is factored once per solver run (`dgetrf`); every
+iteration then costs one `dgetrs` (or, for the Gauss-Seidel / SOR
+splitting, one `dtrtrs`) call, O(n^2).  The LAPACK routines are bound
+once at import and called without scipy's per-call argument validation,
+so the inputs are checked here: once when factoring, and for shape only
+when solving.  A non-finite right side is not rejected; it gives a
+non-finite solution, which the solver loop reports.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgetrf, dgetrs, dtrtrs
 
 from .errors import SingularMatrix, ZeroDiagonal
 
@@ -23,11 +27,14 @@ class LuFactorization:
     """Packed LU factors with a row permutation: P A = L U.
 
     `packed` holds the unit-lower factor strictly below the diagonal and
-    the upper factor on and above it; `perm` maps factor rows to input rows.
+    the upper factor on and above it (Fortran order, as `dgetrf` returns
+    it); `perm` maps factor rows to input rows; `ipiv` holds the 0-based
+    row interchanges of `dgetrf`, row k swapped with row ipiv[k] in turn.
     """
 
     packed: np.ndarray
     perm: np.ndarray
+    ipiv: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -43,25 +50,27 @@ class LuFactorization:
 
 
 def lu_factor(A) -> LuFactorization:
-    """Factor a square matrix as P A = L U with partial (row) pivoting."""
-    A = np.array(A, dtype=np.float64)
+    """Factor a square matrix as P A = L U with partial (row) pivoting.
+
+    Raises SingularMatrix when a pivot |U_kk| falls below PIVOT_TOL times
+    the largest |A_ij|, also where LAPACK itself reports no singularity.
+    """
+    A = np.array(A, dtype=np.float64, order="F")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("lu_factor requires a square matrix")
-    n = A.shape[0]
+    if not np.all(np.isfinite(A)):
+        raise ValueError("lu_factor requires finite entries")
     threshold = PIVOT_TOL * max(np.abs(A).max(), 1e-300)
-    perm = np.arange(n)
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(A[k:, k])))
-        if abs(A[p, k]) < threshold:
-            raise SingularMatrix(f"pivot {A[p, k]:.3e} at column {k} below threshold")
-        if p != k:
-            A[[k, p]] = A[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        A[k + 1 :, k] /= A[k, k]
-        A[k + 1 :, k + 1 :] -= np.outer(A[k + 1 :, k], A[k, k + 1 :])
-    if n > 0 and abs(A[n - 1, n - 1]) < threshold:
-        raise SingularMatrix(f"pivot {A[n - 1, n - 1]:.3e} at column {n - 1} below threshold")
-    return LuFactorization(A, perm)
+    packed, ipiv, _ = dgetrf(A, overwrite_a=1)
+    pivots = np.abs(np.diagonal(packed))
+    small = np.flatnonzero(pivots < threshold)
+    if small.size:
+        k = int(small[0])
+        raise SingularMatrix(f"pivot {packed[k, k]:.3e} at column {k} below threshold")
+    perm = list(range(A.shape[0]))
+    for k, p in enumerate(ipiv.tolist()):
+        perm[k], perm[p] = perm[p], perm[k]
+    return LuFactorization(packed, np.array(perm), ipiv)
 
 
 def lu_solve(F: LuFactorization, rhs) -> np.ndarray:
@@ -69,15 +78,18 @@ def lu_solve(F: LuFactorization, rhs) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape != (F.dim,):
         raise ValueError(f"rhs length {rhs.shape} does not match dim {F.dim}")
-    y = solve_triangular(F.packed, rhs[F.perm], lower=True, unit_diagonal=True)
-    return solve_triangular(F.packed, y, lower=False)
+    return dgetrs(F.packed, F.ipiv, rhs)[0]
 
 
 def lower_tri_solve(A, rhs) -> np.ndarray:
-    """Forward substitution for a lower-triangular A with nonzero diagonal."""
+    """Forward substitution for a lower-triangular A; the upper part is ignored.
+
+    Solves through the transpose, which is Fortran-ordered for a C-ordered
+    A and so is passed to LAPACK without a copy.  Raises ZeroDiagonal when
+    a diagonal entry is exactly zero.
+    """
     A = np.asarray(A, dtype=np.float64)
-    rhs = np.asarray(rhs, dtype=np.float64)
-    d = np.diag(A)
-    if np.any(d == 0.0):
+    y, info = dtrtrs(A.T, np.asarray(rhs, dtype=np.float64), lower=0, trans=1)
+    if info > 0:
         raise ZeroDiagonal("lower triangular solve with a zero diagonal entry")
-    return solve_triangular(A, rhs, lower=True)
+    return y

@@ -14,14 +14,14 @@ trace rather than aborting.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .dense_linalg import LuFactorization, lu_solve
+from .dense_linalg import LuFactorization, lower_tri_solve, lu_solve
 from .errors import NegativePowerRHS, SingularMatrix, ZeroDiagonal
 from .tensor_core import (
     MajorizationMatrix,
@@ -42,6 +42,7 @@ class Status(str, Enum):
     MAX_ITER = "MaxIterReached"
     NEGATIVE_POWER_RHS = "NegativePowerRHS"
     SINGULAR_MATRIX = "SingularMatrix"
+    NON_FINITE = "NonFinite"
 
 
 @dataclass(frozen=True)
@@ -189,9 +190,7 @@ def step_splitting(T: Tensor, b, x_k, alpha: float, variant: str, omega: float =
     elif variant in ("gs", "sor"):
         w = 1.0 if variant == "gs" else omega
         P = np.tril(M, -1) * w + np.diag(np.diag(M))
-        if np.any(np.diag(P) == 0.0):
-            raise ZeroDiagonal("splitting step with a zero diagonal entry of M")
-        update = alpha * w * solve_triangular(P, F, lower=True)
+        update = alpha * w * lower_tri_solve(P, F)
     else:
         raise ValueError(f"unknown splitting variant {variant!r}")
     return elementwise_root(x_k ** (T.order - 1) - update, T.order)
@@ -237,7 +236,10 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
     With cfg.scale the system is first divided by its largest absolute
     entry and the stopping test applies to the scaled residual.  An
     infeasible start is reported in the outcome but iteration proceeds
-    with the monotonicity audit disabled.
+    with the monotonicity audit disabled.  A step that yields an inf or
+    NaN ends the run with Status.NON_FINITE; x and the iteration count
+    are then those of the last finite iterate.  A residual whose entries
+    are finite but whose 2-norm overflows keeps iterating.
     """
     cfg = cfg or SolveConfig()
     b = np.asarray(b, dtype=np.float64)
@@ -286,7 +288,7 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
     signed_root_ok = alpha > 1.0 and (m - 1) % 2 == 1
 
     def root_step(v):
-        if signed_root_ok and np.any(v < 0.0):
+        if signed_root_ok and v.min() < 0.0:
             return np.sign(v) * np.abs(v) ** (1.0 / (m - 1))
         return elementwise_root(v, m)
 
@@ -299,12 +301,17 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
         r_prev = (F + bh - (m - 1) * (Mvals @ x ** (m - 1))) / (m - 1)
         eps = np.zeros(n)
 
+    # res2 is ||F(x_k)||_2: the stopping test of iteration k and, after
+    # the step, the trace row of iteration k + 1.
+    res2 = float(np.linalg.norm(F))
+    if _non_finite(res2, x, F):
+        return outcome(Status.NON_FINITE, 0, infeasible)
     status = Status.MAX_ITER
     iters = cfg.max_iter
     # Iterates are float64 vectors of length n (x0 was checked above), so
     # the loop calls the contraction kernel without contract_full's check.
     for k in range(cfg.max_iter):
-        if float(np.linalg.norm(F)) <= cfg.eta:
+        if res2 <= cfg.eta:
             status, iters = Status.CONVERGED, k
             break
         t0 = time.perf_counter()
@@ -318,13 +325,13 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
                 x_new = root_step(xpow - alpha * F / dvec)
                 F_new = _contract(Th, x_new, 1) - bh
             elif cfg.method in ("gs", "sor"):
-                step = solve_triangular(P, F, lower=True)
+                step = lower_tri_solve(P, F)
                 x_new = root_step(xpow - alpha * w_sor * step)
                 F_new = _contract(Th, x_new, 1) - bh
             else:  # anewton
                 x_new = root_step(xpow + lu_solve(lu, -alpha * F - eps))
                 F_new = _contract(Th, x_new, 1) - bh
-                if np.any(F_new > cfg.audit_tol):
+                if F_new.max() > cfg.audit_tol:
                     fallback = True
                     x_new = root_step(xpow + alpha * lu_solve(lu, -F))
                     F_new = _contract(Th, x_new, 1) - bh
@@ -335,14 +342,24 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
             status, iters = Status.NEGATIVE_POWER_RHS, k
             break
 
+        res2 = float(np.linalg.norm(F_new))
+        if _non_finite(res2, x_new, F_new):
+            status, iters = Status.NON_FINITE, k
+            break
         mono = float(max(0.0, (x - x_new).max())) if audit else 0.0
         feas = float(max(0.0, F_new.max())) if audit else 0.0
         ms = (time.perf_counter() - t0) * 1e3
-        res2 = float(np.linalg.norm(F_new))
         trace.append(k + 1, res2, float(np.abs(F_new).max()), res2 * w, mono, feas, fallback, ms)
         x, F = x_new, F_new
     else:
-        if float(np.linalg.norm(F)) <= cfg.eta:
+        if res2 <= cfg.eta:
             status = Status.CONVERGED
 
     return outcome(status, iters, infeasible)
+
+
+def _non_finite(res2: float, x: np.ndarray, F: np.ndarray) -> bool:
+    """Whether x or F holds an inf or NaN.  The entries are looked at only
+    when the norm res2 is not finite, so finite iterations pay nothing; a
+    finite vector whose 2-norm overflows does not count."""
+    return not math.isfinite(res2) and not (np.isfinite(x).all() and np.isfinite(F).all())

@@ -286,7 +286,7 @@ def elementwise_root(v, m: int) -> np.ndarray:
     Raises NegativePowerRHS if any entry is below -ROOT_CLAMP_TOL.
     """
     v = np.asarray(v, dtype=np.float64)
-    if np.any(v < -ROOT_CLAMP_TOL):
+    if v.size and v.min() < -ROOT_CLAMP_TOL:
         raise NegativePowerRHS(
             f"cannot take a real (m-1)-th root: min entry {v.min():.3e}"
         )

@@ -73,6 +73,15 @@ class TestSolve:
         assert code == 4
         assert "NegativePowerRHS" in out
 
+    def test_non_finite_exit_code(self, capsys):
+        code, out = run(
+            ["solve", "--problem", "4", "--n", "3", "--seed", "1",
+             "--method", "jacobi", "--alpha", "2"],
+            capsys,
+        )
+        assert code == 7
+        assert "status: NonFinite" in out
+
     def test_solution_and_trace_files(self, tmp_path, capsys):
         sol_path, trace_path = tmp_path / "x.txt", tmp_path / "trace.csv"
         code, _ = run(

@@ -2,8 +2,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
-from mteq import SingularMatrix, ZeroDiagonal, lower_tri_solve, lu_factor, lu_solve
+from mteq import (
+    SingularMatrix,
+    ZeroDiagonal,
+    gen_problem1,
+    gen_problem3,
+    lower_tri_solve,
+    lu_factor,
+    lu_solve,
+    majorization,
+    residual,
+    scale_system,
+)
+from mteq.dense_linalg import PIVOT_TOL
 
 
 class TestLuFactor:
@@ -86,3 +99,72 @@ class TestLowerTriSolve:
     def test_ignores_upper_part(self):
         L = np.array([[2.0, 99.0], [1.0, 4.0]])
         np.testing.assert_allclose(lower_tri_solve(L, [2.0, 9.0]), [1.0, 2.0])
+
+
+def _mmatrix(n, seed, margin):
+    """A nonsingular M-matrix s I - B with B >= 0 and s above every row sum of B."""
+    rng = np.random.default_rng(seed)
+    B = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+    np.fill_diagonal(B, 0.0)
+    return (1.0 + margin) * (B.sum(axis=1).max() + 1.0) * np.eye(n) - B
+
+
+class TestLapackPath:
+    def test_pivot_tol_fires_on_nonzero_pivot(self):
+        # LAPACK factors this without complaint (no exact zero pivot), but
+        # the last pivot is below PIVOT_TOL times the largest entry.
+        with pytest.raises(SingularMatrix, match="column 1"):
+            lu_factor([[1.0, 0.0], [0.0, 0.5 * PIVOT_TOL]])
+        with pytest.raises(SingularMatrix, match="column 1"):
+            lu_factor([[2.0, 2.0], [1.0, 1.0 + 1e-15]])
+        lu_factor([[1.0, 0.0], [0.0, 2.0 * PIVOT_TOL]])
+
+    def test_non_finite_matrix_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            lu_factor([[1.0, 0.0], [0.0, np.nan]])
+
+    def test_perm_follows_ipiv(self):
+        A = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.0], [3.0, 1.0, 0.0]])
+        F = lu_factor(A)
+        perm = np.arange(3)
+        for k, p in enumerate(F.ipiv):
+            perm[[k, p]] = perm[[p, k]]
+        np.testing.assert_array_equal(F.perm, perm)
+        np.testing.assert_array_equal(F.perm, [2, 0, 1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 60), seed=st.integers(0, 2**31), margin=st.floats(0.01, 1.0))
+    def test_matches_numpy_on_m_matrices(self, n, seed, margin):
+        A = _mmatrix(n, seed, margin)
+        b = np.random.default_rng(seed + 1).normal(size=n)
+        np.testing.assert_allclose(
+            lu_solve(lu_factor(A), b), np.linalg.solve(A, b), rtol=1e-9, atol=1e-12
+        )
+
+    def test_diagonal_matrix_bit_identical_to_triangular_solves(self):
+        # The diagonal M of P3.  The former elimination loop left a diagonal
+        # matrix as it was, with the identity permutation, and solved with a
+        # unit-lower then an upper solve_triangular call.
+        inst = gen_problem3(50)
+        M = majorization(scale_system(inst.tensor, inst.rhs).tensor).values
+        assert np.count_nonzero(M - np.diag(np.diag(M))) == 0
+        F = lu_factor(M)
+        np.testing.assert_array_equal(F.perm, np.arange(50))
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            b = rng.normal(size=50) * 10.0 ** rng.integers(-20, 20)
+            y = solve_triangular(M, b, lower=True, unit_diagonal=True)
+            np.testing.assert_array_equal(lu_solve(F, b), solve_triangular(M, y, lower=False))
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("omega", [1.0, 1.3])
+    def test_lower_tri_solve_bit_identical_on_gs_sor_matrix(self, seed, omega):
+        # P and F of the first gs / sor step on a scaled P1 instance
+        inst = gen_problem1(10, seed)
+        scaled = scale_system(inst.tensor, inst.rhs)
+        M = majorization(scaled.tensor).values
+        F = residual(scaled.tensor, scaled.rhs, np.zeros(10))
+        P = np.tril(M, -1) * omega + np.diag(np.diag(M))
+        np.testing.assert_array_equal(
+            lower_tri_solve(P, F), solve_triangular(P, F, lower=True)
+        )

@@ -19,7 +19,7 @@ from mteq import (
     step_smeqm,
     step_splitting,
 )
-from mteq.problems import gen_problem1
+from mteq.problems import gen_problem1, gen_problem4
 
 
 class TestSolveConfig:
@@ -182,6 +182,32 @@ class TestSolveBehaviour:
         out = solve(DenseTensor(arr), [1.0, 1.0], None, SolveConfig())
         assert out.status is Status.SINGULAR_MATRIX
         assert out.iterations == 0
+
+    # P4 n = 3 seed 1 at alpha = 2 diverges.  Jacobi and Gauss-Seidel reach
+    # inf entries; smeqm stays finite (x ~ 5e82) while the 2-norm of its
+    # residual overflows, which is not a non-finite outcome.
+    @pytest.mark.parametrize("method", ["jacobi", "gs"])
+    def test_non_finite_status(self, method):
+        inst = gen_problem4(3, 1)
+        out = solve(inst.tensor, inst.rhs, None, SolveConfig(method=method, alpha=2.0))
+        assert out.status is Status.NON_FINITE
+        assert 0 < out.iterations < 3000
+        assert len(out.trace) == out.iterations
+        assert np.all(np.isfinite(out.x))
+
+    def test_non_finite_residual_at_start(self):
+        # x0 is finite, but F(x0) overflows to inf entries
+        inst = fixture("ex22")
+        out = solve(inst.tensor, inst.rhs, [1e200, 1e200], SolveConfig())
+        assert out.status is Status.NON_FINITE
+        assert out.iterations == 0 and len(out.trace) == 0
+
+    def test_overflowing_norm_keeps_max_iter(self):
+        inst = gen_problem4(3, 1)
+        out = solve(inst.tensor, inst.rhs, None, SolveConfig(method="smeqm", alpha=2.0))
+        assert out.status is Status.MAX_ITER and out.iterations == 3000
+        assert np.all(np.isfinite(out.x))
+        assert out.trace.res2[-1] == np.inf
 
     def test_max_iter_status(self):
         inst = gen_problem1(6, 0)
