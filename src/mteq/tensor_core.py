@@ -66,6 +66,15 @@ class DenseTensor:
         arr[tuple(T.idx.T)] = T.vals
         return cls(arr)
 
+    @classmethod
+    def _wrap(cls, arr: np.ndarray) -> "DenseTensor":
+        """The tensor over a C-contiguous float64 array of equal modes that
+        is known to be finite, made read-only without being checked again."""
+        arr.flags.writeable = False
+        T = object.__new__(cls)
+        object.__setattr__(T, "array", arr)
+        return T
+
     def entry(self, *index: int) -> float:
         """Entry at a 1-based multi-index."""
         return float(self.array[tuple(i - 1 for i in index)])
@@ -77,8 +86,11 @@ class SparseTensor:
 
     Row k of `idx` (nnz x m, 0-based) is the multi-index of `vals[k]`;
     unlisted positions are zero.  Entries are kept in lexicographic index
-    order.  The layout follows Bader & Kolda, "Efficient MATLAB computations
-    with sparse and factored tensors" (SIAM J. Sci. Comput., 2007).
+    order.  `idx` is stored column-major, and `cols[k]` is its k-th column,
+    the contiguous index array of mode k that the contraction gathers
+    through.  The layout follows Bader & Kolda, "Efficient MATLAB
+    computations with sparse and factored tensors" (SIAM J. Sci. Comput.,
+    2007).
     """
 
     order: int
@@ -108,13 +120,18 @@ class SparseTensor:
         if np.any(outside):
             raise ValueError(f"index {_one_based(idx[outside][0])} out of range for dim {dim}")
         perm = np.lexsort(idx.T[::-1])
-        idx, vals = idx[perm].astype(np.intp, copy=False), vals[perm]
+        idx, vals = np.asfortranarray(idx[perm], dtype=np.intp), vals[perm]
         repeated = np.all(idx[1:] == idx[:-1], axis=1)
         if np.any(repeated):
             raise ValueError(f"duplicate entry at index {_one_based(idx[1:][repeated][0])}")
+        self._store(order, dim, idx, vals)
+
+    def _store(self, order, dim, idx, vals):
+        """Set the fields, read-only, and the column views `cols` of idx."""
         idx.flags.writeable = False
         vals.flags.writeable = False
-        for name, value in (("order", order), ("dim", dim), ("idx", idx), ("vals", vals)):
+        for name, value in (("order", order), ("dim", dim), ("idx", idx), ("vals", vals),
+                            ("cols", tuple(idx.T))):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -150,12 +167,8 @@ class SparseTensor:
         with values `vals`.  Entries taken from this tensor are already
         sorted, in range and distinct, so validation is skipped; `vals` must
         be finite."""
-        idx, vals = self.idx[keep], np.asarray(vals, dtype=np.float64)
-        idx.flags.writeable = False
-        vals.flags.writeable = False
         T = object.__new__(SparseTensor)
-        for name, value in (("order", self.order), ("dim", self.dim), ("idx", idx), ("vals", vals)):
-            object.__setattr__(T, name, value)
+        T._store(self.order, self.dim, np.asfortranarray(self.idx[keep]), np.asarray(vals, dtype=np.float64))
         return T
 
 
@@ -239,15 +252,19 @@ def _contract(T: Tensor, x: np.ndarray, keep: int) -> np.ndarray:
 
     This is the one contraction kernel of each storage: a sum over the
     stored entries for COO, one matrix-vector product per mode for dense.
-    x must already be a float64 vector of length n; it is not checked here,
-    so that solve() can contract its own iterates without the check.
+    The COO sum gathers x through the contiguous index column `cols[k]` of
+    each contracted mode k and multiplies `vals` by the gathered factors in
+    mode order.  x must already be a float64 vector of length n; it is not
+    checked here, so that solve() can contract its own iterates without the
+    check.
     """
     n = T.dim
     if isinstance(T, SparseTensor):
+        cols = T.cols
         w = T.vals
-        for k in range(keep, T.order):
-            w = w * x[T.idx[:, k]]
-        rows = T.idx[:, 0] if keep == 1 else T.idx[:, 0] * n + T.idx[:, 1]
+        for c in cols[keep:]:
+            w = w * x[c]
+        rows = cols[0] if keep == 1 else cols[0] * n + cols[1]
         a = np.bincount(rows, weights=w, minlength=n**keep)
     else:
         a = T.array
@@ -280,17 +297,21 @@ def elementwise_power(x, p: float) -> np.ndarray:
         raise NegativePowerRHS(f"negative entry under fractional power {p}")
     return x**p
 
+
 def elementwise_root(v, m: int) -> np.ndarray:
     """x = v^[1/(m-1)], clamping rounding-scale negatives to zero.
 
-    Raises NegativePowerRHS if any entry is below -ROOT_CLAMP_TOL.
+    Raises NegativePowerRHS if any entry is below -ROOT_CLAMP_TOL.  The
+    clamp runs only when some entry is negative; -0.0 is not, and its root
+    is +0.0 either way.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.size and v.min() < -ROOT_CLAMP_TOL:
-        raise NegativePowerRHS(
-            f"cannot take a real (m-1)-th root: min entry {v.min():.3e}"
-        )
-    v = np.where(v < 0.0, 0.0, v)
+    if v.size:
+        vmin = np.minimum.reduce(v, axis=None)  # v.min() without ndarray's Python wrapper
+        if vmin < 0.0:
+            if vmin < -ROOT_CLAMP_TOL:
+                raise NegativePowerRHS(f"cannot take a real (m-1)-th root: min entry {vmin:.3e}")
+            v = np.where(v < 0.0, 0.0, v)
     return v ** (1.0 / (m - 1))
 
 
@@ -399,13 +420,19 @@ def semi_symmetrize(T: DenseTensor) -> DenseTensor:
 
 
 def scale_system(T: Tensor, b) -> ScaledSystem:
-    """Divide tensor and right side by their joint largest absolute entry."""
+    """Divide tensor and right side by their joint largest absolute entry.
+
+    The tensor's largest magnitude is found as max(A.max(), -A.min()), with
+    no |A| temporary of n^m entries.  The entries are finite, so their
+    quotient by w >= that magnitude is finite and is not checked again.
+    """
     b = _as_vector(b, T.dim)
-    w = max(np.abs(stored_values(T)).max(initial=0.0), np.abs(b).max())
+    A = stored_values(T)
+    w = max(A.max(initial=0.0), -A.min(initial=0.0), np.abs(b).max())
     if w == 0.0:
         raise ValueError("cannot scale an identically zero system")
     if isinstance(T, SparseTensor):
         scaled = T._take(slice(None), T.vals / w)
     else:
-        scaled = DenseTensor(T.array / w)
+        scaled = DenseTensor._wrap(T.array / w)
     return ScaledSystem(scaled, b / w, float(w))

@@ -1,4 +1,6 @@
 import csv
+import gc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,12 +16,13 @@ from mteq import (
     majorization,
     r_correction,
     residual,
+    scale_system,
     solve,
     step_anewton,
     step_smeqm,
     step_splitting,
 )
-from mteq.problems import gen_problem1, gen_problem4
+from mteq.problems import gen_problem1, gen_problem3, gen_problem4
 
 
 class TestSolveConfig:
@@ -96,6 +99,34 @@ class TestStepFunctions:
         b = np.array([4.0, 9.0])
         x1 = step_splitting(T, b, np.zeros(2), 1.0, "jacobi")
         np.testing.assert_allclose(x1, [2.0, 3.0])
+
+
+class TestStepWrappersRunSolvesCode:
+    """The public step functions, driven by hand on the scaled system from
+    x0 = 0, give solve()'s iterates bit for bit."""
+
+    @pytest.mark.parametrize("problem", ["P1", "P3"])
+    @pytest.mark.parametrize("method", ["smeqm", "jacobi", "gs", "sor", "anewton"])
+    def test_first_five_iterates(self, problem, method):
+        inst = gen_problem1(10, 3) if problem == "P1" else gen_problem3(10)
+        scaled = scale_system(inst.tensor, inst.rhs)
+        T, b = scaled.tensor, scaled.rhs
+        M = majorization(T)
+        x = np.zeros(10)
+        state = EpsilonState.initial(r_correction(T, M, x))
+        for k in range(1, 6):
+            if method == "smeqm":
+                x = step_smeqm(M.lu(), T, b, x, 1.0)
+            elif method == "anewton":
+                x, state = step_anewton(M.lu(), T, b, x, 1.0, state)
+            else:
+                x = step_splitting(T, b, x, 1.0, method, omega=1.3)
+            cfg = SolveConfig(method=method, omega=1.3, max_iter=k)
+            out = solve(inst.tensor, inst.rhs, None, cfg)
+            assert out.status is Status.MAX_ITER and out.iterations == k
+            assert out.x.tobytes() == x.tobytes(), (method, k)
+            if method == "anewton":
+                assert state.fallback_used == out.trace.eps_fallback[-1]
 
 
 class TestSolveFixtures:
@@ -201,6 +232,35 @@ class TestSolveBehaviour:
         out = solve(inst.tensor, inst.rhs, [1e200, 1e200], SolveConfig())
         assert out.status is Status.NON_FINITE
         assert out.iterations == 0 and len(out.trace) == 0
+
+    # The same divergent runs, with every warning turned into an error: the
+    # status reports the divergence, and numpy prints nothing.
+    @pytest.mark.parametrize(
+        "method, status, iterations",
+        [("jacobi", Status.NON_FINITE, 2551), ("gs", Status.NON_FINITE, 2901),
+         ("smeqm", Status.MAX_ITER, 3000)],
+    )
+    def test_divergence_raises_no_warning(self, method, status, iterations):
+        inst = gen_problem4(3, 1)
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = solve(inst.tensor, inst.rhs, None, SolveConfig(method=method, alpha=2.0))
+        assert out.status is status and out.iterations == iterations
+        assert np.geterr() == before
+
+    @pytest.mark.parametrize("method", ["smeqm", "jacobi", "gs", "sor", "anewton"])
+    def test_leaves_no_reference_cycle(self, method):
+        # a cycle would keep each finished solve's scaled tensor alive until
+        # a full garbage collection
+        inst = gen_problem1(6, 2)
+        gc.collect()
+        gc.disable()
+        try:
+            solve(inst.tensor, inst.rhs, None, SolveConfig(method=method))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_overflowing_norm_keeps_max_iter(self):
         inst = gen_problem4(3, 1)

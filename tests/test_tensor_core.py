@@ -20,6 +20,7 @@ from mteq import (
 )
 from mteq.errors import DimensionMismatch
 from mteq.problems import gen_problem3
+from mteq.tensor_core import ROOT_CLAMP_TOL, SparseTensor, _contract
 
 
 def random_tensor(rng, m, n):
@@ -131,6 +132,23 @@ class TestElementwise:
     def test_root_rejects_true_negatives(self):
         with pytest.raises(NegativePowerRHS):
             elementwise_root([-1.0, 4.0], 3)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_root_of_nonnegative_is_bit_identical_to_clamped_root(self, m):
+        # the clamp is skipped when no entry is negative; -0.0 is not negative
+        v = np.array([0.0, -0.0, 5e-324, 1e-300, 0.6, 8.0, 3.7e10])
+        ref = np.where(v < 0.0, 0.0, v) ** (1.0 / (m - 1))
+        assert elementwise_root(v, m).tobytes() == ref.tobytes()
+
+    def test_root_clamps_down_to_the_tolerance(self):
+        v = np.array([-ROOT_CLAMP_TOL, -0.5 * ROOT_CLAMP_TOL, -5e-324, 8.0])
+        out = elementwise_root(v, 4)
+        assert out.tobytes() == np.array([0.0, 0.0, 0.0, 2.0]).tobytes()
+        assert v[0] == -ROOT_CLAMP_TOL  # the input is left as it was
+
+    def test_root_rejects_just_below_the_tolerance(self):
+        with pytest.raises(NegativePowerRHS):
+            elementwise_root([np.nextafter(-ROOT_CLAMP_TOL, -1.0), 8.0], 4)
 
 
 class TestMajorization:
@@ -263,6 +281,45 @@ class TestScaleSystem:
         T = DenseTensor(np.zeros((2, 2, 2)))
         with pytest.raises(ValueError):
             scale_system(T, [0.0, 0.0])
+
+    @pytest.mark.parametrize("tensor_max, b_max", [(3.0, 1.0), (-5.0, 1.0), (0.5, -2.0)])
+    def test_dense_quotient_is_bit_identical(self, tensor_max, b_max):
+        # the largest magnitude may be a negative tensor entry or sit in b
+        rng = np.random.default_rng(11)
+        arr = rng.uniform(-0.4, 0.4, size=(4, 4, 4))
+        arr[1, 2, 3] = tensor_max
+        b = rng.uniform(-0.4, 0.4, 4)
+        b[2] = b_max
+        scaled = scale_system(DenseTensor(arr), b)
+        w = max(np.abs(arr).max(), np.abs(b).max())
+        assert scaled.scale == w
+        assert scaled.tensor.array.tobytes() == (arr / w).tobytes()
+        assert scaled.rhs.tobytes() == (b / w).tobytes()
+        assert not scaled.tensor.array.flags.writeable
+        assert isinstance(scaled.tensor, DenseTensor)
+
+
+class TestCooContraction:
+    @pytest.mark.parametrize("keep", [1, 2])
+    def test_bit_identical_to_row_gathers_in_mode_order(self, keep):
+        T = gen_problem3(12).tensor
+        assert T.idx.flags.f_contiguous
+        assert all(c.flags.c_contiguous for c in T.cols)
+        x = np.random.default_rng(5).uniform(0.0, 2.0, 12)
+        idx = np.ascontiguousarray(T.idx)
+        w = T.vals
+        for k in range(keep, T.order):
+            w = w * x[idx[:, k]]
+        rows = idx[:, 0] if keep == 1 else idx[:, 0] * 12 + idx[:, 1]
+        ref = np.bincount(rows, weights=w, minlength=12**keep)
+        assert _contract(T, x, keep).tobytes() == ref.tobytes()
+
+    def test_columns_follow_taken_entries(self):
+        T = split_offmajor(gen_problem3(8).tensor)
+        assert isinstance(T, SparseTensor) and T.idx.flags.f_contiguous
+        for k, c in enumerate(T.cols):
+            np.testing.assert_array_equal(c, T.idx[:, k])
+            assert c.flags.c_contiguous and not c.flags.writeable
 
 
 class TestDenseTensor:
