@@ -12,7 +12,7 @@ import numpy as np
 
 from . import problems, structure, tensorio
 from .errors import MteqError
-from .solvers import SolveConfig, Status, solve
+from .solvers import METHODS, SolveConfig, Status, solve
 from .tensor_core import majorization
 
 EXIT_CODES = {
@@ -123,6 +123,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.reps < 1:
+        raise ValueError("--reps must be at least 1")
     rows = []
     for n in args.n:
         for rep in range(args.reps):
@@ -186,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve a single system")
     _add_system_args(p)
-    p.add_argument("--method", default="smeqm", choices=["smeqm", "jacobi", "gs", "sor", "anewton"])
+    p.add_argument("--method", default="smeqm", choices=METHODS)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--omega", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-8)
@@ -206,8 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True)
     p.add_argument("--n", type=int, nargs="+", default=[10])
     p.add_argument("--alpha", type=float, nargs="+", default=[1.0])
-    p.add_argument("--method", nargs="+", default=["smeqm"],
-                   choices=["smeqm", "jacobi", "gs", "sor", "anewton"])
+    p.add_argument("--method", nargs="+", default=["smeqm"], choices=METHODS)
     p.add_argument("--omega", type=float, default=1.0)
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)

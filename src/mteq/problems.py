@@ -8,13 +8,12 @@ bit-for-bit.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_core import DenseTensor, SparseTensor, Tensor, identity_tensor
+from .tensor_core import DenseTensor, SparseTensor, Tensor, identity_minus, permutation_mean
 
 GRAVITATIONAL_CONSTANT = 6.67e-11
 EARTH_MASS = 5.98e24
@@ -45,24 +44,13 @@ def _symmetric_uniform_tensor(n: int, m: int, rng: np.random.Generator) -> np.nd
     Averaging concentrates the row sums, which is what makes these
     instances hard at alpha = 1 and makes over-relaxation pay off.
     """
-    A = rng.random((n,) * m)
-    B = np.zeros_like(A)
-    perms = list(itertools.permutations(range(m)))
-    for p in perms:
-        B += np.transpose(A, p)
-    return B / len(perms)
+    return permutation_mean(rng.random((n,) * m), 0)
 
 
-def _shifted_identity_minus(B: np.ndarray, margin: float = 0.01) -> tuple[DenseTensor, float]:
-    """s*I - B with s = (1 + margin) * max row sum of B; a strong M-tensor."""
-    n = B.shape[0]
-    m = B.ndim
-    row_sums = B.reshape(n, -1).sum(axis=1)
-    s = (1.0 + margin) * row_sums.max()
-    arr = -B.copy()
-    i = np.arange(n)
-    arr[(i,) * m] += s
-    return DenseTensor(arr), float(s)
+def _shifted_identity_minus(B: np.ndarray) -> DenseTensor:
+    """s*I - B with s = 1.01 * max row sum of B; a strong M-tensor."""
+    s = 1.01 * B.reshape(B.shape[0], -1).sum(axis=1).max()
+    return identity_minus(DenseTensor(B), s)
 
 
 def gen_problem1(n: int, seed: int) -> ProblemInstance:
@@ -71,9 +59,8 @@ def gen_problem1(n: int, seed: int) -> ProblemInstance:
         raise ValueError("problem 1 requires n >= 2")
     rng = _rng("P1", n, seed)
     B = _symmetric_uniform_tensor(n, 4, rng)
-    tensor, _ = _shifted_identity_minus(B)
     rhs = rng.random(n)
-    return ProblemInstance(tensor, rhs, "P1", n, seed)
+    return ProblemInstance(_shifted_identity_minus(B), rhs, "P1", n, seed)
 
 
 def gen_problem2(n: int) -> ProblemInstance:
@@ -90,11 +77,9 @@ def gen_problem2(n: int) -> ProblemInstance:
         + i[None, None, :, None]
         + i[None, None, None, :]
     )
-    B = np.abs(np.sin(sums))
-    s = float(n) ** 3
-    arr = s * identity_tensor(4, n).array - B
+    tensor = identity_minus(DenseTensor(np.abs(np.sin(sums))), float(n) ** 3)
     rhs = _rng("P2", n, 0).random(n)
-    return ProblemInstance(DenseTensor(arr), rhs, "P2", n, seed=0)
+    return ProblemInstance(tensor, rhs, "P2", n, seed=0)
 
 
 def gen_problem3(n: int) -> ProblemInstance:
@@ -128,9 +113,8 @@ def gen_problem4(n: int, seed: int) -> ProblemInstance:
         raise ValueError("problem 4 requires n >= 2")
     rng = _rng("P4", n, seed)
     B = rng.random((n,) * 4)
-    tensor, _ = _shifted_identity_minus(B)
     rhs = rng.random(n)
-    return ProblemInstance(tensor, rhs, "P4", n, seed)
+    return ProblemInstance(_shifted_identity_minus(B), rhs, "P4", n, seed)
 
 
 def fixture(fixture_id: str) -> ProblemInstance:

@@ -38,6 +38,11 @@ from .tensor_core import (
 
 METHODS = ("smeqm", "jacobi", "gs", "sor", "anewton")
 
+# A start with an F entry above AUDIT_TOL is infeasible, and its run is not
+# audited; an anewton candidate with an F entry above ACCEPT_TOL has left S,
+# and the plain update is taken instead.
+AUDIT_TOL = ACCEPT_TOL = 1e-12
+
 # ndarray.max/min wrap the ufunc reduction in Python code that costs about
 # as much as the reduction itself on the loop's length-n vectors.
 _max, _min = np.maximum.reduce, np.minimum.reduce
@@ -67,8 +72,6 @@ class SolveConfig:
     eta: float = 1e-8
     max_iter: int = 3000
     scale: bool = True
-    audit_monotone: bool = True
-    audit_tol: float = 1e-12
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -77,8 +80,8 @@ class SolveConfig:
             raise ValueError("alpha must lie in (0, 2]")
         if self.method == "sor" and not 0.0 < self.omega < 2.0:
             raise ValueError("omega must lie in (0, 2)")
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
+        if not (math.isfinite(self.eta) and self.eta > 0.0):
+            raise ValueError("eta must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -165,47 +168,65 @@ def _eps_of(aF, r, r_prev) -> np.ndarray:
 
 
 class Stepper:
-    """One method's iteration on a fixed system T x^{m-1} = b, prepared once:
-    M factored (smeqm, anewton), its diagonal (jacobi) or its lower splitting
-    part P (gs, sor; gs is sor at omega = 1), else SingularMatrix/ZeroDiagonal.
-    step(xpow, F), with xpow = x^[m-1] and F = F(x) of the iterate x, returns
-    (x_new, xpow_new, F_new, F_new.max(), fallback); fallback tells whether
-    anewton dropped its correction.  anewton carries r(x_{k-1}), eps_k and
-    -alpha F(x_k) - eps_k in r_prev, eps and rhs, which `start` sets.
+    """One method's iteration on a fixed system T x^{m-1} = b.
+
+    Every method updates x^[m-1] <- x^[m-1] - delta(F(x)), where delta solves
+    with a matrix that is fixed for the run, prepared here once: alpha M^{-1} F
+    (smeqm, anewton), alpha F / diag(M) (jacobi), or alpha omega P^{-1} F with
+    P the lower splitting part of M (gs, sor; gs is sor at omega = 1).
+    anewton first tries x^[m-1] + M^{-1}(-alpha F(x_k) - eps_k) and takes the
+    plain update if that candidate has an F entry above ACCEPT_TOL; `start`
+    sets r(x_{k-1}), eps_k and that right side in r_prev, eps and rhs.
+    step(xpow, F), with xpow = x^[m-1] and F = F(x), returns (x_new,
+    xpow_new, F_new, F_new.max(), fallback).
     """
 
-    def __init__(self, method, T: Tensor, b, M, alpha, omega=1.0, accept_tol=1e-12, lu=None):
-        self.method, self.T, self.b = method, T, np.asarray(b, dtype=np.float64)
-        self.alpha, self.accept_tol, self.p = alpha, accept_tol, T.order - 1
+    def __init__(self, method, T: Tensor, b, M, alpha, omega=1.0, lu=None):
+        self.T, self.b = T, np.asarray(b, dtype=np.float64)
+        self.alpha, self.p, self.newton = alpha, T.order - 1, method == "anewton"
         # For alpha <= 1 a negative x^[m-1] is a hard error.  For alpha > 1
         # and odd m-1 the real signed root is taken, so a step that
         # overshoots makes the iteration oscillate instead of aborting.
         self.signed_root = alpha > 1.0 and self.p % 2 == 1
+        # Each delta closes over its own factors, never over self, so a
+        # finished Stepper is freed without waiting for the cycle collector.
         if method in ("smeqm", "anewton"):
-            self.lu = M.lu() if lu is None else lu
-            self.Mvals = M.values if method == "anewton" else None
+            lu = M.lu() if lu is None else lu
+            self.delta = lambda F: alpha * lu_solve(lu, F)
+            if self.newton:
+                self.lu, self.Mvals = lu, M.values
         elif method in ("jacobi", "gs", "sor"):
-            if np.any(M.diagonal == 0.0):
+            d = M.diagonal
+            if np.any(d == 0.0):
                 raise ZeroDiagonal("majorization matrix has a zero diagonal entry")
             if method == "jacobi":
-                self.dvec = M.diagonal.copy()
+                self.delta = lambda F: alpha * F / d
             else:
                 w = 1.0 if method == "gs" else omega
-                self.P = np.tril(M.values, -1) * w + np.diag(M.diagonal)
-                self.alpha_w = alpha * w
+                P, alpha_w = np.tril(M.values, -1) * w + np.diag(d), alpha * w
+                self.delta = lambda F: alpha_w * lower_tri_solve(P, F)
         else:
             raise ValueError(f"unknown method {method!r}")
-        self._name = "_sor" if method == "gs" else "_" + method
-
-    def step(self, xpow: np.ndarray, F: np.ndarray):
-        return getattr(self, self._name)(xpow, F)
 
     def start(self, xpow: np.ndarray, F: np.ndarray, r_prev=None, eps=None) -> None:
         """Set anewton's state at x; r_prev is r(x) and eps 0 unless given."""
-        if self.method == "anewton":
+        if self.newton:
             self.r_prev = _r_of(F + self.b, self.Mvals @ xpow, self.p) if r_prev is None else r_prev
             self.eps = np.zeros_like(F) if eps is None else eps
             self.rhs = -self.alpha * F - self.eps
+
+    def step(self, xpow: np.ndarray, F: np.ndarray):
+        if not self.newton:
+            return *self._advance(xpow - self.delta(F)), False
+        x_new, xpow_new, F_new, Fmax = self._advance(xpow + lu_solve(self.lu, self.rhs))
+        fallback = bool(Fmax > ACCEPT_TOL)
+        if fallback:
+            x_new, xpow_new, F_new, Fmax = self._advance(xpow - self.delta(F))
+        r_new = _r_of(F_new + self.b, self.Mvals @ xpow_new, self.p)
+        aF = -self.alpha * F_new
+        self.eps, self.r_prev = _eps_of(aF, r_new, self.r_prev), r_new
+        self.rhs = aF - self.eps
+        return x_new, xpow_new, F_new, Fmax, fallback
 
     def _advance(self, v):
         """x = v^[1/(m-1)], x^[m-1], F(x) and F(x).max().  x is a float64
@@ -216,29 +237,6 @@ class Stepper:
             x = elementwise_root(v, self.p + 1)
         F = _contract(self.T, x, 1) - self.b
         return x, x**self.p, F, _max(F)
-
-    def _smeqm(self, xpow, F):
-        return *self._advance(xpow + self.alpha * lu_solve(self.lu, -F)), False
-
-    def _jacobi(self, xpow, F):
-        return *self._advance(xpow - self.alpha * F / self.dvec), False
-
-    def _sor(self, xpow, F):
-        return *self._advance(xpow - self.alpha_w * lower_tri_solve(self.P, F)), False
-
-    def _anewton(self, xpow, F):
-        """Solve M x^[m-1] = M x_k^[m-1] - alpha F(x_k) - eps_k; if the
-        candidate leaves some F entry above accept_tol, drop eps_k and take
-        the plain step instead (at most one re-solve)."""
-        x_new, xpow_new, F_new, Fmax = self._advance(xpow + lu_solve(self.lu, self.rhs))
-        fallback = bool(Fmax > self.accept_tol)
-        if fallback:
-            x_new, xpow_new, F_new, Fmax = self._advance(xpow + self.alpha * lu_solve(self.lu, -F))
-        r_new = _r_of(F_new + self.b, self.Mvals @ xpow_new, self.p)
-        aF = -self.alpha * F_new
-        self.eps, self.r_prev = _eps_of(aF, r_new, self.r_prev), r_new
-        self.rhs = aF - self.eps
-        return x_new, xpow_new, F_new, Fmax, fallback
 
 
 def _step_from(stepper: Stepper, x_k, r_prev=None, eps=None):
@@ -273,11 +271,11 @@ def step_splitting(T: Tensor, b, x_k, alpha: float, variant: str, omega: float =
     return _step_from(Stepper(variant, T, b, majorization(T), alpha, omega), x_k)[0]
 
 
-def step_anewton(M_lu: LuFactorization, T: Tensor, b, x_k, alpha: float, state: EpsilonState,
-                 accept_tol: float = 1e-12) -> tuple[np.ndarray, EpsilonState]:
+def step_anewton(M_lu: LuFactorization, T: Tensor, b, x_k, alpha: float,
+                 state: EpsilonState) -> tuple[np.ndarray, EpsilonState]:
     """One approximate-Newton step with the feasibility fallback; returns
     the new iterate and the state updated for the next step."""
-    stepper = Stepper("anewton", T, b, majorization(T), alpha, accept_tol=accept_tol, lu=M_lu)
+    stepper = Stepper("anewton", T, b, majorization(T), alpha, lu=M_lu)
     x_new, _, _, _, fallback = _step_from(stepper, x_k, state.r_prev, state.eps)
     return x_new, EpsilonState(stepper.r_prev, stepper.eps, fallback)
 
@@ -304,6 +302,8 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
         raise ValueError("x0 must be finite")
     if np.any(x < 0):
         raise ValueError("x0 must be nonnegative")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("b must be finite")
 
     if cfg.scale:
         scaled = scale_system(T, b)
@@ -317,14 +317,13 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
 
     # One factorization (or splitting) per run, reused every iteration.
     try:
-        stepper = Stepper(cfg.method, Th, bh, majorization(Th), cfg.alpha, cfg.omega, cfg.audit_tol)
+        stepper = Stepper(cfg.method, Th, bh, majorization(Th), cfg.alpha, cfg.omega)
     except (SingularMatrix, ZeroDiagonal):
         return outcome(Status.SINGULAR_MATRIX, 0)
 
     with np.errstate(over="ignore", invalid="ignore"):
         F = residual(Th, bh, x)
-        infeasible = bool(np.any(F > cfg.audit_tol) or np.any(x < -cfg.audit_tol))
-        audit = cfg.audit_monotone and not infeasible
+        infeasible = bool(np.any(F > AUDIT_TOL))
         xpow = x ** (m - 1)
         stepper.start(xpow, F)
 
@@ -347,8 +346,8 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
             if _non_finite(res2, x_new, F_new):
                 status, iters = Status.NON_FINITE, k
                 break
-            mono = float(max(0.0, _max(x - x_new))) if audit else 0.0
-            feas = float(max(0.0, Fmax)) if audit else 0.0
+            mono = 0.0 if infeasible else float(max(0.0, _max(x - x_new)))
+            feas = 0.0 if infeasible else float(max(0.0, Fmax))
             ms = (time.perf_counter() - t0) * 1e3
             # The largest |entry| of a finite F; abs() turns a -0.0 maximum into 0.0.
             resinf = float(abs(max(Fmax, -_min(F_new))))

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import dense_linalg
 from .errors import DimensionMismatch, NegativePowerRHS
 
 # Entries of x^[m-1] in [-ROOT_CLAMP_TOL, 0) are treated as rounding noise
@@ -196,10 +197,9 @@ def _one_based(row) -> tuple:
 
 @dataclass(frozen=True)
 class MajorizationMatrix:
-    """The n x n matrix M with m_ij = m_{ij...j}, plus a cached LU factorization."""
+    """The n x n matrix M with m_ij = m_{ij...j}."""
 
     values: np.ndarray
-    _lu_cache: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
@@ -216,13 +216,9 @@ class MajorizationMatrix:
     def diagonal(self) -> np.ndarray:
         return np.diag(self.values)
 
-    def lu(self):
-        """LU factorization with partial pivoting, computed once and reused."""
-        if not self._lu_cache:
-            from .dense_linalg import lu_factor
-
-            self._lu_cache.append(lu_factor(self.values))
-        return self._lu_cache[0]
+    def lu(self) -> dense_linalg.LuFactorization:
+        """LU factorization with partial pivoting, computed on each call."""
+        return dense_linalg.lu_factor(self.values)
 
 
 @dataclass(frozen=True)
@@ -350,13 +346,17 @@ def offdiagonal_max(T: Tensor) -> float:
 
 
 def identity_minus(T: Tensor, s: float) -> Tensor:
-    """s*I - T, in the storage of T."""
+    """s*I - T, in the storage of T.  The dense result is 0.0 - T with s
+    added on the diagonal, so a zero entry of T gives +0.0."""
     if isinstance(T, SparseTensor):
         off = ~_diagonal_mask(T)
         diag = np.repeat(np.arange(T.dim)[:, None], T.order, axis=1)
         idx = np.concatenate([T.idx[off], diag])
         return SparseTensor(T.order, T.dim, idx, np.concatenate([-T.vals[off], s - diagonal(T)]))
-    return DenseTensor(s * identity_tensor(T.order, T.dim).array - T.array)
+    arr = 0.0 - T.array
+    i = np.arange(T.dim)
+    arr[(i,) * T.order] += s
+    return DenseTensor(arr)
 
 
 def row_sums(T: Tensor) -> np.ndarray:
@@ -406,17 +406,23 @@ def identity_tensor(m: int, n: int) -> DenseTensor:
     return DenseTensor(arr)
 
 
+def permutation_mean(A: np.ndarray, fixed: int) -> np.ndarray:
+    """The mean of A over all permutations of its axes after the first
+    `fixed`, summed in itertools.permutations order."""
+    head = tuple(range(fixed))
+    perms = list(itertools.permutations(range(fixed, A.ndim)))
+    acc = np.zeros_like(A)
+    for p in perms:
+        acc += np.transpose(A, head + p)
+    return acc / len(perms)
+
+
 def semi_symmetrize(T: DenseTensor) -> DenseTensor:
     """Average over all permutations of the trailing m-1 indices.
 
     Leaves contract_full unchanged for every x and is idempotent.
     """
-    m = T.order
-    perms = list(itertools.permutations(range(1, m)))
-    acc = np.zeros_like(T.array)
-    for p in perms:
-        acc += np.transpose(T.array, (0,) + p)
-    return DenseTensor(acc / len(perms))
+    return DenseTensor(permutation_mean(T.array, 1))
 
 
 def scale_system(T: Tensor, b) -> ScaledSystem:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mteq import cli, fixture, tensorio
+from mteq.solvers import METHODS
 from mteq.problems import gen_problem3
 
 
@@ -143,6 +144,24 @@ class TestSolve:
         with pytest.raises(SystemExit, match="cannot read x0 file"):
             cli.main(["solve", "--problem", "ex22", "--x0", str(tmp_path / "nope.txt")])
 
+    @pytest.mark.parametrize("scale", [[], ["--no-scale"]])
+    def test_non_finite_rhs_is_parse_error(self, scale, tmp_path, capsys):
+        inst = gen_problem3(10)
+        rhs = inst.rhs.copy()
+        rhs[0] = np.inf
+        tensorio.write_tensor(tmp_path / "p3.tensor.json", inst.tensor)
+        tensorio.write_vector(tmp_path / "p3.rhs.txt", rhs)
+        code = cli.main(["solve", "--tensor", str(tmp_path / "p3.tensor.json"),
+                         "--rhs", str(tmp_path / "p3.rhs.txt"), *scale])
+        assert code == 65
+        assert "b must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_is_parse_error(self, tol, capsys):
+        code = cli.main(["solve", "--problem", "1", "--n", "6", "--tol", tol])
+        assert code == 65
+        assert "eta must be" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_fields_for_m_tensor(self, capsys):
@@ -205,6 +224,14 @@ class TestBench:
         groups = list(seeds_by_alpha.values())
         assert all(g == groups[0] for g in groups)
 
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_reps_below_one_is_parse_error(self, reps, capsys):
+        code = cli.main(["bench", "--problem", "1", "--n", "6", "--reps", reps])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert "--reps must be at least 1" in captured.err
+        assert "nan" not in captured.out
+
     def test_all_runs_converge(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
         run(self.bench_args(path), capsys)
@@ -222,3 +249,9 @@ class TestParser:
     def test_method_choices_enforced(self):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["solve", "--problem", "1", "--method", "cg"])
+
+    def test_every_method_is_a_choice(self):
+        parser = cli.build_parser()
+        for method in METHODS:
+            assert parser.parse_args(["solve", "--problem", "1", "--method", method]).method == method
+            assert parser.parse_args(["bench", "--problem", "1", "--method", method]).method == [method]

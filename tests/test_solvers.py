@@ -40,6 +40,8 @@ class TestSolveConfig:
             {"method": "sor", "omega": 2.0},
             {"eta": 0.0},
             {"max_iter": 0},
+            {"eta": float("inf")},
+            {"eta": float("nan")},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -70,6 +72,19 @@ class TestStepFunctions:
         x2, state = step_anewton(lu, inst.tensor, inst.rhs, x1, 1.0, state)
         np.testing.assert_allclose(x2, [0.918343, 2.0], atol=5e-7)
         assert not state.fallback_used
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_anewton_fallback_is_the_smeqm_step(self, alpha):
+        # a large negative eps pushes the corrected candidate past the
+        # solution, out of S, so the step falls back to the plain update
+        inst = gen_problem1(6, 2)
+        T, b = inst.tensor, inst.rhs
+        M = majorization(T)
+        x0 = np.full(6, 0.01)
+        state = EpsilonState(r_correction(T, M, x0), np.full(6, -100.0))
+        x1, new_state = step_anewton(M.lu(), T, b, x0, alpha, state)
+        assert new_state.fallback_used
+        assert x1.tobytes() == step_smeqm(M.lu(), T, b, x0, alpha).tobytes()
 
     def test_r_correction_on_ex21(self):
         inst = fixture("ex21")
@@ -195,6 +210,15 @@ class TestSolveBehaviour:
         inst = fixture("ex22")
         with pytest.raises(ValueError, match="finite"):
             solve(inst.tensor, inst.rhs, [np.nan, 2.0])
+
+    @pytest.mark.parametrize("scale", [True, False])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_rhs_rejected(self, scale, bad):
+        inst = gen_problem3(10)
+        b = inst.rhs.copy()
+        b[0] = bad
+        with pytest.raises(ValueError, match="b must be finite"):
+            solve(inst.tensor, b, None, SolveConfig(scale=scale))
 
     def test_wrong_length_x0_rejected(self):
         inst = fixture("ex22")

@@ -20,7 +20,7 @@ from mteq import (
 )
 from mteq.errors import DimensionMismatch
 from mteq.problems import gen_problem3
-from mteq.tensor_core import ROOT_CLAMP_TOL, SparseTensor, _contract
+from mteq.tensor_core import ROOT_CLAMP_TOL, SparseTensor, _contract, identity_minus
 
 
 def random_tensor(rng, m, n):
@@ -208,6 +208,19 @@ class TestIdentityTensor:
 
     def test_majorization_is_identity(self):
         np.testing.assert_allclose(majorization(identity_tensor(5, 3)).values, np.eye(3))
+
+
+class TestIdentityMinus:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("s", [0.5, 3.0])
+    def test_dense_is_bit_identical_to_shifted_identity(self, m, s):
+        # zero entries of T give +0.0, as s * I - T gives them for s > 0
+        rng = np.random.default_rng(m)
+        A = rng.uniform(-1.0, 1.0, size=(3,) * m)
+        A[A > 0.3] = 0.0
+        got = identity_minus(DenseTensor(A), s).array
+        assert got.tobytes() == (s * identity_tensor(m, 3).array - A).tobytes()
+        assert not np.signbit(got[A == 0.0]).any()
 
 
 class TestSemiSymmetrize:
