@@ -29,12 +29,9 @@ from .solvers import (
     SolveConfig,
     SolveOutcome,
     Status,
-    epsilon_update,
     r_correction,
     solve,
     step_anewton,
-    step_smeqm,
-    step_splitting,
 )
 from .structure import (
     Existence,
@@ -55,7 +52,6 @@ from .tensor_core import (
     SparseTensor,
     contract_full,
     contract_matrix,
-    elementwise_power,
     elementwise_root,
     identity_tensor,
     majorization,

@@ -45,22 +45,18 @@ def _parse_x0(text: str, n: int):
     try:
         return np.full(n, float(text))
     except ValueError:
-        pass
-    try:
         return tensorio.read_vector(text)
-    except OSError:
-        raise SystemExit(f"cannot read x0 file {text!r}")
 
 
 def _load_system(args):
-    if getattr(args, "tensor", None):
-        T = tensorio.read_tensor(args.tensor)
-        b = tensorio.read_vector(args.rhs)
-        return T, b, None
-    if getattr(args, "problem", None):
+    if args.tensor:
+        if not args.rhs:
+            raise ValueError("--tensor requires --rhs")
+        return tensorio.read_tensor(args.tensor), tensorio.read_vector(args.rhs)
+    if args.problem:
         inst = problems.generate(args.problem, args.n, args.seed)
-        return inst.tensor, inst.rhs, inst
-    raise SystemExit("either --tensor/--rhs or --problem must be given")
+        return inst.tensor, inst.rhs
+    raise ValueError("either --tensor/--rhs or --problem must be given")
 
 
 def cmd_gen(args) -> int:
@@ -73,7 +69,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    T, b, _ = _load_system(args)
+    T, b = _load_system(args)
     cfg = SolveConfig(
         method=args.method,
         alpha=args.alpha,
@@ -85,7 +81,7 @@ def cmd_solve(args) -> int:
     x0 = _parse_x0(args.x0, T.dim)
     out = solve(T, b, x0, cfg)
     res2_scaled = out.trace.res2[-1] if len(out.trace) else float("nan")
-    res2_unscaled = out.trace.res2_unscaled[-1] if len(out.trace) else float("nan")
+    res2_unscaled = res2_scaled * out.scale_factor
     print(f"status: {out.status.value}")
     print(f"iterations: {out.iterations}")
     print(f"residual (scaled 2-norm): {res2_scaled:.6e}")
@@ -103,7 +99,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    T, b, _ = _load_system(args)
+    T, b = _load_system(args)
     is_z = structure.is_z_tensor(T)
     print(f"z_tensor: {is_z}")
     if is_z:
@@ -166,13 +162,12 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _add_system_args(p, with_seed=True):
+def _add_system_args(p):
     p.add_argument("--tensor", help="tensor file (JSON)")
     p.add_argument("--rhs", help="right-side vector file")
     p.add_argument("--problem", help="problem id: 1-4 or ex11/ex21/ex22")
     p.add_argument("--n", type=int, default=10)
-    if with_seed:
-        p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,29 +24,16 @@ PIVOT_TOL = 1e-14
 
 @dataclass(frozen=True)
 class LuFactorization:
-    """Packed LU factors with a row permutation: P A = L U.
+    """LU factors with row pivoting, P A = L U, as `dgetrf` returns them.
 
     `packed` holds the unit-lower factor strictly below the diagonal and
-    the upper factor on and above it (Fortran order, as `dgetrf` returns
-    it); `perm` maps factor rows to input rows; `ipiv` holds the 0-based
-    row interchanges of `dgetrf`, row k swapped with row ipiv[k] in turn.
+    the upper factor on and above it, in Fortran order; `ipiv` holds the
+    0-based row interchanges, row k swapped with row ipiv[k] in turn.
+    `lu_solve` passes both to `dgetrs` unchanged.
     """
 
     packed: np.ndarray
-    perm: np.ndarray
     ipiv: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.packed.shape[0]
-
-    @property
-    def lower(self) -> np.ndarray:
-        return np.tril(self.packed, -1) + np.eye(self.dim)
-
-    @property
-    def upper(self) -> np.ndarray:
-        return np.triu(self.packed)
 
 
 def lu_factor(A) -> LuFactorization:
@@ -67,17 +54,15 @@ def lu_factor(A) -> LuFactorization:
     if small.size:
         k = int(small[0])
         raise SingularMatrix(f"pivot {packed[k, k]:.3e} at column {k} below threshold")
-    perm = list(range(A.shape[0]))
-    for k, p in enumerate(ipiv.tolist()):
-        perm[k], perm[p] = perm[p], perm[k]
-    return LuFactorization(packed, np.array(perm), ipiv)
+    return LuFactorization(packed, ipiv)
 
 
 def lu_solve(F: LuFactorization, rhs) -> np.ndarray:
     """Solve A y = rhs given the factorization of A."""
     rhs = np.asarray(rhs, dtype=np.float64)
-    if rhs.shape != (F.dim,):
-        raise ValueError(f"rhs length {rhs.shape} does not match dim {F.dim}")
+    n = F.packed.shape[0]
+    if rhs.shape != (n,):
+        raise ValueError(f"rhs length {rhs.shape} does not match dim {n}")
     return dgetrs(F.packed, F.ipiv, rhs)[0]
 
 

@@ -5,8 +5,8 @@ Four families share one driver: the sequential M-matrix equation method
 Gauss-Seidel / SOR splittings (Li, Xie & Xu, Numer. Linear Algebra Appl.,
 2017), and an approximate Newton method that augments the step with a
 correction built from r(x) = (T x^{m-1} - (m-1) M x^[m-1]) / (m-1).  Each
-method's math exists once, in `Stepper`, which solve() and the public step
-functions share.
+method's math exists once, in `Stepper`.  solve() drives it; step_anewton
+takes one anewton step with it by hand, from a given correction state.
 
 From a feasible start (x0 in S = {x >= 0 : F(x) <= 0}) with alpha in
 (0, 1], the iterates increase monotonically and stay in S; the driver
@@ -17,6 +17,7 @@ trace rather than aborting.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -82,6 +83,8 @@ class SolveConfig:
             raise ValueError("omega must lie in (0, 2)")
         if not (math.isfinite(self.eta) and self.eta > 0.0):
             raise ValueError("eta must be finite and positive")
+        if not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError("max_iter must be an integer")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -92,23 +95,19 @@ class IterationTrace:
     CSV_HEADER = "k,res2,resinf,mono_violation,eps_fallback,ms,feas_violation"
 
     def __init__(self):
-        self.k: list[int] = []
         self.res2: list[float] = []
         self.resinf: list[float] = []
-        self.res2_unscaled: list[float] = []
         self.mono_violation: list[float] = []
         self.feas_violation: list[float] = []
         self.eps_fallback: list[bool] = []
         self.ms: list[float] = []
 
     def __len__(self) -> int:
-        return len(self.k)
+        return len(self.res2)
 
-    def append(self, k, res2, resinf, res2_unscaled, mono, feas, fallback, ms):
-        self.k.append(k)
+    def append(self, res2, resinf, mono, feas, fallback, ms):
         self.res2.append(res2)
         self.resinf.append(resinf)
-        self.res2_unscaled.append(res2_unscaled)
         self.mono_violation.append(mono)
         self.feas_violation.append(feas)
         self.eps_fallback.append(fallback)
@@ -123,9 +122,9 @@ class IterationTrace:
     def write_csv(self, path):
         with open(path, "w") as fh:
             fh.write(self.CSV_HEADER + "\n")
-            rows = zip(self.k, self.res2, self.resinf, self.mono_violation, self.eps_fallback, self.ms,
+            rows = zip(self.res2, self.resinf, self.mono_violation, self.eps_fallback, self.ms,
                        self.feas_violation)
-            for k, r2, ri, mono, fb, ms, feas in rows:
+            for k, (r2, ri, mono, fb, ms, feas) in enumerate(rows, 1):
                 fh.write(f"{k},{r2:.16e},{ri:.16e},{mono:.16e},{int(fb)},{ms:.3f},{feas:.16e}\n")
 
 
@@ -162,11 +161,6 @@ def _r_of(Tx, Mxpow, p: int) -> np.ndarray:
     return (Tx - p * Mxpow) / p
 
 
-def _eps_of(aF, r, r_prev) -> np.ndarray:
-    """eps_k = min(-alpha F(x_k), r(x_k) - r(x_{k-1})), with aF = -alpha F(x_k)."""
-    return np.minimum(aF, r - r_prev)
-
-
 class Stepper:
     """One method's iteration on a fixed system T x^{m-1} = b.
 
@@ -195,8 +189,8 @@ class Stepper:
             self.delta = lambda F: alpha * lu_solve(lu, F)
             if self.newton:
                 self.lu, self.Mvals = lu, M.values
-        elif method in ("jacobi", "gs", "sor"):
-            d = M.diagonal
+        else:
+            d = np.diag(M.values)
             if np.any(d == 0.0):
                 raise ZeroDiagonal("majorization matrix has a zero diagonal entry")
             if method == "jacobi":
@@ -205,8 +199,6 @@ class Stepper:
                 w = 1.0 if method == "gs" else omega
                 P, alpha_w = np.tril(M.values, -1) * w + np.diag(d), alpha * w
                 self.delta = lambda F: alpha_w * lower_tri_solve(P, F)
-        else:
-            raise ValueError(f"unknown method {method!r}")
 
     def start(self, xpow: np.ndarray, F: np.ndarray, r_prev=None, eps=None) -> None:
         """Set anewton's state at x; r_prev is r(x) and eps 0 unless given."""
@@ -223,8 +215,9 @@ class Stepper:
         if fallback:
             x_new, xpow_new, F_new, Fmax = self._advance(xpow - self.delta(F))
         r_new = _r_of(F_new + self.b, self.Mvals @ xpow_new, self.p)
+        # eps_k = min(-alpha F(x_k), r(x_k) - r(x_{k-1}))
         aF = -self.alpha * F_new
-        self.eps, self.r_prev = _eps_of(aF, r_new, self.r_prev), r_new
+        self.eps, self.r_prev = np.minimum(aF, r_new - self.r_prev), r_new
         self.rhs = aF - self.eps
         return x_new, xpow_new, F_new, Fmax, fallback
 
@@ -239,36 +232,10 @@ class Stepper:
         return x, x**self.p, F, _max(F)
 
 
-def _step_from(stepper: Stepper, x_k, r_prev=None, eps=None):
-    x_k = np.asarray(x_k, dtype=np.float64)
-    xpow, F = x_k**stepper.p, residual(stepper.T, stepper.b, x_k)
-    stepper.start(xpow, F, r_prev, eps)
-    return stepper.step(xpow, F)
-
-
 def r_correction(T: Tensor, M: MajorizationMatrix, x) -> np.ndarray:
     """r(x) = (T x^{m-1} - (m-1) M x^[m-1]) / (m-1)."""
     x = np.asarray(x, dtype=np.float64)
     return _r_of(contract_full(T, x), M.values @ x ** (T.order - 1), T.order - 1)
-
-
-def epsilon_update(state: EpsilonState, F_k, r_k, alpha: float) -> EpsilonState:
-    """Entrywise eps_k = min(-alpha F(x_k), r(x_k) - r(x_{k-1}))."""
-    r_k = np.asarray(r_k, dtype=np.float64)
-    eps = _eps_of(-alpha * np.asarray(F_k, dtype=np.float64), r_k, state.r_prev)
-    return EpsilonState(r_prev=r_k, eps=eps, fallback_used=state.fallback_used)
-
-
-def step_smeqm(M_lu: LuFactorization, T: Tensor, b, x_k, alpha: float) -> np.ndarray:
-    """One step of x^[m-1] <- x^[m-1] + alpha*d with M d = -F(x_k)."""
-    return _step_from(Stepper("smeqm", T, b, None, alpha, lu=M_lu), x_k)[0]
-
-
-def step_splitting(T: Tensor, b, x_k, alpha: float, variant: str, omega: float = 1.0) -> np.ndarray:
-    """One Jacobi / Gauss-Seidel / SOR step on the splitting M = D - L - U."""
-    if variant not in ("jacobi", "gs", "sor"):
-        raise ValueError(f"unknown splitting variant {variant!r}")
-    return _step_from(Stepper(variant, T, b, majorization(T), alpha, omega), x_k)[0]
 
 
 def step_anewton(M_lu: LuFactorization, T: Tensor, b, x_k, alpha: float,
@@ -276,7 +243,10 @@ def step_anewton(M_lu: LuFactorization, T: Tensor, b, x_k, alpha: float,
     """One approximate-Newton step with the feasibility fallback; returns
     the new iterate and the state updated for the next step."""
     stepper = Stepper("anewton", T, b, majorization(T), alpha, lu=M_lu)
-    x_new, _, _, _, fallback = _step_from(stepper, x_k, state.r_prev, state.eps)
+    x_k = np.asarray(x_k, dtype=np.float64)
+    xpow, F = x_k**stepper.p, residual(T, stepper.b, x_k)
+    stepper.start(xpow, F, state.r_prev, state.eps)
+    x_new, _, _, _, fallback = stepper.step(xpow, F)
     return x_new, EpsilonState(stepper.r_prev, stepper.eps, fallback)
 
 
@@ -351,7 +321,7 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
             ms = (time.perf_counter() - t0) * 1e3
             # The largest |entry| of a finite F; abs() turns a -0.0 maximum into 0.0.
             resinf = float(abs(max(Fmax, -_min(F_new))))
-            trace.append(k + 1, res2, resinf, res2 * w, mono, feas, fallback, ms)
+            trace.append(res2, resinf, mono, feas, fallback, ms)
             x, xpow, F = x_new, xpow_new, F_new
 
     return outcome(status, iters, infeasible)

@@ -31,6 +31,11 @@ from .tensor_core import (
 )
 
 
+# The stopping rule of spectral_radius_estimate, and the slack of is_feasible_S.
+POWER_MAX_ITER, POWER_TOL = 200, 1e-10
+FEASIBILITY_TOL = 1e-10
+
+
 class Verdict(str, Enum):
     STRONG_BY_ROW_SUM = "StrongByRowSum"
     NOT_Z_TENSOR = "NotZTensor"
@@ -76,33 +81,33 @@ def mtensor_certificate(T: Tensor, use_power_method: bool = False) -> MTensorCer
     row_sum_bound = float(row_sums(B).max())
     estimate = None
     if use_power_method:
-        estimate = spectral_radius_estimate(B, max_iter=200, tol=1e-10)
+        estimate = spectral_radius_estimate(B)
     verdict = Verdict.STRONG_BY_ROW_SUM if s > row_sum_bound else Verdict.UNKNOWN
     return MTensorCertificate(s, row_sum_bound, estimate, verdict)
 
 
-def spectral_radius_estimate(B: Tensor, max_iter: int = 200, tol: float = 1e-10) -> float:
+def spectral_radius_estimate(B: Tensor) -> float:
     """Power-type estimate of the spectral radius of a nonnegative tensor.
 
     Iterates u <- (B u^{m-1})^[1/(m-1)], normalized in the infinity norm,
     from u = e.  Advisory only: for reducible tensors the iteration need
     not reach the true radius, but the result never exceeds the row-sum
-    bound by more than tol.
+    bound by more than POWER_TOL.
     """
     if np.any(stored_values(B) < 0):
         raise ValueError("spectral radius estimate requires a nonnegative tensor")
     m = B.order
     u = np.ones(B.dim)
     estimate = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         w = contract_full(B, u)
         if not np.any(w > 0):
             return 0.0
-        alive = u > tol
+        alive = u > POWER_TOL
         new_estimate = float((w[alive] / u[alive] ** (m - 1)).max())
         u_new = elementwise_root(w, m)
         u_new /= u_new.max()
-        done = abs(new_estimate - estimate) <= tol * max(1.0, new_estimate)
+        done = abs(new_estimate - estimate) <= POWER_TOL * max(1.0, new_estimate)
         estimate = new_estimate
         u = u_new
         if done:
@@ -110,13 +115,13 @@ def spectral_radius_estimate(B: Tensor, max_iter: int = 200, tol: float = 1e-10)
     return estimate
 
 
-def is_feasible_S(T: Tensor, b, x, tol: float = 1e-10) -> FeasibilityReport:
-    """Membership test for S = {x >= 0 : T x^{m-1} <= b}, relaxed by tol."""
+def is_feasible_S(T: Tensor, b, x) -> FeasibilityReport:
+    """Membership test for S = {x >= 0 : T x^{m-1} <= b}, relaxed by FEASIBILITY_TOL."""
     x = np.asarray(x, dtype=np.float64)
     F = residual(T, b, x)
-    is_nonneg = bool(np.all(x >= -tol))
+    is_nonneg = bool(np.all(x >= -FEASIBILITY_TOL))
     residual_max = float(F.max())
-    return FeasibilityReport(is_nonneg, residual_max, is_nonneg and residual_max <= tol)
+    return FeasibilityReport(is_nonneg, residual_max, is_nonneg and residual_max <= FEASIBILITY_TOL)
 
 
 def solve_structured(T: Tensor, b) -> np.ndarray:
@@ -127,8 +132,7 @@ def solve_structured(T: Tensor, b) -> np.ndarray:
     """
     if np.any(stored_values(split_offmajor(T)) != 0.0):
         raise NotStructured("tensor has entries outside the (i, j, ..., j) positions")
-    M = majorization(T)
-    y = lu_solve(M.lu(), np.asarray(b, dtype=np.float64))
+    y = _solve_majorization(T, b)
     if np.any(y < -1e-12):
         raise NoNonnegativeSolution(f"M^-1 b has negative entry {y.min():.3e}")
     return elementwise_root(np.where(y < 0, 0.0, y), T.order)
@@ -140,10 +144,18 @@ def existence_sufficient(T: Tensor, b) -> Existence:
     Positive y guarantees a positive solution; nonnegative y a nonnegative
     one.  A sign change is Inconclusive (the test is not necessary).
     """
-    M = majorization(T)
-    y = lu_solve(M.lu(), np.asarray(b, dtype=np.float64))
+    y = _solve_majorization(T, b)
     if np.all(y > 1e-12):
         return Existence.POSITIVE
     if np.all(y >= -1e-12):
         return Existence.NONNEGATIVE
     return Existence.INCONCLUSIVE
+
+
+def _solve_majorization(T: Tensor, b) -> np.ndarray:
+    """y = M^-1 b for the majorization matrix M of T.  A non-finite b is
+    rejected, since its y would read as a sign pattern it does not have."""
+    b = np.asarray(b, dtype=np.float64)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("b must be finite")
+    return lu_solve(majorization(T).lu(), b)

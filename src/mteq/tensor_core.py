@@ -208,14 +208,6 @@ class MajorizationMatrix:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.values)
-
     def lu(self) -> dense_linalg.LuFactorization:
         """LU factorization with partial pivoting, computed on each call."""
         return dense_linalg.lu_factor(self.values)
@@ -284,14 +276,6 @@ def residual(T: Tensor, b, x) -> np.ndarray:
     """F(x) = T x^{m-1} - b."""
     b = _as_vector(b, T.dim)
     return contract_full(T, x) - b
-
-
-def elementwise_power(x, p: float) -> np.ndarray:
-    """Entrywise power x^[p].  Fractional p requires nonnegative entries."""
-    x = np.asarray(x, dtype=np.float64)
-    if p != int(p) and np.any(x < 0):
-        raise NegativePowerRHS(f"negative entry under fractional power {p}")
-    return x**p
 
 
 def elementwise_root(v, m: int) -> np.ndarray:

@@ -51,7 +51,7 @@ def instance_paths(prefix) -> dict[str, Path]:
     }
 
 
-def write_instance(prefix, inst: ProblemInstance, scale: float | None = None) -> dict[str, Path]:
+def write_instance(prefix, inst: ProblemInstance) -> dict[str, Path]:
     paths = instance_paths(prefix)
     write_tensor(paths["tensor"], inst.tensor)
     write_vector(paths["rhs"], inst.rhs)
@@ -59,7 +59,7 @@ def write_instance(prefix, inst: ProblemInstance, scale: float | None = None) ->
         "problem": inst.problem,
         "n": inst.n,
         "seed": inst.seed,
-        "scale": scale,
+        "scale": None,  # instances are written unscaled
     }
     if inst.known_solutions:
         meta["known_solutions"] = [list(map(float, s)) for s in inst.known_solutions]

@@ -3,9 +3,9 @@ import csv
 import numpy as np
 import pytest
 
-from mteq import cli, fixture, tensorio
+from mteq import SolveConfig, cli, fixture, solve, tensorio
 from mteq.solvers import METHODS
-from mteq.problems import gen_problem3
+from mteq.problems import gen_problem1, gen_problem3
 
 
 def run(argv, capsys):
@@ -140,9 +140,32 @@ class TestSolve:
         assert code == 0
         assert "iterations: 0" in out
 
-    def test_x0_missing_file(self, tmp_path):
-        with pytest.raises(SystemExit, match="cannot read x0 file"):
-            cli.main(["solve", "--problem", "ex22", "--x0", str(tmp_path / "nope.txt")])
+    def test_x0_missing_file(self, tmp_path, capsys):
+        code = cli.main(["solve", "--problem", "ex22", "--x0", str(tmp_path / "nope.txt")])
+        assert code == 65
+        assert "nope.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["--tensor", "t.json"], "--tensor requires --rhs"),
+         ([], "either --tensor/--rhs or --problem must be given")],
+        ids=["tensor-without-rhs", "no-system"],
+    )
+    @pytest.mark.parametrize("command", ["solve", "analyze"])
+    def test_missing_system_is_parse_error(self, command, argv, message, capsys):
+        code = cli.main([command, *argv])
+        assert code == 65
+        assert message in capsys.readouterr().err
+
+    def test_unscaled_residual_is_scaled_times_scale_factor(self, capsys):
+        code, out = run(["solve", "--problem", "1", "--n", "6", "--seed", "4"], capsys)
+        assert code == 0
+        inst = gen_problem1(6, 4)
+        ref = solve(inst.tensor, inst.rhs, None, SolveConfig())
+        res2 = ref.trace.res2[-1]
+        assert ref.scale_factor != 1.0
+        assert f"residual (scaled 2-norm): {res2:.6e}" in out
+        assert f"residual (unscaled 2-norm): {res2 * ref.scale_factor:.6e}" in out
 
     @pytest.mark.parametrize("scale", [[], ["--no-scale"]])
     def test_non_finite_rhs_is_parse_error(self, scale, tmp_path, capsys):
@@ -180,6 +203,19 @@ class TestAnalyze:
     def test_power_flag_adds_estimate(self, capsys):
         _, out = run(["analyze", "--problem", "2", "--n", "4", "--power"], capsys)
         assert "power_estimate:" in out
+
+    def test_non_finite_rhs_is_parse_error(self, tmp_path, capsys):
+        inst = gen_problem3(10)
+        rhs = inst.rhs.copy()
+        rhs[0] = np.inf
+        tensorio.write_tensor(tmp_path / "p3.tensor.json", inst.tensor)
+        tensorio.write_vector(tmp_path / "p3.rhs.txt", rhs)
+        code = cli.main(["analyze", "--tensor", str(tmp_path / "p3.tensor.json"),
+                         "--rhs", str(tmp_path / "p3.rhs.txt")])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert "b must be finite" in captured.err
+        assert "existence:" not in captured.out
 
 
 class TestBench:

@@ -19,13 +19,22 @@ from mteq import (
 from mteq.dense_linalg import PIVOT_TOL
 
 
+def _factors(F):
+    """(perm, L, U) with A[perm] = L U, unpacked from F.packed and F.ipiv."""
+    n = F.packed.shape[0]
+    perm = np.arange(n)
+    for k, p in enumerate(F.ipiv):
+        perm[[k, p]] = perm[[p, k]]
+    return perm, np.tril(F.packed, -1) + np.eye(n), np.triu(F.packed)
+
+
 class TestLuFactor:
     def test_known_2x2(self):
-        F = lu_factor([[4.0, 3.0], [6.0, 3.0]])
+        perm, L, U = _factors(lu_factor([[4.0, 3.0], [6.0, 3.0]]))
         # pivot row is the second one
-        np.testing.assert_array_equal(F.perm, [1, 0])
-        np.testing.assert_allclose(F.lower, [[1.0, 0.0], [2.0 / 3.0, 1.0]])
-        np.testing.assert_allclose(F.upper, [[6.0, 3.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(perm, [1, 0])
+        np.testing.assert_allclose(L, [[1.0, 0.0], [2.0 / 3.0, 1.0]])
+        np.testing.assert_allclose(U, [[6.0, 3.0], [0.0, 1.0]])
 
     def test_pivoting_handles_zero_leading_entry(self):
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -54,9 +63,9 @@ class TestLuFactor:
     def test_reconstruction(self, n, seed):
         rng = np.random.default_rng(seed)
         A = rng.normal(size=(n, n)) + n * np.eye(n)
-        F = lu_factor(A)
-        assert sorted(F.perm) == list(range(n))
-        np.testing.assert_allclose(F.lower @ F.upper, A[F.perm], rtol=1e-10, atol=1e-12)
+        perm, L, U = _factors(lu_factor(A))
+        assert sorted(perm) == list(range(n))
+        np.testing.assert_allclose(L @ U, A[perm], rtol=1e-10, atol=1e-12)
 
 
 class TestLuSolve:
@@ -125,12 +134,9 @@ class TestLapackPath:
 
     def test_perm_follows_ipiv(self):
         A = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.0], [3.0, 1.0, 0.0]])
-        F = lu_factor(A)
-        perm = np.arange(3)
-        for k, p in enumerate(F.ipiv):
-            perm[[k, p]] = perm[[p, k]]
-        np.testing.assert_array_equal(F.perm, perm)
-        np.testing.assert_array_equal(F.perm, [2, 0, 1])
+        perm, L, U = _factors(lu_factor(A))
+        np.testing.assert_array_equal(perm, [2, 0, 1])
+        np.testing.assert_allclose(L @ U, A[perm], rtol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 60), seed=st.integers(0, 2**31), margin=st.floats(0.01, 1.0))
@@ -149,7 +155,7 @@ class TestLapackPath:
         M = majorization(scale_system(inst.tensor, inst.rhs).tensor).values
         assert np.count_nonzero(M - np.diag(np.diag(M))) == 0
         F = lu_factor(M)
-        np.testing.assert_array_equal(F.perm, np.arange(50))
+        np.testing.assert_array_equal(F.ipiv, np.arange(50))
         rng = np.random.default_rng(5)
         for _ in range(20):
             b = rng.normal(size=50) * 10.0 ** rng.integers(-20, 20)

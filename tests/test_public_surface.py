@@ -1,0 +1,77 @@
+"""The public surface of the package, pinned: adding or removing a name or a
+SolveConfig option changes these lists, so it shows up as a reviewed diff."""
+
+import dataclasses
+import types
+
+import mteq
+
+PUBLIC_NAMES = [
+    "BOUNDARY_VALUE",
+    "DenseTensor",
+    "DimensionMismatch",
+    "EARTH_MASS",
+    "EpsilonState",
+    "Existence",
+    "FeasibilityReport",
+    "GRAVITATIONAL_CONSTANT",
+    "IterationTrace",
+    "LuFactorization",
+    "MTensorCertificate",
+    "MajorizationMatrix",
+    "MteqError",
+    "NegativePowerRHS",
+    "NoNonnegativeSolution",
+    "NotStructured",
+    "NotZTensor",
+    "ProblemInstance",
+    "ScaledSystem",
+    "SingularMatrix",
+    "SolveConfig",
+    "SolveOutcome",
+    "SparseTensor",
+    "Status",
+    "Verdict",
+    "ZeroDiagonal",
+    "contract_full",
+    "contract_matrix",
+    "elementwise_root",
+    "existence_sufficient",
+    "fixture",
+    "gen_problem1",
+    "gen_problem2",
+    "gen_problem3",
+    "gen_problem4",
+    "generate",
+    "identity_tensor",
+    "is_feasible_S",
+    "is_z_tensor",
+    "lower_tri_solve",
+    "lu_factor",
+    "lu_solve",
+    "majorization",
+    "mtensor_certificate",
+    "r_correction",
+    "residual",
+    "scale_system",
+    "semi_symmetrize",
+    "solve",
+    "solve_structured",
+    "spectral_radius_estimate",
+    "split_offmajor",
+    "step_anewton",
+]
+
+SOLVE_CONFIG_FIELDS = ["alpha", "eta", "max_iter", "method", "omega", "scale"]
+
+
+def test_public_names():
+    # submodules become attributes of the package once imported, so they
+    # are left out: which of them are loaded depends on the test order
+    names = [n for n, v in vars(mteq).items()
+             if not n.startswith("_") and not isinstance(v, types.ModuleType)]
+    assert sorted(names) == PUBLIC_NAMES
+
+
+def test_solve_config_fields():
+    assert sorted(f.name for f in dataclasses.fields(mteq.SolveConfig)) == SOLVE_CONFIG_FIELDS

@@ -10,7 +10,6 @@ from mteq import (
     EpsilonState,
     SolveConfig,
     Status,
-    epsilon_update,
     fixture,
     identity_tensor,
     majorization,
@@ -19,8 +18,6 @@ from mteq import (
     scale_system,
     solve,
     step_anewton,
-    step_smeqm,
-    step_splitting,
 )
 from mteq.problems import gen_problem1, gen_problem3, gen_problem4
 
@@ -40,6 +37,7 @@ class TestSolveConfig:
             {"method": "sor", "omega": 2.0},
             {"eta": 0.0},
             {"max_iter": 0},
+            {"max_iter": 2.5},
             {"eta": float("inf")},
             {"eta": float("nan")},
         ],
@@ -55,8 +53,8 @@ class TestSolveConfig:
 class TestStepFunctions:
     def test_smeqm_first_step_on_ex21(self):
         inst = fixture("ex21")
-        lu = majorization(inst.tensor).lu()
-        x1 = step_smeqm(lu, inst.tensor, inst.rhs, [0.8, 2.0], 1.0)
+        cfg = SolveConfig(max_iter=1, scale=False)
+        x1 = solve(inst.tensor, inst.rhs, [0.8, 2.0], cfg).x
         np.testing.assert_allclose(x1, [0.843433, 2.0], atol=5e-7)
 
     def test_anewton_first_two_steps_on_ex21(self):
@@ -84,7 +82,8 @@ class TestStepFunctions:
         state = EpsilonState(r_correction(T, M, x0), np.full(6, -100.0))
         x1, new_state = step_anewton(M.lu(), T, b, x0, alpha, state)
         assert new_state.fallback_used
-        assert x1.tobytes() == step_smeqm(M.lu(), T, b, x0, alpha).tobytes()
+        cfg = SolveConfig(alpha=alpha, max_iter=1, scale=False)
+        assert x1.tobytes() == solve(T, b, x0, cfg).x.tobytes()
 
     def test_r_correction_on_ex21(self):
         inst = fixture("ex21")
@@ -94,31 +93,33 @@ class TestStepFunctions:
         )
 
     def test_epsilon_update_entrywise_min(self):
-        state = EpsilonState(r_prev=np.array([1.0, 0.0]), eps=np.zeros(2))
-        new = epsilon_update(state, F_k=[-2.0, -0.5], r_k=[1.5, -3.0], alpha=1.0)
-        np.testing.assert_allclose(new.eps, [0.5, -3.0])
-        np.testing.assert_allclose(new.r_prev, [1.5, -3.0])
-
-    def test_splitting_variants_disagree_only_in_update(self):
-        inst = fixture("ex22")
-        x = np.array([1.5, 2.0])
-        gs = step_splitting(inst.tensor, inst.rhs, x, 1.0, "gs")
-        sor1 = step_splitting(inst.tensor, inst.rhs, x, 1.0, "sor", omega=1.0)
-        np.testing.assert_array_equal(gs, sor1)
-        with pytest.raises(ValueError):
-            step_splitting(inst.tensor, inst.rhs, x, 1.0, "ssor")
+        # eps_k = min(-alpha F(x_k), r(x_k) - r(x_{k-1})), entry by entry; a
+        # lowered r_prev on the even entries makes the min take either side
+        inst = gen_problem1(6, 2)
+        T, b = inst.tensor, inst.rhs
+        M = majorization(T)
+        x0 = np.full(6, 0.01)
+        r_prev = r_correction(T, M, x0) - np.array([10.0, 0.0] * 3)
+        x1, new = step_anewton(M.lu(), T, b, x0, 0.5, EpsilonState.initial(r_prev))
+        r1 = r_correction(T, M, x1)
+        aF, dr = -0.5 * residual(T, b, x1), r1 - r_prev
+        assert np.all((aF < dr) == [True, False] * 3)
+        np.testing.assert_allclose(new.r_prev, r1, rtol=1e-12)
+        np.testing.assert_allclose(new.eps, np.minimum(aF, dr), rtol=1e-12)
 
     def test_jacobi_step_on_diagonal_tensor_is_exact_direction(self):
         # for the identity tensor the Jacobi step solves the system in one move
         T = identity_tensor(3, 2)
         b = np.array([4.0, 9.0])
-        x1 = step_splitting(T, b, np.zeros(2), 1.0, "jacobi")
+        cfg = SolveConfig(method="jacobi", max_iter=1, scale=False)
+        x1 = solve(T, b, np.zeros(2), cfg).x
         np.testing.assert_allclose(x1, [2.0, 3.0])
 
 
 class TestStepWrappersRunSolvesCode:
-    """The public step functions, driven by hand on the scaled system from
-    x0 = 0, give solve()'s iterates bit for bit."""
+    """Steps taken one at a time from x0 = 0 give solve()'s iterates bit for
+    bit: step_anewton driven by hand on the scaled system, and for the other
+    methods one-step solves, each restarted from the last iterate."""
 
     @pytest.mark.parametrize("problem", ["P1", "P3"])
     @pytest.mark.parametrize("method", ["smeqm", "jacobi", "gs", "sor", "anewton"])
@@ -129,13 +130,12 @@ class TestStepWrappersRunSolvesCode:
         M = majorization(T)
         x = np.zeros(10)
         state = EpsilonState.initial(r_correction(T, M, x))
+        one_step = SolveConfig(method=method, omega=1.3, max_iter=1)
         for k in range(1, 6):
-            if method == "smeqm":
-                x = step_smeqm(M.lu(), T, b, x, 1.0)
-            elif method == "anewton":
+            if method == "anewton":
                 x, state = step_anewton(M.lu(), T, b, x, 1.0, state)
             else:
-                x = step_splitting(T, b, x, 1.0, method, omega=1.3)
+                x = solve(inst.tensor, inst.rhs, x, one_step).x
             cfg = SolveConfig(method=method, omega=1.3, max_iter=k)
             out = solve(inst.tensor, inst.rhs, None, cfg)
             assert out.status is Status.MAX_ITER and out.iterations == k
@@ -335,7 +335,7 @@ class TestTraceCsv:
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(out.trace)
-        assert [int(r["k"]) for r in rows] == out.trace.k
+        assert [int(r["k"]) for r in rows] == list(range(1, len(out.trace) + 1))
         np.testing.assert_allclose([float(r["res2"]) for r in rows], out.trace.res2)
         np.testing.assert_allclose(
             [float(r["mono_violation"]) for r in rows], out.trace.mono_violation
@@ -350,10 +350,3 @@ class TestTraceCsv:
         out = solve(inst.tensor, inst.rhs, None, SolveConfig())
         r = np.array(out.trace.res2)
         assert np.all(np.diff(r) <= 1e-12)
-
-    def test_unscaled_column_carries_scale_factor(self):
-        inst = gen_problem1(6, 4)
-        out = solve(inst.tensor, inst.rhs, None, SolveConfig())
-        np.testing.assert_allclose(
-            out.trace.res2_unscaled, np.array(out.trace.res2) * out.scale_factor
-        )

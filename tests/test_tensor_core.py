@@ -8,7 +8,6 @@ from mteq import (
     NegativePowerRHS,
     contract_full,
     contract_matrix,
-    elementwise_power,
     elementwise_root,
     fixture,
     identity_tensor,
@@ -104,19 +103,6 @@ class TestResidual:
 
 
 class TestElementwise:
-    def test_integer_power(self):
-        np.testing.assert_allclose(elementwise_power([2.0, 3.0], 3), [8.0, 27.0])
-
-    def test_cube_roots(self):
-        np.testing.assert_allclose(elementwise_power([0.512, 8.0], 1 / 3), [0.8, 2.0])
-
-    def test_ones_fixed(self):
-        np.testing.assert_allclose(elementwise_power(np.ones(4), 0.37), np.ones(4))
-
-    def test_fractional_power_of_negative_raises(self):
-        with pytest.raises(NegativePowerRHS):
-            elementwise_power([-1.0, 4.0], 0.5)
-
     def test_root_values(self):
         np.testing.assert_allclose(
             elementwise_root([0.6, 8.0], 4), [0.843433, 2.0], atol=5e-7
