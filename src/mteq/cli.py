@@ -49,43 +49,41 @@ def _parse_x0(text: str, n: int):
 
 
 def _load_system(args):
-    if args.tensor:
-        if not args.rhs:
-            raise ValueError("--tensor requires --rhs")
-        return tensorio.read_tensor(args.tensor), tensorio.read_vector(args.rhs)
+    """The system from exactly one source: --problem, or --tensor with --rhs."""
+    if args.problem and (args.tensor or args.rhs):
+        raise ValueError("give --problem or --tensor/--rhs, not both")
     if args.problem:
         inst = problems.generate(args.problem, args.n, args.seed)
         return inst.tensor, inst.rhs
-    raise ValueError("either --tensor/--rhs or --problem must be given")
+    if not args.tensor:
+        raise ValueError("--rhs requires --tensor" if args.rhs
+                         else "either --tensor/--rhs or --problem must be given")
+    if not args.rhs:
+        raise ValueError("--tensor requires --rhs")
+    return tensorio.read_tensor(args.tensor), tensorio.read_vector(args.rhs)
+
+
+def _solve_config(args, **kw) -> SolveConfig:
+    return SolveConfig(omega=args.omega, eta=args.tol, max_iter=args.max_iter, **kw)
 
 
 def cmd_gen(args) -> int:
     inst = problems.generate(args.problem, args.n, args.seed)
-    out = args.out or f"{inst.problem.lower()}_n{inst.n}_s{inst.seed}"
-    paths = tensorio.write_instance(out, inst)
-    for name, path in paths.items():
+    seed = "" if inst.seed is None else f"_s{inst.seed}"
+    out = args.out or f"{inst.problem.lower()}_n{inst.n}{seed}"
+    for name, path in tensorio.write_instance(out, inst).items():
         print(f"{name}: {path}")
     return 0
 
 
 def cmd_solve(args) -> int:
     T, b = _load_system(args)
-    cfg = SolveConfig(
-        method=args.method,
-        alpha=args.alpha,
-        omega=args.omega,
-        eta=args.tol,
-        max_iter=args.max_iter,
-        scale=not args.no_scale,
-    )
-    x0 = _parse_x0(args.x0, T.dim)
-    out = solve(T, b, x0, cfg)
-    res2_scaled = out.trace.res2[-1] if len(out.trace) else float("nan")
-    res2_unscaled = res2_scaled * out.scale_factor
+    cfg = _solve_config(args, method=args.method, alpha=args.alpha, scale=not args.no_scale)
+    out = solve(T, b, _parse_x0(args.x0, T.dim), cfg)
     print(f"status: {out.status.value}")
     print(f"iterations: {out.iterations}")
-    print(f"residual (scaled 2-norm): {res2_scaled:.6e}")
-    print(f"residual (unscaled 2-norm): {res2_unscaled:.6e}")
+    print(f"residual (scaled 2-norm): {out.res2:.6e}")
+    print(f"residual (unscaled 2-norm): {out.res2 * out.scale_factor:.6e}")
     if out.infeasible_start:
         print("note: infeasible start, monotonicity audit disabled")
     if out.alpha_warning:
@@ -121,44 +119,28 @@ def cmd_analyze(args) -> int:
 def cmd_bench(args) -> int:
     if args.reps < 1:
         raise ValueError("--reps must be at least 1")
-    rows = []
+    configs = [_solve_config(args, method=m, alpha=a) for a in args.alpha for m in args.method]
+    lines, groups = [BENCH_CSV_HEADER], {}
     for n in args.n:
         for rep in range(args.reps):
             seed = rep_seed(args.seed, args.problem, n, rep)
             inst = problems.generate(args.problem, n, seed)
-            for ai, alpha in enumerate(args.alpha):
-                for method in args.method:
-                    cfg = SolveConfig(
-                        method=method,
-                        alpha=alpha,
-                        omega=args.omega,
-                        eta=args.tol,
-                        max_iter=args.max_iter,
-                    )
-                    t0 = time.perf_counter()
-                    out = solve(inst.tensor, inst.rhs, None, cfg)
-                    ms = (time.perf_counter() - t0) * 1e3
-                    res2 = out.trace.res2[-1] if len(out.trace) else float("nan")
-                    rows.append(
-                        (args.problem, n, seed, method, alpha, args.omega,
-                         out.iterations, res2, ms, out.status.value)
-                    )
+            for cfg in configs:
+                t0 = time.perf_counter()
+                out = solve(inst.tensor, inst.rhs, None, cfg)
+                ms = (time.perf_counter() - t0) * 1e3
+                lines.append(
+                    f"{args.problem},{inst.n},{seed},{cfg.method},{cfg.alpha:.6g},{cfg.omega:.6g},"
+                    f"{out.iterations},{out.res2:.16e},{ms:.3f},{out.status.value}"
+                )
+                groups.setdefault((inst.n, cfg.alpha, cfg.method), []).append((out.iterations, ms))
     if args.csv:
         with open(args.csv, "w") as fh:
-            fh.write(BENCH_CSV_HEADER + "\n")
-            for r in rows:
-                fh.write(
-                    f"{r[0]},{r[1]},{r[2]},{r[3]},{r[4]:.6g},{r[5]:.6g},"
-                    f"{r[6]},{r[7]:.16e},{r[8]:.3f},{r[9]}\n"
-                )
+            fh.write("".join(line + "\n" for line in lines))
     print(f"{'n':>5} {'alpha':>6} {'method':>8} {'mean_iter':>10} {'mean_ms':>10}")
-    for n in args.n:
-        for alpha in args.alpha:
-            for method in args.method:
-                group = [r for r in rows if r[1] == n and r[4] == alpha and r[3] == method]
-                iters = float(np.mean([r[6] for r in group]))
-                ms = float(np.mean([r[8] for r in group]))
-                print(f"{n:>5} {alpha:>6.2f} {method:>8} {iters:>10.1f} {ms:>10.2f}")
+    for (n, alpha, method), runs in groups.items():
+        iters, times = zip(*runs)
+        print(f"{n:>5} {alpha:>6.2f} {method:>8} {np.mean(iters):>10.1f} {np.mean(times):>10.2f}")
     return 0
 
 

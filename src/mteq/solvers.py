@@ -137,6 +137,9 @@ class SolveOutcome:
     infeasible_start: bool = False
     alpha_warning: bool = False
     scale_factor: float = 1.0
+    # ||F(x)||_2 of the returned x on the system iterated: the last trace
+    # row, the start residual after 0 iterations, NaN if none was computed.
+    res2: float = math.nan
 
     @property
     def converged(self) -> bool:
@@ -282,8 +285,9 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
         Th, bh, w = T, b, 1.0
     trace = IterationTrace()
 
-    def outcome(status, iters, infeasible=False):
-        return SolveOutcome(status, x, iters, trace, infeasible, cfg.alpha > 1.0, w)
+    def outcome(status, iters, infeasible=False, res0=math.nan):
+        res2 = trace.res2[-1] if len(trace) else res0
+        return SolveOutcome(status, x, iters, trace, infeasible, cfg.alpha > 1.0, w, res2)
 
     # One factorization (or splitting) per run, reused every iteration.
     try:
@@ -299,9 +303,9 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
 
         # res2 is ||F(x_k)||_2: the stopping test of iteration k and, after
         # the step, the trace row of iteration k + 1.
-        res2 = math.sqrt(F @ F)
+        res0 = res2 = math.sqrt(F @ F)
         if _non_finite(res2, x, F):
-            return outcome(Status.NON_FINITE, 0, infeasible)
+            return outcome(Status.NON_FINITE, 0, infeasible, res0)
         for k in range(cfg.max_iter + 1):
             if res2 <= cfg.eta or k == cfg.max_iter:
                 status, iters = Status.CONVERGED if res2 <= cfg.eta else Status.MAX_ITER, k
@@ -324,7 +328,7 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
             trace.append(res2, resinf, mono, feas, fallback, ms)
             x, xpow, F = x_new, xpow_new, F_new
 
-    return outcome(status, iters, infeasible)
+    return outcome(status, iters, infeasible, res0)
 
 
 def _non_finite(res2: float, x: np.ndarray, F: np.ndarray) -> bool:

@@ -59,7 +59,6 @@ def write_instance(prefix, inst: ProblemInstance) -> dict[str, Path]:
         "problem": inst.problem,
         "n": inst.n,
         "seed": inst.seed,
-        "scale": None,  # instances are written unscaled
     }
     if inst.known_solutions:
         meta["known_solutions"] = [list(map(float, s)) for s in inst.known_solutions]

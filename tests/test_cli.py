@@ -46,6 +46,19 @@ class TestGen:
 
         meta = json.loads((tmp_path / "fx.meta.json").read_text())
         assert meta["known_solutions"] == [[1.0, 2.0], [2.0, 2.0]]
+        assert "scale" not in meta
+
+    @pytest.mark.parametrize(
+        "problem, prefix", [("3", "p3_n5"), ("ex21", "ex21_n2"), ("1", "p1_n5_s0")]
+    )
+    def test_default_prefix_names_seed_only_when_set(self, problem, prefix, tmp_path,
+                                                     monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, _ = run(["gen", "--problem", problem, "--n", "5"], capsys)
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"{prefix}.meta.json", f"{prefix}.rhs.txt", f"{prefix}.tensor.json"
+        ]
 
 
 class TestSolve:
@@ -127,6 +140,13 @@ class TestSolve:
         assert code == 0
         assert "iterations: 0" in out
 
+    def test_zero_iterations_print_start_residual(self, capsys):
+        code, out = run(["solve", "--problem", "ex22", "--x0", "2,2"], capsys)
+        assert code == 0
+        assert "iterations: 0" in out
+        assert "residual (scaled 2-norm): 0.000000e+00" in out
+        assert "residual (unscaled 2-norm): 0.000000e+00" in out
+
     @pytest.mark.parametrize("text", ["-1", "-0.5", "nan", "inf"])
     def test_x0_invalid_number_is_parse_error(self, text, capsys):
         code = cli.main(["solve", "--problem", "ex22", "--x0", text])
@@ -148,8 +168,12 @@ class TestSolve:
     @pytest.mark.parametrize(
         "argv, message",
         [(["--tensor", "t.json"], "--tensor requires --rhs"),
-         ([], "either --tensor/--rhs or --problem must be given")],
-        ids=["tensor-without-rhs", "no-system"],
+         ([], "either --tensor/--rhs or --problem must be given"),
+         (["--rhs", "b.txt"], "--rhs requires --tensor"),
+         (["--problem", "1", "--rhs", "b.txt"], "not both"),
+         (["--problem", "1", "--tensor", "t.json", "--rhs", "b.txt"], "not both")],
+        ids=["tensor-without-rhs", "no-system", "rhs-without-tensor", "problem-and-rhs",
+             "problem-and-tensor"],
     )
     @pytest.mark.parametrize("command", ["solve", "analyze"])
     def test_missing_system_is_parse_error(self, command, argv, message, capsys):
@@ -259,6 +283,16 @@ class TestBench:
             seeds_by_alpha.setdefault(row["alpha"], set()).add(row["seed"])
         groups = list(seeds_by_alpha.values())
         assert all(g == groups[0] for g in groups)
+
+    def test_rows_record_the_system_solved(self, tmp_path, capsys):
+        # ex22 is 2-dimensional whatever --n asks for
+        path = tmp_path / "e.csv"
+        code, out = run(["bench", "--problem", "ex22", "--n", "10", "--reps", "1",
+                         "--csv", str(path)], capsys)
+        assert code == 0
+        with open(path) as fh:
+            assert [row["n"] for row in csv.DictReader(fh)] == ["2"]
+        assert out.splitlines()[1].split()[0] == "2"
 
     @pytest.mark.parametrize("reps", ["0", "-1"])
     def test_reps_below_one_is_parse_error(self, reps, capsys):

@@ -230,6 +230,7 @@ class TestSolveBehaviour:
         # x^[m-1] negative with an even-power root, a hard abort
         out = solve(identity_tensor(3, 2), [-1.0, 1.0], None, SolveConfig())
         assert out.status is Status.NEGATIVE_POWER_RHS
+        assert out.iterations == 0 and out.res2 == np.sqrt(2.0)  # ||F(0)||_2 = ||b||_2
 
     def test_singular_majorization_status(self):
         arr = np.zeros((2, 2, 2))
@@ -237,6 +238,7 @@ class TestSolveBehaviour:
         out = solve(DenseTensor(arr), [1.0, 1.0], None, SolveConfig())
         assert out.status is Status.SINGULAR_MATRIX
         assert out.iterations == 0
+        assert np.isnan(out.res2)
 
     # P4 n = 3 seed 1 at alpha = 2 diverges.  Jacobi and Gauss-Seidel reach
     # inf entries; smeqm stays finite (x ~ 5e82) while the 2-norm of its
@@ -249,6 +251,7 @@ class TestSolveBehaviour:
         assert 0 < out.iterations < 3000
         assert len(out.trace) == out.iterations
         assert np.all(np.isfinite(out.x))
+        assert out.res2 == out.trace.res2[-1]  # the last finite iterate's residual
 
     def test_non_finite_residual_at_start(self):
         # x0 is finite, but F(x0) overflows to inf entries
@@ -318,12 +321,14 @@ class TestSolveBehaviour:
         tight = solve(inst.tensor, inst.rhs, None, SolveConfig(eta=1e-10))
         assert loose.iterations < tight.iterations
         assert loose.trace.res2[-1] <= 1e-4
+        assert loose.res2 == loose.trace.res2[-1] and tight.res2 == tight.trace.res2[-1]
 
     def test_converged_at_start_runs_zero_iterations(self):
         T = identity_tensor(3, 2)
         out = solve(T, [4.0, 9.0], [2.0, 3.0], SolveConfig(scale=False))
         assert out.converged
         assert out.iterations == 0
+        assert out.res2 == 0.0
 
 
 class TestTraceCsv:
