@@ -49,7 +49,8 @@ def _parse_x0(text: str, n: int):
 
 
 def _load_system(args):
-    """The system from exactly one source: --problem, or --tensor with --rhs."""
+    """The system from exactly one source: --problem, or --tensor with --rhs
+    of the tensor's dimension."""
     if args.problem and (args.tensor or args.rhs):
         raise ValueError("give --problem or --tensor/--rhs, not both")
     if args.problem:
@@ -60,7 +61,10 @@ def _load_system(args):
                          else "either --tensor/--rhs or --problem must be given")
     if not args.rhs:
         raise ValueError("--tensor requires --rhs")
-    return tensorio.read_tensor(args.tensor), tensorio.read_vector(args.rhs)
+    T, b = tensorio.read_tensor(args.tensor), tensorio.read_vector(args.rhs)
+    if b.shape != (T.dim,):
+        raise ValueError(f"rhs has {b.size} entries, but the tensor has dim {T.dim}")
+    return T, b
 
 
 def _solve_config(args, **kw) -> SolveConfig:

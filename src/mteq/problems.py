@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_core import DenseTensor, SparseTensor, Tensor, identity_minus, permutation_mean
+from .tensor_core import DenseTensor, SparseTensor, Tensor, dense_identity_minus, permutation_mean
 
 GRAVITATIONAL_CONSTANT = 6.67e-11
 EARTH_MASS = 5.98e24
@@ -48,9 +48,12 @@ def _symmetric_uniform_tensor(n: int, m: int, rng: np.random.Generator) -> np.nd
 
 
 def _shifted_identity_minus(B: np.ndarray) -> DenseTensor:
-    """s*I - B with s = 1.01 * max row sum of B; a strong M-tensor."""
+    """s*I - B with s = 1.01 * max row sum of B; a strong M-tensor.
+
+    Built in place: B is a fresh array of the caller's and is overwritten.
+    """
     s = 1.01 * B.reshape(B.shape[0], -1).sum(axis=1).max()
-    return identity_minus(DenseTensor(B), s)
+    return dense_identity_minus(B, s, out=B)
 
 
 def gen_problem1(n: int, seed: int) -> ProblemInstance:
@@ -77,7 +80,8 @@ def gen_problem2(n: int) -> ProblemInstance:
         + i[None, None, :, None]
         + i[None, None, None, :]
     )
-    tensor = identity_minus(DenseTensor(np.abs(np.sin(sums))), float(n) ** 3)
+    B = np.abs(np.sin(sums))
+    tensor = dense_identity_minus(B, float(n) ** 3, out=B)
     rhs = _rng("P2", n, 0).random(n)
     return ProblemInstance(tensor, rhs, "P2", n, seed=0)
 

@@ -323,10 +323,13 @@ def offdiagonal_max(T: Tensor) -> float:
         # Off-diagonal positions that are not listed hold zeros.
         unlisted_zero = T.dim**T.order - T.dim > off.size
         return float(off.max(initial=0.0 if unlisted_zero else -np.inf))
-    arr = T.array.copy()
-    i = np.arange(T.dim)
-    arr[(i,) * T.order] = -np.inf
-    return float(arr.max())
+    n = T.dim
+    if n < 2:
+        return -np.inf
+    # Diagonal entry i sits at flat position i*s, so row i of this view
+    # holds the s - 1 off-diagonal entries that follow it.
+    s = (n**T.order - 1) // (n - 1)
+    return float(T.array.ravel()[:-1].reshape(n - 1, s)[:, 1:].max())
 
 
 def identity_minus(T: Tensor, s: float) -> Tensor:
@@ -337,9 +340,16 @@ def identity_minus(T: Tensor, s: float) -> Tensor:
         diag = np.repeat(np.arange(T.dim)[:, None], T.order, axis=1)
         idx = np.concatenate([T.idx[off], diag])
         return SparseTensor(T.order, T.dim, idx, np.concatenate([-T.vals[off], s - diagonal(T)]))
-    arr = 0.0 - T.array
-    i = np.arange(T.dim)
-    arr[(i,) * T.order] += s
+    return dense_identity_minus(T.array, s)
+
+
+def dense_identity_minus(A: np.ndarray, s: float, out: np.ndarray | None = None) -> DenseTensor:
+    """s*I - A for a dense array A of equal modes, validated once: 0.0 - A
+    with s added on the diagonal.  Written into `out`, which may be A
+    itself, or into a new array when `out` is None."""
+    arr = np.subtract(0.0, A, out=out)
+    i = np.arange(A.shape[0])
+    arr[(i,) * A.ndim] += s
     return DenseTensor(arr)
 
 
@@ -390,15 +400,45 @@ def identity_tensor(m: int, n: int) -> DenseTensor:
     return DenseTensor(arr)
 
 
+# Bytes of leading rows that permutation_mean symmetrizes per block, so
+# that a block and its buffers stay in a core's L2 cache.  Measured on a
+# 2-core x86-64 VM (2 MiB L2 per core): n = 40, m = 4, one 512 KB row per
+# block, takes 88 ms against 181 ms for whole-array passes; 64-512 KiB are
+# within noise of each other for m = 2..5 and n = 10..300, while 16 KiB
+# pays per-block overhead (3x at m = 2, n = 1000) and 2 MiB loses 25 % at
+# n = 40.
+SYMMETRIZE_BLOCK_BYTES = 256 * 1024
+
+
 def permutation_mean(A: np.ndarray, fixed: int) -> np.ndarray:
     """The mean of A over all permutations of its axes after the first
-    `fixed`, summed in itertools.permutations order."""
-    head = tuple(range(fixed))
-    perms = list(itertools.permutations(range(fixed, A.ndim)))
-    acc = np.zeros_like(A)
-    for p in perms:
-        acc += np.transpose(A, head + p)
-    return acc / len(perms)
+    `fixed`, summed in itertools.permutations order.
+
+    The result is built a block of leading rows (axis 0) at a time.  Each
+    axis `a` that a permutation puts first is sliced to the block's rows
+    and copied with `a` moved to the front into a contiguous buffer; the
+    permuted views of those buffers are added into the block in
+    permutation order.  Every entry thus sums the same terms in the same
+    order as `zeros + transpose(A, p)` over whole arrays would, bit for
+    bit, while the strided reads stay within a cache-sized buffer.
+    """
+    m = A.ndim
+    perms = [tuple(range(fixed)) + p for p in itertools.permutations(range(fixed, m))]
+    # The axes of A in the order the buffer of each leading axis holds them.
+    order = {p[0]: (p[0],) + tuple(k for k in range(m) if k != p[0]) for p in perms}
+    views = [(p[0], tuple(order[p[0]].index(k) for k in p)) for p in perms]
+    acc = np.empty_like(A)
+    rows = max(1, SYMMETRIZE_BLOCK_BYTES // max(A[:1].nbytes, 1))
+    for r in range(0, A.shape[0], rows):
+        cut = slice(r, r + rows)
+        bufs = {a: np.ascontiguousarray(np.moveaxis(A[(slice(None),) * a + (cut,)], a, 0))
+                for a in order}
+        block = acc[cut]
+        block[...] = 0.0
+        for a, axes in views:
+            block += bufs[a].transpose(axes)
+        block /= len(perms)
+    return acc
 
 
 def semi_symmetrize(T: DenseTensor) -> DenseTensor:

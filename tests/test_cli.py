@@ -181,6 +181,17 @@ class TestSolve:
         assert code == 65
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "analyze"])
+    def test_rhs_length_mismatch_is_parse_error(self, command, tmp_path, capsys):
+        tensorio.write_tensor(tmp_path / "ex22.tensor.json", fixture("ex22").tensor)
+        tensorio.write_vector(tmp_path / "b3.txt", np.ones(3))
+        code = cli.main([command, "--tensor", str(tmp_path / "ex22.tensor.json"),
+                         "--rhs", str(tmp_path / "b3.txt")])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert captured.err == "error: rhs has 3 entries, but the tensor has dim 2\n"
+
     def test_unscaled_residual_is_scaled_times_scale_factor(self, capsys):
         code, out = run(["solve", "--problem", "1", "--n", "6", "--seed", "4"], capsys)
         assert code == 0

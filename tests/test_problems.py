@@ -1,10 +1,13 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mteq import (
     BOUNDARY_VALUE,
+    DenseTensor,
     EARTH_MASS,
     GRAVITATIONAL_CONSTANT,
     fixture,
@@ -16,6 +19,7 @@ from mteq import (
     is_z_tensor,
     majorization,
     residual,
+    semi_symmetrize,
 )
 
 
@@ -104,6 +108,47 @@ class TestProblem4:
     def test_distinct_from_problem1(self):
         a, b = gen_problem1(5, 3), gen_problem4(5, 3)
         assert not np.array_equal(a.tensor.array, b.tensor.array)
+
+
+class TestGeneratedBits:
+    """The tensor bytes, pinned by sha256: a change to generation or to the
+    symmetrization that moves any bit of a generated tensor fails here."""
+
+    @pytest.mark.parametrize(
+        "make, digest",
+        [(lambda: gen_problem1(12, 3),
+          "65c2c657d24a45718d4e025b373c0271a307086b2ce3615b43389c0c5d4f889e"),
+         (lambda: gen_problem2(8),
+          "61667c37cdfac4e5181a7b929d0971a4db00e611d6abdb0323169facfb4c4650"),
+         (lambda: gen_problem4(12, 3),
+          "afee8d17a87ed11c34a28612591ed4819a22306007134bd49c8bddc39a862367")],
+        ids=["P1-n12-s3", "P2-n8", "P4-n12-s3"],
+    )
+    def test_generated_tensor_digest(self, make, digest):
+        assert hashlib.sha256(make().tensor.array.tobytes()).hexdigest() == digest
+
+    def test_semi_symmetrize_digest(self):
+        T = DenseTensor(np.random.default_rng(20181).random((7,) * 4))
+        assert hashlib.sha256(semi_symmetrize(T).array.tobytes()).hexdigest() == (
+            "c7c05274a706874fb256c6e22021e1dbf5628157874200897eb19470f552923d"
+        )
+
+
+class TestGenerationMemory:
+    """Peak traced allocation while generating, in units of the tensor's
+    own bytes: P1 holds the draw and its mean, P4 only its draw, and each
+    builds s*I - B in place."""
+
+    @pytest.mark.parametrize("gen, limit", [(gen_problem1, 2.25), (gen_problem4, 1.25)],
+                             ids=["P1", "P4"])
+    def test_peak_relative_to_tensor_bytes(self, gen, limit):
+        tracemalloc.start()
+        try:
+            inst = gen(40, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * inst.tensor.array.nbytes
 
 
 class TestFixtures:

@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mteq import (
@@ -19,7 +21,15 @@ from mteq import (
 )
 from mteq.errors import DimensionMismatch
 from mteq.problems import gen_problem3
-from mteq.tensor_core import ROOT_CLAMP_TOL, SparseTensor, _contract, identity_minus
+from mteq.tensor_core import (
+    ROOT_CLAMP_TOL,
+    SYMMETRIZE_BLOCK_BYTES,
+    SparseTensor,
+    _contract,
+    identity_minus,
+    offdiagonal_max,
+    permutation_mean,
+)
 
 
 def random_tensor(rng, m, n):
@@ -207,6 +217,63 @@ class TestIdentityMinus:
         got = identity_minus(DenseTensor(A), s).array
         assert got.tobytes() == (s * identity_tensor(m, 3).array - A).tobytes()
         assert not np.signbit(got[A == 0.0]).any()
+
+
+def reference_permutation_mean(A, fixed):
+    """Whole-array passes: zeros, += each transpose in
+    itertools.permutations order, then divide by the count."""
+    head = tuple(range(fixed))
+    perms = list(itertools.permutations(range(fixed, A.ndim)))
+    acc = np.zeros_like(A)
+    for p in perms:
+        acc += np.transpose(A, head + p)
+    return acc / len(perms)
+
+
+# Per order, the largest n drawn: it spans several blocks of
+# SYMMETRIZE_BLOCK_BYTES leading rows, the last one partial.
+BLOCKED_N = {2: 400, 3: 60, 4: 22, 5: 10}
+
+
+@st.composite
+def permutation_cases(draw):
+    """(m, n, fixed) for every order, size up to BLOCKED_N and `fixed`."""
+    m = draw(st.integers(2, 5))
+    return m, draw(st.integers(1, BLOCKED_N[m])), draw(st.integers(0, m))
+
+
+class TestPermutationMean:
+    @pytest.mark.parametrize("m", sorted(BLOCKED_N))
+    def test_largest_sizes_span_uneven_blocks(self, m):
+        n = BLOCKED_N[m]
+        rows = SYMMETRIZE_BLOCK_BYTES // (8 * n ** (m - 1))
+        assert rows >= 1 and n // rows >= 3 and n % rows != 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=permutation_cases())
+    @example(case=(2, 400, 0))
+    @example(case=(3, 60, 1))
+    @example(case=(4, 22, 0))
+    @example(case=(5, 10, 0))
+    def test_bytes_equal_whole_array_sum(self, case):
+        m, n, fixed = case
+        rng = np.random.default_rng(case)
+        A = rng.uniform(-1.0, 1.0, size=(n,) * m)
+        A.flat[0] = -0.0
+        assert permutation_mean(A, fixed).tobytes() == reference_permutation_mean(A, fixed).tobytes()
+
+
+class TestOffdiagonalMax:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_equals_masked_copy(self, m, n):
+        rng = np.random.default_rng([m, n])
+        A = rng.uniform(-1.0, 1.0, size=(n,) * m)
+        i = np.arange(n)
+        A[(i,) * m] = 2.0  # above every off-diagonal entry
+        ref = A.copy()
+        ref[(i,) * m] = -np.inf
+        assert offdiagonal_max(DenseTensor(A)) == ref.max()
 
 
 class TestSemiSymmetrize:
