@@ -7,10 +7,23 @@ tensor is built; every primitive here accepts both and keeps the storage of
 its input, and each storage has exactly one contraction kernel.  Indices are
 1-based in external formats and 0-based internally.  All operations here are
 pure functions over immutable inputs.
+
+T x^{m-1} depends on T only through the sums of T(i, ...) over the
+orderings of each trailing multi-index.  A dense tensor therefore computes
+it from its packed matrix `DenseTensor.packed`: n x C(n+m-2, m-1), one
+column per sorted trailing multi-index holding those sums, about (m-1)!
+times fewer entries than n^m.  It is built on the first such contraction
+and kept by the tensor, as a COO tensor keeps its index columns.  The
+n x n matrix T x^{m-2} (`contract_matrix`) still reads the full array.
+This is the packed symmetric storage of Schatz, Low, van de Geijn & Kolda,
+"Exploiting symmetry in tensors for high performance" (SIAM J. Sci.
+Comput., 2014), applied to the trailing modes; it holds for every tensor,
+symmetric or not.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,6 +36,18 @@ from .errors import DimensionMismatch, NegativePowerRHS
 # Entries of x^[m-1] in [-ROOT_CLAMP_TOL, 0) are treated as rounding noise
 # and clamped to zero before taking the (m-1)-th root.
 ROOT_CLAMP_TOL = 1e-14
+
+
+# Bytes of leading rows that permutation_mean symmetrizes, and _pack
+# packs, per block, so that a block and its buffers stay in a core's L2
+# cache.  Measured on a 2-core x86-64 VM (2 MiB L2 per core): n = 40,
+# m = 4, one 512 KB row per block, takes 88 ms against 181 ms for
+# whole-array passes; 64-512 KiB are within noise of each other for
+# m = 2..5 and n = 10..300, while 16 KiB pays per-block overhead (3x at
+# m = 2, n = 1000) and 2 MiB loses 25 % at n = 40.  Packing is within
+# noise from 32 KiB to 1 MiB, and 30-40 % faster than unblocked at n = 40,
+# m = 4 and n = 200, m = 3.
+BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -79,6 +104,12 @@ class DenseTensor:
     def entry(self, *index: int) -> float:
         """Entry at a 1-based multi-index."""
         return float(self.array[tuple(i - 1 for i in index)])
+
+    @functools.cached_property
+    def packed(self) -> np.ndarray:
+        """The n x C(n+m-2, m-1) packed matrix that T x^{m-1} is computed
+        from (see `_pack`), built on first use and kept."""
+        return _pack(self)
 
 
 @dataclass(frozen=True)
@@ -175,11 +206,15 @@ class SparseTensor:
 
 Tensor = DenseTensor | SparseTensor
 
-# A COO contraction costs about as much per stored entry as a dense one does
-# for this many entries: numpy gathers and a bincount against one BLAS pass
-# (measured 24-69, mostly about 30, for m = 2..6 on a 2-core x86-64 VM with
-# OpenBLAS).  It also exceeds m + 1, so COO chosen by it is the smaller
-# storage as well.
+# COO is kept while COO_ENTRY_COST * nnz < n^m.  A COO contraction (numpy
+# gathers and a bincount) costs about as much per stored entry as the packed
+# dense one (one BLAS pass over n C(n+m-2, m-1) entries) does for 20-35 of
+# the n^m entries at m = 2, 55-80 at m = 3, 95-130 at m = 4 and 300-1000 at
+# m = 5, 6; per packed entry that is 10-40 throughout (2-core x86-64 VM,
+# OpenBLAS).  32 fits m = 2.  For m >= 3 it keeps COO also where dense would
+# contract up to that ratio / 32 times faster, since COO then stores at
+# least 32 / (m + 1) times fewer bytes; a value fitted to m = 4 would move
+# small P3 files (n = 6..8) to dense storage.
 COO_ENTRY_COST = 32
 
 
@@ -235,16 +270,77 @@ def stored_values(T: Tensor) -> np.ndarray:
     return T.vals if isinstance(T, SparseTensor) else T.array
 
 
+@functools.lru_cache(maxsize=16)
+def _packing(n: int, m: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The packed layout of a dense order-m, dimension-n tensor: (cols,
+    gathers).
+
+    Packed column u stands for the sorted trailing multi-index
+    cols[0][u] <= ... <= cols[m-2][u].  Every trailing multi-index j (a
+    column of T.reshape(n, -1)) is one ordering of exactly one u;
+    gathers[k][u] is the k-th ordering of u in increasing j, so gathers[0]
+    is u itself.  Columns are ordered by their number of orderings, most
+    first, so the columns that have a k-th ordering are the first
+    len(gathers[k]).
+    """
+    shape = (n,) * (m - 1)
+    # The position j of each trailing multi-index's sorted copy.
+    key = np.ravel_multi_index(np.sort(np.indices(shape, np.int32).reshape(m - 1, -1), axis=0), shape)
+    order = np.argsort(key, kind="stable")  # j grouped by u, increasing within a group
+    key = key[order]
+    start = np.flatnonzero(np.diff(key, prepend=-1))
+    count = np.diff(start, append=key.size)
+    by_count = np.argsort(-count, kind="stable")
+    start, count = start[by_count], count[by_count]
+    cols = np.ascontiguousarray(np.unravel_index(key[start], shape))
+    gathers = tuple(order[start[count > k] + k] for k in range(count.max(initial=0)))
+    for a in (cols, *gathers):
+        a.flags.writeable = False
+    return tuple(cols), gathers
+
+
+def _pack(T: DenseTensor) -> np.ndarray:
+    """The packed matrix P of T, with P[:, u] the sum of T(:, j) over the
+    distinct orderings j of the sorted trailing multi-index u, so that
+    T x^{m-1} = P z with z_u the product of x over u.  For m = 2 P is
+    T.array itself.
+
+    P is filled a block of BLOCK_BYTES of rows at a time: the block's
+    first orderings are gathered into it, and each further ordering rank
+    is gathered into one small reused buffer and added in place.
+    """
+    if T.order == 2:
+        return T.array
+    A = T.array.reshape(T.dim, -1)
+    first, *rest = _packing(T.dim, T.order)[1]
+    P = np.empty((T.dim, first.size))
+    rows = max(1, BLOCK_BYTES // P[:1].nbytes)
+    buf = np.empty(min(rows, T.dim) * first.size)
+    for r in range(0, T.dim, rows):
+        block, src = P[r : r + rows], A[r : r + rows]
+        np.take(src, first, axis=1, out=block, mode="clip")
+        for j in rest:
+            part = buf[: len(block) * j.size].reshape(-1, j.size)
+            np.take(src, j, axis=1, out=part, mode="clip")
+            block[:, : j.size] += part
+    P.flags.writeable = False
+    return P
+
+
 def _contract(T: Tensor, x: np.ndarray, keep: int) -> np.ndarray:
     """Contract every mode of T after the first `keep` (1 or 2) with x.
 
-    This is the one contraction kernel of each storage: a sum over the
-    stored entries for COO, one matrix-vector product per mode for dense.
-    The COO sum gathers x through the contiguous index column `cols[k]` of
-    each contracted mode k and multiplies `vals` by the gathered factors in
-    mode order.  x must already be a float64 vector of length n; it is not
-    checked here, so that solve() can contract its own iterates without the
-    check.
+    This is the one contraction kernel of each storage and each `keep`.
+    COO sums over the stored entries: it gathers x through the contiguous
+    index column `cols[k]` of each contracted mode k and multiplies `vals`
+    by the gathered factors in mode order.  Dense keep = 1 is one
+    matrix-vector product with the packed matrix `T.packed`, n x
+    C(n+m-2, m-1), against the products of x over its sorted trailing
+    multi-indices, gathered in mode order as for COO; T x^{m-1} depends
+    on T only through those sums.  Dense keep = 2 reads the full array,
+    one matrix-vector product per contracted mode.  x must already be a
+    float64 vector of length n; it is not checked here, so that solve()
+    can contract its own iterates without the check.
     """
     n = T.dim
     if isinstance(T, SparseTensor):
@@ -254,6 +350,12 @@ def _contract(T: Tensor, x: np.ndarray, keep: int) -> np.ndarray:
             w = w * x[c]
         rows = cols[0] if keep == 1 else cols[0] * n + cols[1]
         a = np.bincount(rows, weights=w, minlength=n**keep)
+    elif keep == 1:
+        first, *rest = _packing(n, T.order)[0]
+        z = x[first]
+        for c in rest:
+            z = z * x[c]
+        a = T.packed @ z
     else:
         a = T.array
         for _ in range(T.order - keep):
@@ -400,16 +502,6 @@ def identity_tensor(m: int, n: int) -> DenseTensor:
     return DenseTensor(arr)
 
 
-# Bytes of leading rows that permutation_mean symmetrizes per block, so
-# that a block and its buffers stay in a core's L2 cache.  Measured on a
-# 2-core x86-64 VM (2 MiB L2 per core): n = 40, m = 4, one 512 KB row per
-# block, takes 88 ms against 181 ms for whole-array passes; 64-512 KiB are
-# within noise of each other for m = 2..5 and n = 10..300, while 16 KiB
-# pays per-block overhead (3x at m = 2, n = 1000) and 2 MiB loses 25 % at
-# n = 40.
-SYMMETRIZE_BLOCK_BYTES = 256 * 1024
-
-
 def permutation_mean(A: np.ndarray, fixed: int) -> np.ndarray:
     """The mean of A over all permutations of its axes after the first
     `fixed`, summed in itertools.permutations order.
@@ -428,7 +520,7 @@ def permutation_mean(A: np.ndarray, fixed: int) -> np.ndarray:
     order = {p[0]: (p[0],) + tuple(k for k in range(m) if k != p[0]) for p in perms}
     views = [(p[0], tuple(order[p[0]].index(k) for k in p)) for p in perms]
     acc = np.empty_like(A)
-    rows = max(1, SYMMETRIZE_BLOCK_BYTES // max(A[:1].nbytes, 1))
+    rows = max(1, BLOCK_BYTES // max(A[:1].nbytes, 1))
     for r in range(0, A.shape[0], rows):
         cut = slice(r, r + rows)
         bufs = {a: np.ascontiguousarray(np.moveaxis(A[(slice(None),) * a + (cut,)], a, 0))

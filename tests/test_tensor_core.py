@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from mteq import (
     DenseTensor,
     NegativePowerRHS,
+    SolveConfig,
     contract_full,
     contract_matrix,
     elementwise_root,
@@ -17,13 +19,15 @@ from mteq import (
     residual,
     scale_system,
     semi_symmetrize,
+    solve,
     split_offmajor,
 )
+from mteq import solvers, tensor_core
 from mteq.errors import DimensionMismatch
-from mteq.problems import gen_problem3
+from mteq.problems import gen_problem1, gen_problem3
 from mteq.tensor_core import (
     ROOT_CLAMP_TOL,
-    SYMMETRIZE_BLOCK_BYTES,
+    BLOCK_BYTES,
     SparseTensor,
     _contract,
     identity_minus,
@@ -66,6 +70,96 @@ class TestContractFull:
         lhs = contract_full(T, t * x)
         rhs = t ** (m - 1) * contract_full(T, x)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+
+def reshape_matmul(A, x):
+    """T x^{m-1} as one matrix-vector product per contracted mode over the
+    full array."""
+    for _ in range(A.ndim - 1):
+        A = A.reshape(-1, x.size) @ x
+    return A
+
+
+@st.composite
+def dense_contractions(draw):
+    """A random non-symmetric dense tensor, m in 2..5 and n in 1..8, and an x
+    with zero and negative entries."""
+    m, n = draw(st.integers(2, 5)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    x = draw(st.lists(st.just(0.0) | st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    return rng.uniform(-1.0, 1.0, size=(n,) * m), np.array(x)
+
+
+class TestPackedContraction:
+    @settings(max_examples=60, deadline=None)
+    @given(case=dense_contractions())
+    @example(case=(np.arange(16.0).reshape(2, 2, 2, 2) - 7.5, np.array([0.0, -1.5])))
+    def test_matches_reshape_matmul(self, case):
+        A, x = case
+        m, n = A.ndim, A.shape[0]
+        T = DenseTensor(A)
+        # Rounding is relative to the size of the terms summed, |T| |x|^{m-1}.
+        scale = reshape_matmul(np.abs(A), np.abs(x)).max()
+        np.testing.assert_allclose(contract_full(T, x), reshape_matmul(A, x), rtol=1e-12,
+                                   atol=1e-12 * scale)
+        assert T.packed.shape == (n, math.comb(n + m - 2, m - 1))
+
+    @pytest.mark.parametrize("m, n", [(3, 90), (4, 37)])
+    def test_packs_several_uneven_row_blocks(self, m, n):
+        rows = BLOCK_BYTES // (8 * math.comb(n + m - 2, m - 1))
+        assert rows >= 1 and n // rows >= 3 and n % rows != 0
+        rng = np.random.default_rng([m, n])
+        A, x = rng.uniform(-1.0, 1.0, size=(n,) * m), rng.uniform(-1.0, 1.0, n)
+        scale = reshape_matmul(np.abs(A), np.abs(x)).max()
+        np.testing.assert_allclose(contract_full(DenseTensor(A), x), reshape_matmul(A, x),
+                                   rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """Each packing, as ("pack", tensor), and each solver step, in order."""
+        log, pack, step = [], tensor_core._pack, solvers.Stepper.step
+
+        def packing(T):
+            log.append(("pack", T))
+            return pack(T)
+
+        def stepping(self, xpow, F):
+            log.append(("step", None))
+            return step(self, xpow, F)
+
+        monkeypatch.setattr(tensor_core, "_pack", packing)
+        monkeypatch.setattr(solvers.Stepper, "step", stepping)
+        return log
+
+    @pytest.mark.parametrize("method", ["smeqm", "anewton"])
+    def test_solve_packs_the_scaled_tensor_once_before_the_loop(self, events, method):
+        inst = gen_problem1(6, 0)
+        out = solve(inst.tensor, inst.rhs, None, SolveConfig(method=method))
+        assert out.converged and out.iterations > 1
+        packs = [T for kind, T in events if kind == "pack"]
+        assert len(packs) == 1 and events[0][0] == "pack"
+        assert packs[0] is not inst.tensor
+        scaled = scale_system(inst.tensor, inst.rhs).tensor
+        assert packs[0].array.tobytes() == scaled.array.tobytes()
+
+    def test_tensor_keeps_its_packing(self, events):
+        T = gen_problem1(5, 0).tensor
+        contract_full(T, np.ones(5))
+        P = T.packed
+        contract_full(T, np.arange(5.0))
+        assert events == [("pack", T)] and T.packed is P
+
+    def test_coo_solve_never_packs(self, events):
+        inst = gen_problem3(10)
+        assert isinstance(inst.tensor, SparseTensor)
+        assert solve(inst.tensor, inst.rhs, None, SolveConfig(method="anewton")).converged
+        assert all(kind == "step" for kind, _ in events)
+
+    def test_order_two_packs_the_array_itself(self):
+        rng = np.random.default_rng(3)
+        T, x = DenseTensor(rng.uniform(-1.0, 1.0, (7, 7))), rng.uniform(-1.0, 1.0, 7)
+        assert np.shares_memory(T.packed, T.array)
+        assert contract_full(T, x).tobytes() == (T.array @ x).tobytes()
 
 
 class TestContractMatrix:
@@ -231,7 +325,7 @@ def reference_permutation_mean(A, fixed):
 
 
 # Per order, the largest n drawn: it spans several blocks of
-# SYMMETRIZE_BLOCK_BYTES leading rows, the last one partial.
+# BLOCK_BYTES leading rows, the last one partial.
 BLOCKED_N = {2: 400, 3: 60, 4: 22, 5: 10}
 
 
@@ -246,7 +340,7 @@ class TestPermutationMean:
     @pytest.mark.parametrize("m", sorted(BLOCKED_N))
     def test_largest_sizes_span_uneven_blocks(self, m):
         n = BLOCKED_N[m]
-        rows = SYMMETRIZE_BLOCK_BYTES // (8 * n ** (m - 1))
+        rows = BLOCK_BYTES // (8 * n ** (m - 1))
         assert rows >= 1 and n // rows >= 3 and n % rows != 0
 
     @settings(max_examples=40, deadline=None)
