@@ -24,14 +24,11 @@ from .problems import (
     generate,
 )
 from .solvers import (
-    EpsilonState,
     IterationTrace,
     SolveConfig,
     SolveOutcome,
     Status,
-    r_correction,
     solve,
-    step_anewton,
 )
 from .structure import (
     Existence,
@@ -47,7 +44,6 @@ from .structure import (
 )
 from .tensor_core import (
     DenseTensor,
-    MajorizationMatrix,
     ScaledSystem,
     SparseTensor,
     contract_full,

@@ -115,8 +115,7 @@ def cmd_analyze(args) -> int:
         print(f"existence: {structure.existence_sufficient(T, b).value}")
     except MteqError as exc:
         print(f"existence: error ({exc})")
-    M = majorization(T).values
-    print(f"majorization_cond_estimate: {np.linalg.cond(M):.6g}")
+    print(f"majorization_cond_estimate: {np.linalg.cond(majorization(T)):.6g}")
     return 0
 
 

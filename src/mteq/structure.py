@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dense_linalg import lu_solve
+from . import dense_linalg
 from .errors import NoNonnegativeSolution, NotStructured, NotZTensor
 from .tensor_core import (
     Tensor,
@@ -158,4 +158,4 @@ def _solve_majorization(T: Tensor, b) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if not np.all(np.isfinite(b)):
         raise ValueError("b must be finite")
-    return lu_solve(majorization(T).lu(), b)
+    return dense_linalg.lu_solve(dense_linalg.lu_factor(majorization(T)), b)

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dense_linalg
 from .errors import DimensionMismatch, NegativePowerRHS
 
 # Entries of x^[m-1] in [-ROOT_CLAMP_TOL, 0) are treated as rounding noise
@@ -100,10 +99,6 @@ class DenseTensor:
         T = object.__new__(cls)
         object.__setattr__(T, "array", arr)
         return T
-
-    def entry(self, *index: int) -> float:
-        """Entry at a 1-based multi-index."""
-        return float(self.array[tuple(i - 1 for i in index)])
 
     @functools.cached_property
     def packed(self) -> np.ndarray:
@@ -189,11 +184,6 @@ class SparseTensor:
         """A dense copy with n^m entries, for inspection and tests only."""
         return DenseTensor.from_sparse(self).array
 
-    def entry(self, *index: int) -> float:
-        """Entry at a 1-based multi-index."""
-        hit = np.all(self.idx == np.subtract(index, 1), axis=1)
-        return float(self.vals[hit].sum())
-
     def _take(self, keep, vals) -> "SparseTensor":
         """The tensor over the entries selected by `keep` (a mask or slice),
         with values `vals`.  Entries taken from this tensor are already
@@ -228,24 +218,6 @@ def cheaper_storage(T: SparseTensor) -> Tensor:
 
 def _one_based(row) -> tuple:
     return tuple(int(i) + 1 for i in row)
-
-
-@dataclass(frozen=True)
-class MajorizationMatrix:
-    """The n x n matrix M with m_ij = m_{ij...j}."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
-            raise ValueError("majorization matrix must be square")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    def lu(self) -> dense_linalg.LuFactorization:
-        """LU factorization with partial pivoting, computed on each call."""
-        return dense_linalg.lu_factor(self.values)
 
 
 @dataclass(frozen=True)
@@ -468,16 +440,22 @@ def row_sums(T: Tensor) -> np.ndarray:
     return contract_full(T, np.ones(T.dim))
 
 
-def majorization(T: Tensor) -> MajorizationMatrix:
-    """Extract the majorization matrix M with M[i, j] = T(i, j, j, ..., j)."""
+def majorization(T: Tensor) -> np.ndarray:
+    """The majorization matrix M with M[i, j] = T(i, j, j, ..., j), as a
+    read-only C-contiguous float64 n x n array.
+
+    The dense gather yields a Fortran-ordered array; it is copied to C
+    order, since M @ x rounds differently in the two layouts.
+    """
     if isinstance(T, SparseTensor):
         major = _major_mask(T)
-        vals = np.zeros((T.dim, T.dim))
-        vals[T.idx[major, 0], T.idx[major, 1]] = T.vals[major]
-        return MajorizationMatrix(vals)
-    j = np.arange(T.dim)
-    vals = T.array[(slice(None),) + (j,) * (T.order - 1)]
-    return MajorizationMatrix(np.array(vals))
+        M = np.zeros((T.dim, T.dim))
+        M[T.idx[major, 0], T.idx[major, 1]] = T.vals[major]
+    else:
+        j = np.arange(T.dim)
+        M = np.ascontiguousarray(T.array[(slice(None),) + (j,) * (T.order - 1)])
+    M.flags.writeable = False
+    return M
 
 
 def split_offmajor(T: Tensor) -> Tensor:

@@ -29,7 +29,11 @@ def read_tensor(path) -> Tensor:
     """Read a tensor file into COO storage when its listed entries are few
     enough for that to be the cheaper storage to contract, dense otherwise."""
     doc = json.loads(Path(path).read_text())
-    coo = SparseTensor.from_entries(int(doc["order"]), int(doc["dim"]), doc["entries"])
+    for key in ("order", "dim"):
+        # bool is a subclass of int, and true is no tensor order
+        if type(doc[key]) is not int:
+            raise ValueError(f"tensor file {key!r} must be an integer, got {doc[key]!r}")
+    coo = SparseTensor.from_entries(doc["order"], doc["dim"], doc["entries"])
     return cheaper_storage(coo)
 
 

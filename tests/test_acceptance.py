@@ -14,7 +14,6 @@ import pytest
 
 from mteq import (
     DenseTensor,
-    EpsilonState,
     Existence,
     NotZTensor,
     SolveConfig,
@@ -29,16 +28,14 @@ from mteq import (
     gen_problem4,
     is_feasible_S,
     is_z_tensor,
-    majorization,
     mtensor_certificate,
-    r_correction,
     residual,
     semi_symmetrize,
     solve,
     solve_structured,
-    step_anewton,
 )
 from mteq.cli import rep_seed
+from mteq.solvers import Stepper
 
 # test name -> (criterion number, scoreboard title)
 CRITERIA = {
@@ -129,17 +126,17 @@ def test_criterion_03_hand_step_oracle():
     #   eps_1 = min(-F(x1), r(x1) - r(x0)) = (-0.262865, 0)
     #   x1^[3] + M^-1 (-F(x1) - eps_1) = (0.774487, 8) -> x2 = (0.918343, 2)
     inst = fixture("ex21")
-    M = majorization(inst.tensor)
-    lu = M.lu()
+    stepper = Stepper("anewton", inst.tensor, inst.rhs, 1.0)
     x0 = np.array([0.8, 2.0])
-    state = EpsilonState.initial(r_correction(inst.tensor, M, x0))
-    x1, state = step_anewton(lu, inst.tensor, inst.rhs, x0, 1.0, state)
+    xpow, F = x0**3, residual(inst.tensor, inst.rhs, x0)
+    stepper.start(xpow, F)
+    x1, xpow, F, _, fallback = stepper.step(xpow, F)
     assert np.abs(x1 - np.array([0.843433, 2.0])).max() <= 5e-6
-    assert np.abs(state.eps - np.array([-0.262865, 0.0])).max() <= 5e-6
-    assert not state.fallback_used
-    x2, state = step_anewton(lu, inst.tensor, inst.rhs, x1, 1.0, state)
+    assert np.abs(stepper.eps - np.array([-0.262865, 0.0])).max() <= 5e-6
+    assert not fallback
+    x2, _, _, _, fallback = stepper.step(xpow, F)
     assert np.abs(x2 - np.array([0.918343, 2.0])).max() <= 5e-6
-    assert not state.fallback_used
+    assert not fallback
 
 
 @check(4)

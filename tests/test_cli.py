@@ -192,6 +192,19 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err == "error: rhs has 3 entries, but the tensor has dim 2\n"
 
+    @pytest.mark.parametrize("command", ["solve", "analyze"])
+    def test_non_integer_order_is_parse_error(self, command, tmp_path, capsys):
+        # int() would read this file as order 3, dim 2
+        doc = '{"order": 3.7, "dim": 2.5, "entries": [[1, 1, 1, 1.0], [2, 2, 2, 1.0]]}'
+        (tmp_path / "t.json").write_text(doc)
+        tensorio.write_vector(tmp_path / "b.txt", np.ones(2))
+        code = cli.main([command, "--tensor", str(tmp_path / "t.json"),
+                         "--rhs", str(tmp_path / "b.txt")])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert captured.err == "error: tensor file 'order' must be an integer, got 3.7\n"
+
     def test_unscaled_residual_is_scaled_times_scale_factor(self, capsys):
         code, out = run(["solve", "--problem", "1", "--n", "6", "--seed", "4"], capsys)
         assert code == 0

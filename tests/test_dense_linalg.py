@@ -152,7 +152,7 @@ class TestLapackPath:
         # matrix as it was, with the identity permutation, and solved with a
         # unit-lower then an upper solve_triangular call.
         inst = gen_problem3(50)
-        M = majorization(scale_system(inst.tensor, inst.rhs).tensor).values
+        M = majorization(scale_system(inst.tensor, inst.rhs).tensor)
         assert np.count_nonzero(M - np.diag(np.diag(M))) == 0
         F = lu_factor(M)
         np.testing.assert_array_equal(F.ipiv, np.arange(50))
@@ -168,7 +168,7 @@ class TestLapackPath:
         # P and F of the first gs / sor step on a scaled P1 instance
         inst = gen_problem1(10, seed)
         scaled = scale_system(inst.tensor, inst.rhs)
-        M = majorization(scaled.tensor).values
+        M = majorization(scaled.tensor)
         F = residual(scaled.tensor, scaled.rhs, np.zeros(10))
         P = np.tril(M, -1) * omega + np.diag(np.diag(M))
         np.testing.assert_array_equal(

@@ -58,9 +58,9 @@ class TestProblem2:
     def test_entry_formula(self):
         inst = gen_problem2(2)
         # diagonal: s - |sin(4i)| with s = n^3 = 8
-        assert inst.tensor.entry(1, 1, 1, 1) == pytest.approx(8.0 - abs(math.sin(4.0)))
-        assert inst.tensor.entry(2, 2, 2, 2) == pytest.approx(8.0 - abs(math.sin(8.0)))
-        assert inst.tensor.entry(1, 1, 1, 2) == pytest.approx(-abs(math.sin(5.0)))
+        assert inst.tensor.array[0, 0, 0, 0] == pytest.approx(8.0 - abs(math.sin(4.0)))
+        assert inst.tensor.array[1, 1, 1, 1] == pytest.approx(8.0 - abs(math.sin(8.0)))
+        assert inst.tensor.array[0, 0, 0, 1] == pytest.approx(-abs(math.sin(5.0)))
 
     def test_deterministic_without_seed_argument(self):
         np.testing.assert_array_equal(gen_problem2(5).rhs, gen_problem2(5).rhs)
@@ -72,21 +72,21 @@ class TestProblem2:
 class TestProblem3:
     def test_boundary_rows(self):
         inst = gen_problem3(5)
-        assert inst.tensor.entry(1, 1, 1, 1) == 1.0
-        assert inst.tensor.entry(5, 5, 5, 5) == 1.0
+        assert inst.tensor.array[0, 0, 0, 0] == 1.0
+        assert inst.tensor.array[4, 4, 4, 4] == 1.0
         assert inst.rhs[0] == inst.rhs[-1] == BOUNDARY_VALUE**3
 
     def test_interior_row_structure(self):
         inst = gen_problem3(5)
-        assert inst.tensor.entry(3, 3, 3, 3) == 2.0
-        assert inst.tensor.entry(3, 2, 3, 3) == pytest.approx(-1.0 / 3.0)
-        assert inst.tensor.entry(3, 3, 4, 3) == pytest.approx(-1.0 / 3.0)
-        assert inst.tensor.entry(3, 3, 3, 2) == pytest.approx(-1.0 / 3.0)
+        assert inst.tensor.array[2, 2, 2, 2] == 2.0
+        assert inst.tensor.array[2, 1, 2, 2] == pytest.approx(-1.0 / 3.0)
+        assert inst.tensor.array[2, 2, 3, 2] == pytest.approx(-1.0 / 3.0)
+        assert inst.tensor.array[2, 2, 2, 1] == pytest.approx(-1.0 / 3.0)
         expected = GRAVITATIONAL_CONSTANT * EARTH_MASS / 16.0
         assert inst.rhs[2] == pytest.approx(expected)
 
     def test_majorization_is_diagonal(self):
-        M = majorization(gen_problem3(6).tensor).values
+        M = majorization(gen_problem3(6).tensor)
         np.testing.assert_array_equal(M, np.diag([1.0, 2.0, 2.0, 2.0, 2.0, 1.0]))
 
     def test_rhs_magnitudes(self):

@@ -11,14 +11,12 @@ PUBLIC_NAMES = [
     "DenseTensor",
     "DimensionMismatch",
     "EARTH_MASS",
-    "EpsilonState",
     "Existence",
     "FeasibilityReport",
     "GRAVITATIONAL_CONSTANT",
     "IterationTrace",
     "LuFactorization",
     "MTensorCertificate",
-    "MajorizationMatrix",
     "MteqError",
     "NegativePowerRHS",
     "NoNonnegativeSolution",
@@ -51,7 +49,6 @@ PUBLIC_NAMES = [
     "lu_solve",
     "majorization",
     "mtensor_certificate",
-    "r_correction",
     "residual",
     "scale_system",
     "semi_symmetrize",
@@ -59,7 +56,6 @@ PUBLIC_NAMES = [
     "solve_structured",
     "spectral_radius_estimate",
     "split_offmajor",
-    "step_anewton",
 ]
 
 SOLVE_CONFIG_FIELDS = ["alpha", "eta", "max_iter", "method", "omega", "scale"]

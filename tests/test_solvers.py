@@ -7,19 +7,33 @@ import pytest
 
 from mteq import (
     DenseTensor,
-    EpsilonState,
     SolveConfig,
     Status,
+    contract_full,
     fixture,
     identity_tensor,
     majorization,
-    r_correction,
     residual,
     scale_system,
     solve,
-    step_anewton,
 )
 from mteq.problems import gen_problem1, gen_problem3, gen_problem4
+from mteq.solvers import Stepper
+
+
+def started(method, T, b, x0, alpha=1.0, omega=1.0):
+    """A Stepper started at x0, with x0^[m-1] and F(x0) to take its first step from."""
+    stepper = Stepper(method, T, b, alpha, omega)
+    x0 = np.asarray(x0, dtype=np.float64)
+    xpow, F = x0 ** (T.order - 1), residual(T, b, x0)
+    stepper.start(xpow, F)
+    return stepper, xpow, F
+
+
+def r_oracle(T, x):
+    """r(x) = (T x^{m-1} - (m-1) M x^[m-1]) / (m-1), computed from its definition."""
+    p = T.order - 1
+    return (contract_full(T, x) - p * majorization(T) @ x**p) / p
 
 
 class TestSolveConfig:
@@ -59,53 +73,55 @@ class TestStepFunctions:
 
     def test_anewton_first_two_steps_on_ex21(self):
         inst = fixture("ex21")
-        M = majorization(inst.tensor)
-        lu = M.lu()
-        x0 = np.array([0.8, 2.0])
-        state = EpsilonState.initial(r_correction(inst.tensor, M, x0))
-        x1, state = step_anewton(lu, inst.tensor, inst.rhs, x0, 1.0, state)
+        stepper, xpow, F = started("anewton", inst.tensor, inst.rhs, [0.8, 2.0])
+        x1, xpow, F, _, fallback = stepper.step(xpow, F)
         np.testing.assert_allclose(x1, [0.843433, 2.0], atol=5e-7)
-        np.testing.assert_allclose(state.eps, [-0.262865, 0.0], atol=5e-7)
-        assert not state.fallback_used
-        x2, state = step_anewton(lu, inst.tensor, inst.rhs, x1, 1.0, state)
+        np.testing.assert_allclose(stepper.eps, [-0.262865, 0.0], atol=5e-7)
+        assert not fallback
+        x2, _, _, _, fallback = stepper.step(xpow, F)
         np.testing.assert_allclose(x2, [0.918343, 2.0], atol=5e-7)
-        assert not state.fallback_used
+        assert not fallback
 
-    @pytest.mark.parametrize("alpha", [0.5, 1.0])
-    def test_anewton_fallback_is_the_smeqm_step(self, alpha):
-        # a large negative eps pushes the corrected candidate past the
-        # solution, out of S, so the step falls back to the plain update
+    @pytest.mark.parametrize("alpha, k", [(0.5, 11), (1.0, 7)], ids=["0.5", "1.0"])
+    def test_anewton_fallback_is_the_smeqm_step(self, alpha, k):
+        # On this instance step k is the first whose corrected candidate
+        # leaves S, so it takes the plain smeqm update from x_{k-1}.
         inst = gen_problem1(6, 2)
-        T, b = inst.tensor, inst.rhs
-        M = majorization(T)
-        x0 = np.full(6, 0.01)
-        state = EpsilonState(r_correction(T, M, x0), np.full(6, -100.0))
-        x1, new_state = step_anewton(M.lu(), T, b, x0, alpha, state)
-        assert new_state.fallback_used
+        scaled = scale_system(inst.tensor, inst.rhs)
+        T, b = scaled.tensor, scaled.rhs
+        x = np.zeros(6)
+        stepper, xpow, F = started("anewton", T, b, x, alpha)
+        fallbacks = []
+        for _ in range(k):
+            x_prev = x
+            x, xpow, F, _, fallback = stepper.step(xpow, F)
+            fallbacks.append(fallback)
+        assert fallbacks == [False] * (k - 1) + [True]
         cfg = SolveConfig(alpha=alpha, max_iter=1, scale=False)
-        assert x1.tobytes() == solve(T, b, x0, cfg).x.tobytes()
+        assert x.tobytes() == solve(T, b, x_prev, cfg).x.tobytes()
+        cfg = SolveConfig(method="anewton", alpha=alpha, max_iter=k)
+        assert solve(inst.tensor, inst.rhs, None, cfg).trace.eps_fallback == fallbacks
 
     def test_r_correction_on_ex21(self):
         inst = fixture("ex21")
-        M = majorization(inst.tensor)
-        np.testing.assert_allclose(
-            r_correction(inst.tensor, M, [0.8, 2.0]), [0.128 / 3.0, -16.0], atol=1e-12
-        )
+        stepper, _, _ = started("anewton", inst.tensor, inst.rhs, [0.8, 2.0])
+        np.testing.assert_allclose(stepper.r_prev, [0.128 / 3.0, -16.0], atol=1e-12)
 
     def test_epsilon_update_entrywise_min(self):
         # eps_k = min(-alpha F(x_k), r(x_k) - r(x_{k-1})), entry by entry; a
         # lowered r_prev on the even entries makes the min take either side
         inst = gen_problem1(6, 2)
         T, b = inst.tensor, inst.rhs
-        M = majorization(T)
         x0 = np.full(6, 0.01)
-        r_prev = r_correction(T, M, x0) - np.array([10.0, 0.0] * 3)
-        x1, new = step_anewton(M.lu(), T, b, x0, 0.5, EpsilonState.initial(r_prev))
-        r1 = r_correction(T, M, x1)
+        stepper, xpow, F = started("anewton", T, b, x0, 0.5)
+        r_prev = r_oracle(T, x0) - np.array([10.0, 0.0] * 3)
+        stepper.r_prev = r_prev
+        x1, *_ = stepper.step(xpow, F)
+        r1 = r_oracle(T, x1)
         aF, dr = -0.5 * residual(T, b, x1), r1 - r_prev
         assert np.all((aF < dr) == [True, False] * 3)
-        np.testing.assert_allclose(new.r_prev, r1, rtol=1e-12)
-        np.testing.assert_allclose(new.eps, np.minimum(aF, dr), rtol=1e-12)
+        np.testing.assert_allclose(stepper.r_prev, r1, rtol=1e-12)
+        np.testing.assert_allclose(stepper.eps, np.minimum(aF, dr), rtol=1e-12)
 
     def test_jacobi_step_on_diagonal_tensor_is_exact_direction(self):
         # for the identity tensor the Jacobi step solves the system in one move
@@ -118,22 +134,21 @@ class TestStepFunctions:
 
 class TestStepWrappersRunSolvesCode:
     """Steps taken one at a time from x0 = 0 give solve()'s iterates bit for
-    bit: step_anewton driven by hand on the scaled system, and for the other
-    methods one-step solves, each restarted from the last iterate."""
+    bit: for anewton a Stepper driven by hand on the scaled system, and for
+    the other methods one-step solves, each restarted from the last iterate."""
 
     @pytest.mark.parametrize("problem", ["P1", "P3"])
     @pytest.mark.parametrize("method", ["smeqm", "jacobi", "gs", "sor", "anewton"])
     def test_first_five_iterates(self, problem, method):
         inst = gen_problem1(10, 3) if problem == "P1" else gen_problem3(10)
         scaled = scale_system(inst.tensor, inst.rhs)
-        T, b = scaled.tensor, scaled.rhs
-        M = majorization(T)
         x = np.zeros(10)
-        state = EpsilonState.initial(r_correction(T, M, x))
+        if method == "anewton":
+            stepper, xpow, F = started(method, scaled.tensor, scaled.rhs, x)
         one_step = SolveConfig(method=method, omega=1.3, max_iter=1)
         for k in range(1, 6):
             if method == "anewton":
-                x, state = step_anewton(M.lu(), T, b, x, 1.0, state)
+                x, xpow, F, _, fallback = stepper.step(xpow, F)
             else:
                 x = solve(inst.tensor, inst.rhs, x, one_step).x
             cfg = SolveConfig(method=method, omega=1.3, max_iter=k)
@@ -141,7 +156,7 @@ class TestStepWrappersRunSolvesCode:
             assert out.status is Status.MAX_ITER and out.iterations == k
             assert out.x.tobytes() == x.tobytes(), (method, k)
             if method == "anewton":
-                assert state.fallback_used == out.trace.eps_fallback[-1]
+                assert fallback == out.trace.eps_fallback[-1]
 
 
 class TestSolveFixtures:

@@ -1,6 +1,8 @@
 """Dense and COO storage agree: the storage-dispatched primitives, whole
 solves from x0 = 0, and the tensor file round trip."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,7 +84,7 @@ class TestPrimitivesAgree:
         close(contract_full(Tc, x), contract_full(Td, x))
         close(contract_matrix(Tc, x), contract_matrix(Td, x))
         close(residual(Tc, b, x), residual(Td, b, x))
-        np.testing.assert_array_equal(majorization(Tc).values, majorization(Td).values)
+        np.testing.assert_array_equal(majorization(Tc), majorization(Td))
         np.testing.assert_array_equal(split_offmajor(Tc).array, split_offmajor(Td).array)
         assert isinstance(split_offmajor(Tc), SparseTensor)
         sc, sd = scale_system(Tc, b), scale_system(Td, b)
@@ -202,6 +204,28 @@ class TestFileRoundTrip:
         assert out.trace.max_violation() <= 1e-12
         assert out.trace.max_feas_violation() <= 1e-12
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("order", 3.7), ("dim", 2.5), ("order", 3.0), ("dim", "2"), ("order", True), ("dim", None)],
+    )
+    def test_order_and_dim_must_be_json_integers(self, key, value, tmp_path):
+        doc = {"order": 3, "dim": 2, "entries": [[1, 1, 1, 1.0]], key: value}
+        (tmp_path / "t.json").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
+            tensorio.read_tensor(tmp_path / "t.json")
+
+
+class TestMajorizationLayout:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_c_contiguous_read_only_float64(self, m):
+        # The dense gather of the (i, j, ..., j) entries is Fortran-ordered,
+        # and anewton's M @ x^[m-1] rounds differently on that layout.
+        arr = np.random.default_rng(m).uniform(-1.0, 1.0, (3,) * m)
+        for T in both_storages(arr):
+            M = majorization(T)
+            assert M.shape == (3, 3) and M.dtype == np.float64
+            assert M.flags.c_contiguous and not M.flags.writeable
+
 
 class TestStorageChoice:
     def test_built_sparse(self):
@@ -240,7 +264,7 @@ class TestSparseTensor:
         np.testing.assert_array_equal(T.vals, [-1.0, 2.0])
         with pytest.raises(ValueError):
             T.vals[0] = 5.0
-        assert T.entry(2, 1, 1) == 2.0 and T.entry(1, 1, 1) == 0.0
+        assert T.array[1, 0, 0] == 2.0 and T.array[0, 0, 0] == 0.0
 
     def test_from_entries_matches_dense(self):
         entries = [[1, 1, 1, 1.0], [2, 2, 2, 1.0], [1, 1, 2, -1.5], [1, 2, 2, -1.0]]
