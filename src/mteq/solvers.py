@@ -15,6 +15,7 @@ trace rather than aborting.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 import time
@@ -28,18 +29,18 @@ from .dense_linalg import lower_tri_solve, lu_solve
 from .errors import NegativePowerRHS, SingularMatrix, ZeroDiagonal
 from .tensor_core import (
     Tensor,
+    _as_vector,
     _contract,
     elementwise_root,
     majorization,
-    residual,
-    scale_system,
+    system_scale,
 )
 
 METHODS = ("smeqm", "jacobi", "gs", "sor", "anewton")
 
 # A start with an F entry above AUDIT_TOL is infeasible, and its run is not
 # audited; an anewton candidate with an F entry above ACCEPT_TOL has left S,
-# and the plain update is taken instead.
+# and the plain update is taken instead.  Both apply to F / w (see solve).
 AUDIT_TOL = ACCEPT_TOL = 1e-12
 
 # ndarray.max/min wrap the ufunc reduction in Python code that costs about
@@ -62,7 +63,8 @@ class SolveConfig:
     alpha in (0, 1] is covered by the monotone convergence theory; values
     in (1, 2) are admitted as experimental and flagged in the outcome.
     omega is the SOR relaxation factor (ignored elsewhere); eta is the
-    stopping tolerance on the 2-norm of the scaled residual.
+    stopping tolerance on the 2-norm of F / w, with w the system's largest
+    absolute entry (1 when scale is False).
     """
 
     method: str = "smeqm"
@@ -135,8 +137,8 @@ class SolveOutcome:
     infeasible_start: bool = False
     alpha_warning: bool = False
     scale_factor: float = 1.0
-    # ||F(x)||_2 of the returned x on the system iterated: the last trace
-    # row, the start residual after 0 iterations, NaN if none was computed.
+    # ||F(x)||_2 / scale_factor of the returned x: the last trace row, the
+    # start residual after 0 iterations, NaN if none was computed.
     res2: float = math.nan
 
     @property
@@ -158,15 +160,17 @@ class Stepper:
     (smeqm, anewton), alpha F / diag(M) (jacobi), or alpha omega P^{-1} F with
     P the lower splitting part of M (gs, sor; gs is sor at omega = 1).
     anewton first tries x^[m-1] + M^{-1}(-alpha F(x_k) - eps_k) and takes the
-    plain update if that candidate has an F entry above ACCEPT_TOL.  `start`
-    sets r(x_0) in r_prev and that right side, at eps_0 = 0, in rhs; each
-    step then stores eps_k and r(x_k) in eps and r_prev.
+    plain update if that candidate has an F entry above ACCEPT_TOL * scale,
+    with scale solve()'s w.  `start` sets r(x_0) in r_prev and that right
+    side, at eps_0 = 0, in rhs; each step then stores eps_k and r(x_k) in
+    eps and r_prev.
     step(xpow, F), with xpow = x^[m-1] and F = F(x), returns (x_new,
     xpow_new, F_new, F_new.max(), fallback).
     """
 
-    def __init__(self, method, T: Tensor, b, alpha, omega=1.0):
+    def __init__(self, method, T: Tensor, b, alpha, omega=1.0, scale=1.0):
         self.T, self.b = T, np.asarray(b, dtype=np.float64)
+        self.accept_tol = ACCEPT_TOL * scale
         self.alpha, self.p, self.newton = alpha, T.order - 1, method == "anewton"
         # For alpha <= 1 a negative x^[m-1] is a hard error.  For alpha > 1
         # and odd m-1 the real signed root is taken, so a step that
@@ -204,7 +208,7 @@ class Stepper:
         if not self.newton:
             return *self._advance(xpow - self.delta(F)), False
         x_new, xpow_new, F_new, Fmax = self._advance(xpow + lu_solve(self.lu, self.rhs))
-        fallback = bool(Fmax > ACCEPT_TOL)
+        fallback = bool(Fmax > self.accept_tol)
         if fallback:
             x_new, xpow_new, F_new, Fmax = self._advance(xpow - self.delta(F))
         r_new = _r_of(F_new + self.b, self.M @ xpow_new, self.p)
@@ -226,20 +230,23 @@ class Stepper:
 
 
 def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome:
-    """Run the configured iteration until ||F_hat(x_k)||_2 <= eta or max_iter.
+    """Run the configured iteration until ||F(x_k)||_2 / w <= eta or max_iter.
 
-    With cfg.scale the system is first divided by its largest absolute
-    entry and the stopping test applies to the scaled residual.  An
-    infeasible start is reported in the outcome but iteration proceeds
-    with the monotonicity audit disabled.  A step that yields an inf or
-    NaN ends the run with Status.NON_FINITE; x and the iteration count
-    are then those of the last finite iterate.  A residual whose entries
-    are finite but whose 2-norm overflows keeps iterating.  Overflow on
-    the way there is reported by the status, not by numpy warnings.
+    No step changes when (T, b) is divided by a scalar, so the iteration
+    runs on (T, b) as given.  w is its largest absolute entry
+    (`system_scale`) with cfg.scale, else 1; the stopping test, the
+    tolerances and the trace read F / w.  The run contracts a shallow
+    copy of T, so a packing it builds is not kept on T.  An infeasible
+    start is reported in the outcome but iteration proceeds with the
+    monotonicity audit disabled.  A step that yields an inf or NaN ends
+    the run with Status.NON_FINITE; x and the iteration count are then
+    those of the last finite iterate.  A residual whose entries are
+    finite but whose 2-norm overflows keeps iterating.  Overflow on the
+    way there is reported by the status, not by numpy warnings.
     """
     cfg = cfg or SolveConfig()
-    b = np.asarray(b, dtype=np.float64)
     n, m = T.dim, T.order
+    b = _as_vector(b, n)
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     if x.shape != (n,):
         raise ValueError(f"x0 must have length {n}")
@@ -250,11 +257,8 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
     if not np.all(np.isfinite(b)):
         raise ValueError("b must be finite")
 
-    if cfg.scale:
-        scaled = scale_system(T, b)
-        Th, bh, w = scaled.tensor, scaled.rhs, scaled.scale
-    else:
-        Th, bh, w = T, b, 1.0
+    w = system_scale(T, b) if cfg.scale else 1.0
+    T = copy.copy(T)
     trace = IterationTrace()
 
     def outcome(status, iters, infeasible=False, res0=math.nan):
@@ -263,19 +267,20 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
 
     # One factorization (or splitting) per run, reused every iteration.
     try:
-        stepper = Stepper(cfg.method, Th, bh, cfg.alpha, cfg.omega)
+        stepper = Stepper(cfg.method, T, b, cfg.alpha, cfg.omega, w)
     except (SingularMatrix, ZeroDiagonal):
         return outcome(Status.SINGULAR_MATRIX, 0)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        F = residual(Th, bh, x)
-        infeasible = bool(np.any(F > AUDIT_TOL))
+        F = _contract(T, x, 1) - b
+        infeasible = bool(np.any(F > AUDIT_TOL * w))
         xpow = x ** (m - 1)
         stepper.start(xpow, F)
 
-        # res2 is ||F(x_k)||_2: the stopping test of iteration k and, after
-        # the step, the trace row of iteration k + 1.
-        res0 = res2 = math.sqrt(F @ F)
+        # res2 = ||F(x_k) / w||_2, the stopping test of iteration k and then the trace
+        # row of iteration k + 1; F / w is squared, so the sum stays in range.
+        Fw = F / w
+        res0 = res2 = math.sqrt(Fw @ Fw)
         if _non_finite(res2, x, F):
             return outcome(Status.NON_FINITE, 0, infeasible, res0)
         for k in range(cfg.max_iter + 1):
@@ -288,15 +293,16 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
             except NegativePowerRHS:
                 status, iters = Status.NEGATIVE_POWER_RHS, k
                 break
-            res2 = math.sqrt(F_new @ F_new)
+            Fw = F_new / w
+            res2 = math.sqrt(Fw @ Fw)
             if _non_finite(res2, x_new, F_new):
                 status, iters = Status.NON_FINITE, k
                 break
             mono = 0.0 if infeasible else float(max(0.0, _max(x - x_new)))
-            feas = 0.0 if infeasible else float(max(0.0, Fmax))
+            feas = 0.0 if infeasible else float(max(0.0, Fmax)) / w
             ms = (time.perf_counter() - t0) * 1e3
             # The largest |entry| of a finite F; abs() turns a -0.0 maximum into 0.0.
-            resinf = float(abs(max(Fmax, -_min(F_new))))
+            resinf = float(abs(max(Fmax, -_min(F_new)))) / w
             trace.append(res2, resinf, mono, feas, fallback, ms)
             x, xpow, F = x_new, xpow_new, F_new
 

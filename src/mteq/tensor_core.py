@@ -91,15 +91,6 @@ class DenseTensor:
         arr[tuple(T.idx.T)] = T.vals
         return cls(arr)
 
-    @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "DenseTensor":
-        """The tensor over a C-contiguous float64 array of equal modes that
-        is known to be finite, made read-only without being checked again."""
-        arr.flags.writeable = False
-        T = object.__new__(cls)
-        object.__setattr__(T, "array", arr)
-        return T
-
     @functools.cached_property
     def packed(self) -> np.ndarray:
         """The n x C(n+m-2, m-1) packed matrix that T x^{m-1} is computed
@@ -519,20 +510,19 @@ def semi_symmetrize(T: DenseTensor) -> DenseTensor:
     return DenseTensor(permutation_mean(T.array, 1))
 
 
-def scale_system(T: Tensor, b) -> ScaledSystem:
-    """Divide tensor and right side by their joint largest absolute entry.
-
-    The tensor's largest magnitude is found as max(A.max(), -A.min()), with
-    no |A| temporary of n^m entries.  The entries are finite, so their
-    quotient by w >= that magnitude is finite and is not checked again.
-    """
+def system_scale(T: Tensor, b) -> float:
+    """The joint largest absolute entry of tensor and right side."""
     b = _as_vector(b, T.dim)
-    A = stored_values(T)
+    A = stored_values(T)  # max(A.max(), -A.min()) makes no |A| temporary of n^m entries
     w = max(A.max(initial=0.0), -A.min(initial=0.0), np.abs(b).max())
     if w == 0.0:
         raise ValueError("cannot scale an identically zero system")
-    if isinstance(T, SparseTensor):
-        scaled = T._take(slice(None), T.vals / w)
-    else:
-        scaled = DenseTensor._wrap(T.array / w)
-    return ScaledSystem(scaled, b / w, float(w))
+    return float(w)
+
+
+def scale_system(T: Tensor, b) -> ScaledSystem:
+    """The system divided through by w = system_scale(T, b), a copy: the
+    reference that solve()'s residuals F / w are checked against."""
+    w = system_scale(T, b)
+    scaled = T._take(slice(None), T.vals / w) if isinstance(T, SparseTensor) else DenseTensor(T.array / w)
+    return ScaledSystem(scaled, _as_vector(b, T.dim) / w, w)

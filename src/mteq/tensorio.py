@@ -29,11 +29,14 @@ def read_tensor(path) -> Tensor:
     """Read a tensor file into COO storage when its listed entries are few
     enough for that to be the cheaper storage to contract, dense otherwise."""
     doc = json.loads(Path(path).read_text())
-    for key in ("order", "dim"):
-        # bool is a subclass of int, and true is no tensor order
-        if type(doc[key]) is not int:
-            raise ValueError(f"tensor file {key!r} must be an integer, got {doc[key]!r}")
-    coo = SparseTensor.from_entries(doc["order"], doc["dim"], doc["entries"])
+    try:
+        for key in ("order", "dim"):
+            # bool is a subclass of int, and true is no tensor order
+            if type(doc[key]) is not int:
+                raise ValueError(f"tensor file {key!r} must be an integer, got {doc[key]!r}")
+        coo = SparseTensor.from_entries(doc["order"], doc["dim"], doc["entries"])
+    except TypeError as exc:  # not an object, or entries not a list of number lists
+        raise ValueError(f"malformed tensor file: {exc}") from None
     return cheaper_storage(coo)
 
 

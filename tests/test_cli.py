@@ -205,6 +205,23 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err == "error: tensor file 'order' must be an integer, got 3.7\n"
 
+    @pytest.mark.parametrize(
+        "doc",
+        ["[1, 2]", '{"order": 2, "dim": 2, "entries": 5}', '{"order": 2, "dim": 2, "entries": [5]}',
+         '{"order": 2, "dim": 2, "entries": [[1, {}, 1.0]]}'],
+        ids=["list", "entries-int", "record-int", "record-object"],
+    )
+    def test_malformed_tensor_file_is_parse_error(self, doc, tmp_path, capsys):
+        (tmp_path / "t.json").write_text(doc)
+        tensorio.write_vector(tmp_path / "b.txt", np.ones(2))
+        code = cli.main(["solve", "--tensor", str(tmp_path / "t.json"),
+                         "--rhs", str(tmp_path / "b.txt")])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed tensor file: ")
+        assert captured.err.count("\n") == 1
+
     def test_unscaled_residual_is_scaled_times_scale_factor(self, capsys):
         code, out = run(["solve", "--problem", "1", "--n", "6", "--seed", "4"], capsys)
         assert code == 0

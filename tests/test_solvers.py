@@ -4,10 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mteq import (
     DenseTensor,
+    DimensionMismatch,
     SolveConfig,
+    SparseTensor,
     Status,
     contract_full,
     fixture,
@@ -18,12 +22,13 @@ from mteq import (
     solve,
 )
 from mteq.problems import gen_problem1, gen_problem3, gen_problem4
-from mteq.solvers import Stepper
+from mteq.solvers import AUDIT_TOL, METHODS, Stepper
+from mteq.tensor_core import system_scale
 
 
-def started(method, T, b, x0, alpha=1.0, omega=1.0):
+def started(method, T, b, x0, alpha=1.0, omega=1.0, scale=1.0):
     """A Stepper started at x0, with x0^[m-1] and F(x0) to take its first step from."""
-    stepper = Stepper(method, T, b, alpha, omega)
+    stepper = Stepper(method, T, b, alpha, omega, scale)
     x0 = np.asarray(x0, dtype=np.float64)
     xpow, F = x0 ** (T.order - 1), residual(T, b, x0)
     stepper.start(xpow, F)
@@ -134,17 +139,18 @@ class TestStepFunctions:
 
 class TestStepWrappersRunSolvesCode:
     """Steps taken one at a time from x0 = 0 give solve()'s iterates bit for
-    bit: for anewton a Stepper driven by hand on the scaled system, and for
-    the other methods one-step solves, each restarted from the last iterate."""
+    bit: for anewton a Stepper driven by hand on the system as given, with
+    the system's scale, and for the other methods one-step solves, each
+    restarted from the last iterate."""
 
     @pytest.mark.parametrize("problem", ["P1", "P3"])
     @pytest.mark.parametrize("method", ["smeqm", "jacobi", "gs", "sor", "anewton"])
     def test_first_five_iterates(self, problem, method):
         inst = gen_problem1(10, 3) if problem == "P1" else gen_problem3(10)
-        scaled = scale_system(inst.tensor, inst.rhs)
+        w = system_scale(inst.tensor, inst.rhs)
         x = np.zeros(10)
         if method == "anewton":
-            stepper, xpow, F = started(method, scaled.tensor, scaled.rhs, x)
+            stepper, xpow, F = started(method, inst.tensor, inst.rhs, x, scale=w)
         one_step = SolveConfig(method=method, omega=1.3, max_iter=1)
         for k in range(1, 6):
             if method == "anewton":
@@ -209,6 +215,25 @@ class TestSolveBehaviour:
         np.testing.assert_allclose(out_big.x, out.x, rtol=1e-9)
         assert out_big.scale_factor == pytest.approx(out.scale_factor * 1e9)
 
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_extreme_scale_gives_the_same_x(self, k):
+        # the squares of F for the system times 2^-600 underflow and for 2^600
+        # overflow; the residual in units of the scale stays in range
+        inst = gen_problem1(6, 7)
+        out = solve(inst.tensor, inst.rhs, None, SolveConfig())
+        far = solve(DenseTensor(np.ldexp(inst.tensor.array, k)), np.ldexp(inst.rhs, k), None,
+                    SolveConfig())
+        assert far.iterations == out.iterations > 0
+        assert far.x.tobytes() == out.x.tobytes()
+
+    def test_start_feasibility_is_judged_in_units_of_the_scale(self):
+        # F(x0) = (0, 6e-13) is 6.7e-14 in units of w = 9, so the start is
+        # feasible at every scale, though 2^60 F(x0) is far above AUDIT_TOL
+        T, b, x0 = identity_tensor(3, 2), np.array([4.0, 9.0]), [2.0, 3.0 + 1e-13]
+        for k in (0, 60):
+            out = solve(times_power_of_two(T, k), np.ldexp(b, k), x0, SolveConfig())
+            assert out.converged and not out.infeasible_start
+
     def test_infeasible_start_flagged_not_fatal(self):
         T = identity_tensor(3, 2)
         out = solve(T, [4.0, 9.0], [3.0, 1.0], SolveConfig(scale=False))
@@ -239,6 +264,21 @@ class TestSolveBehaviour:
         inst = fixture("ex22")
         with pytest.raises(ValueError):
             solve(inst.tensor, inst.rhs, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("scale", [True, False])
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_wrong_length_rhs_rejected(self, scale, length):
+        # a length-1 b would broadcast against F if it were not checked
+        inst = fixture("ex22")
+        with pytest.raises(DimensionMismatch):
+            solve(inst.tensor, np.ones(length), None, SolveConfig(scale=scale))
+
+    @pytest.mark.parametrize("scale", [True, False])
+    def test_wrong_length_rhs_rejected_before_factoring(self, scale):
+        arr = np.zeros((2, 2, 2))
+        arr[0, 0, 1] = arr[1, 1, 0] = 1.0  # a singular majorization matrix
+        with pytest.raises(DimensionMismatch):
+            solve(DenseTensor(arr), [1.0], None, SolveConfig(scale=scale))
 
     def test_negative_power_status(self):
         # at x0 = 0 the first direction is -b; a negative b entry makes
@@ -279,7 +319,7 @@ class TestSolveBehaviour:
     # status reports the divergence, and numpy prints nothing.
     @pytest.mark.parametrize(
         "method, status, iterations",
-        [("jacobi", Status.NON_FINITE, 2551), ("gs", Status.NON_FINITE, 2901),
+        [("jacobi", Status.NON_FINITE, 2542), ("gs", Status.NON_FINITE, 2893),
          ("smeqm", Status.MAX_ITER, 3000)],
     )
     def test_divergence_raises_no_warning(self, method, status, iterations):
@@ -293,8 +333,8 @@ class TestSolveBehaviour:
 
     @pytest.mark.parametrize("method", ["smeqm", "jacobi", "gs", "sor", "anewton"])
     def test_leaves_no_reference_cycle(self, method):
-        # a cycle would keep each finished solve's scaled tensor alive until
-        # a full garbage collection
+        # a cycle would keep each finished solve's tensor copy and packing alive
+        # until a full garbage collection
         inst = gen_problem1(6, 2)
         gc.collect()
         gc.disable()
@@ -370,3 +410,51 @@ class TestTraceCsv:
         out = solve(inst.tensor, inst.rhs, None, SolveConfig())
         r = np.array(out.trace.res2)
         assert np.all(np.diff(r) <= 1e-12)
+
+
+@st.composite
+def strong_m_systems(draw):
+    """(T, b) with T = s*I - B, B >= 0 random and s from 1.05 to 2 times the
+    largest row sum of B, so T is a strong M-tensor; b > 0, so the system
+    has exactly one positive solution.  T is dense or COO."""
+    m, n = draw(st.integers(2, 5)), draw(st.integers(1, 8))
+    density, margin = draw(st.floats(0.05, 1.0)), draw(st.floats(1.05, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B = rng.uniform(0.0, 1.0, (n,) * m) * (rng.random((n,) * m) < density)
+    i = np.arange(n)
+    B[(i,) * m] = rng.uniform(0.1, 1.0, n)  # every row sum is positive
+    arr = -B
+    arr[(i,) * m] += margin * B.reshape(n, -1).sum(axis=1).max()
+    b = rng.uniform(0.01, 1.0, n)
+    if draw(st.booleans()):
+        nonzero = arr != 0.0
+        return SparseTensor(m, n, np.argwhere(nonzero), arr[nonzero]), b
+    return DenseTensor(arr), b
+
+
+def times_power_of_two(T, k):
+    if isinstance(T, SparseTensor):
+        return SparseTensor(T.order, T.dim, T.idx, np.ldexp(T.vals, k))
+    return DenseTensor(np.ldexp(T.array, k))
+
+
+class TestRandomStrongMTensors:
+    @settings(max_examples=20, deadline=None)
+    @given(system=strong_m_systems(), k=st.integers(-30, 30))
+    def test_every_method_reaches_the_solution(self, system, k):
+        T, b = system
+        ref = solve(T, b, None, SolveConfig(method="anewton", eta=1e-10))
+        assert ref.converged and np.all(ref.x > 0.0)
+        for method in METHODS:
+            for alpha in (0.5, 1.0):
+                cfg = SolveConfig(method=method, alpha=alpha)
+                out = solve(T, b, None, cfg)
+                assert out.converged, (method, alpha)
+                assert not out.infeasible_start
+                assert out.trace.max_violation() <= AUDIT_TOL, (method, alpha)
+                assert out.trace.max_feas_violation() <= AUDIT_TOL, (method, alpha)
+                np.testing.assert_allclose(out.x, ref.x, rtol=1e-5)
+                big = solve(times_power_of_two(T, k), np.ldexp(b, k), None, cfg)
+                assert big.x.tobytes() == out.x.tobytes(), (method, alpha)
+                for column in ("res2", "resinf", "feas_violation", "eps_fallback"):
+                    assert getattr(big.trace, column) == getattr(out.trace, column), column

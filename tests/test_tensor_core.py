@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,15 +133,35 @@ class TestPackedContraction:
         return log
 
     @pytest.mark.parametrize("method", ["smeqm", "anewton"])
-    def test_solve_packs_the_scaled_tensor_once_before_the_loop(self, events, method):
+    def test_solve_packs_a_copy_once(self, events, method):
+        # the run packs its own shallow copy of the tensor before the loop,
+        # and the packing goes with the run
         inst = gen_problem1(6, 0)
         out = solve(inst.tensor, inst.rhs, None, SolveConfig(method=method))
         assert out.converged and out.iterations > 1
         packs = [T for kind, T in events if kind == "pack"]
         assert len(packs) == 1 and events[0][0] == "pack"
         assert packs[0] is not inst.tensor
-        scaled = scale_system(inst.tensor, inst.rhs).tensor
-        assert packs[0].array.tobytes() == scaled.array.tobytes()
+        assert packs[0].array.tobytes() == inst.tensor.array.tobytes()
+        assert "packed" not in vars(inst.tensor)
+
+    def test_solve_uses_the_packing_a_tensor_holds(self, events):
+        inst = gen_problem1(6, 0)
+        P = inst.tensor.packed
+        assert solve(inst.tensor, inst.rhs, None, SolveConfig(method="anewton")).converged
+        assert [kind for kind, _ in events if kind == "pack"] == ["pack"]
+        assert inst.tensor.packed is P
+
+    def test_solve_holds_less_than_a_tensor_copy(self):
+        inst = gen_problem1(20, 0)
+        tracemalloc.start()
+        try:
+            out = solve(inst.tensor, inst.rhs, None, SolveConfig(method="anewton"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.converged
+        assert peak < inst.tensor.array.nbytes
 
     def test_tensor_keeps_its_packing(self, events):
         T = gen_problem1(5, 0).tensor
