@@ -88,6 +88,7 @@ def cmd_solve(args) -> int:
     print(f"iterations: {out.iterations}")
     print(f"residual (scaled 2-norm): {out.res2:.6e}")
     print(f"residual (unscaled 2-norm): {out.res2 * out.scale_factor:.6e}")
+    print(f"backward error (componentwise): {out.omega:.6e}")
     if out.infeasible_start:
         print("note: infeasible start, monotonicity audit disabled")
     if out.alpha_warning:

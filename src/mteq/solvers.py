@@ -15,7 +15,6 @@ trace rather than aborting.
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
 import time
@@ -32,6 +31,7 @@ from .tensor_core import (
     _as_vector,
     _contract,
     elementwise_root,
+    magnitudes,
     majorization,
     system_scale,
 )
@@ -42,6 +42,11 @@ METHODS = ("smeqm", "jacobi", "gs", "sor", "anewton")
 # audited; an anewton candidate with an F entry above ACCEPT_TOL has left S,
 # and the plain update is taken instead.  Both apply to F / w (see solve).
 AUDIT_TOL = ACCEPT_TOL = 1e-12
+
+# Converged needs, besides ||F / w||_2 <= eta, a componentwise backward error
+# omega(x) (see _backward_error) at or below OMEGA_TOL.  The 2-norm alone is
+# met by an x that resolves only the rows with the largest entries of b.
+OMEGA_TOL = 1e-5
 
 # ndarray.max/min wrap the ufunc reduction in Python code that costs about
 # as much as the reduction itself on the loop's length-n vectors.
@@ -90,7 +95,12 @@ class SolveConfig:
 
 
 class IterationTrace:
-    """Per-iteration records behind convergence plots and benchmark tables."""
+    """Per-iteration records behind convergence plots and benchmark tables.
+
+    res2, resinf and feas_violation (the largest entry of F, if positive)
+    are in units of solve()'s w; mono_violation is the largest drop of an
+    entry of x in the step, in units of the largest |entry| of the new x.
+    """
 
     CSV_HEADER = "k,res2,resinf,mono_violation,eps_fallback,ms,feas_violation"
 
@@ -140,6 +150,10 @@ class SolveOutcome:
     # ||F(x)||_2 / scale_factor of the returned x: the last trace row, the
     # start residual after 0 iterations, NaN if none was computed.
     res2: float = math.nan
+    # The componentwise backward error of the returned x (see
+    # _backward_error; not SolveConfig.omega, the SOR factor), NaN if no
+    # residual was computed (SingularMatrix).
+    omega: float = math.nan
 
     @property
     def converged(self) -> bool:
@@ -230,19 +244,23 @@ class Stepper:
 
 
 def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome:
-    """Run the configured iteration until ||F(x_k)||_2 / w <= eta or max_iter.
+    """Run the configured iteration until x_k is converged or max_iter.
 
     No step changes when (T, b) is divided by a scalar, so the iteration
     runs on (T, b) as given.  w is its largest absolute entry
     (`system_scale`) with cfg.scale, else 1; the stopping test, the
-    tolerances and the trace read F / w.  The run contracts a shallow
-    copy of T, so a packing it builds is not kept on T.  An infeasible
-    start is reported in the outcome but iteration proceeds with the
-    monotonicity audit disabled.  A step that yields an inf or NaN ends
-    the run with Status.NON_FINITE; x and the iteration count are then
-    those of the last finite iterate.  A residual whose entries are
-    finite but whose 2-norm overflows keeps iterating.  Overflow on the
-    way there is reported by the status, not by numpy warnings.
+    tolerances and the trace read F / w.  x_k is converged when
+    ||F(x_k)||_2 / w <= eta and its componentwise backward error
+    omega(x_k) <= OMEGA_TOL; omega is computed only once the first test
+    holds, and the outcome reports it for the returned x.  A dense T is
+    packed on the run's first contraction, and T keeps the packing, as
+    after any contraction.  An infeasible start is reported in the
+    outcome but iteration proceeds with the monotonicity audit disabled.
+    A step that yields an inf or NaN ends the run with Status.NON_FINITE;
+    x and the iteration count are then those of the last finite iterate.
+    A residual whose entries are finite but whose 2-norm overflows keeps
+    iterating.  Overflow on the way there is reported by the status, not
+    by numpy warnings.
     """
     cfg = cfg or SolveConfig()
     n, m = T.dim, T.order
@@ -258,12 +276,11 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
         raise ValueError("b must be finite")
 
     w = system_scale(T, b) if cfg.scale else 1.0
-    T = copy.copy(T)
     trace = IterationTrace()
 
-    def outcome(status, iters, infeasible=False, res0=math.nan):
+    def outcome(status, iters, infeasible=False, res0=math.nan, omega=math.nan):
         res2 = trace.res2[-1] if len(trace) else res0
-        return SolveOutcome(status, x, iters, trace, infeasible, cfg.alpha > 1.0, w, res2)
+        return SolveOutcome(status, x, iters, trace, infeasible, cfg.alpha > 1.0, w, res2, omega)
 
     # One factorization (or splitting) per run, reused every iteration.
     try:
@@ -271,8 +288,9 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
     except (SingularMatrix, ZeroDiagonal):
         return outcome(Status.SINGULAR_MATRIX, 0)
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         F = _contract(T, x, 1) - b
+        mags = magnitudes(T)
         infeasible = bool(np.any(F > AUDIT_TOL * w))
         xpow = x ** (m - 1)
         stepper.start(xpow, F)
@@ -282,10 +300,12 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
         Fw = F / w
         res0 = res2 = math.sqrt(Fw @ Fw)
         if _non_finite(res2, x, F):
-            return outcome(Status.NON_FINITE, 0, infeasible, res0)
+            return outcome(Status.NON_FINITE, 0, infeasible, res0, _backward_error(T, mags, b, x, F))
         for k in range(cfg.max_iter + 1):
-            if res2 <= cfg.eta or k == cfg.max_iter:
-                status, iters = Status.CONVERGED if res2 <= cfg.eta else Status.MAX_ITER, k
+            # omega(x_k), or NaN while the 2-norm test fails; NaN <= OMEGA_TOL is False.
+            omega = _backward_error(T, mags, b, x, F) if res2 <= cfg.eta else math.nan
+            if omega <= OMEGA_TOL or k == cfg.max_iter:
+                status, iters = Status.CONVERGED if omega <= OMEGA_TOL else Status.MAX_ITER, k
                 break
             t0 = time.perf_counter()
             try:
@@ -298,15 +318,33 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
             if _non_finite(res2, x_new, F_new):
                 status, iters = Status.NON_FINITE, k
                 break
-            mono = 0.0 if infeasible else float(max(0.0, _max(x - x_new)))
+            # The largest drop of an entry, in units of the largest |entry| of x_new.
+            drop = _max(x - x_new)
+            mono = 0.0 if infeasible or drop <= 0.0 else float(drop / _max(np.abs(x_new)))
             feas = 0.0 if infeasible else float(max(0.0, Fmax)) / w
             ms = (time.perf_counter() - t0) * 1e3
             # The largest |entry| of a finite F; abs() turns a -0.0 maximum into 0.0.
             resinf = float(abs(max(Fmax, -_min(F_new)))) / w
             trace.append(res2, resinf, mono, feas, fallback, ms)
             x, xpow, F = x_new, xpow_new, F_new
+        if math.isnan(omega):
+            omega = _backward_error(T, mags, b, x, F)
 
-    return outcome(status, iters, infeasible, res0)
+    return outcome(status, iters, infeasible, res0, omega)
+
+
+def _backward_error(T: Tensor, mags: np.ndarray, b: np.ndarray, x: np.ndarray, F: np.ndarray) -> float:
+    """omega(x) = max_i |F_i| / ((|T| |x|^{m-1})_i + |b_i|), with F = F(x) and
+    mags = magnitudes(T): the componentwise backward error of Oettli &
+    Prager (Numer. Math., 1964; Higham, "Accuracy and Stability of
+    Numerical Algorithms", ch. 7), the smallest relative change of the
+    entries of T and b that x solves exactly.  It is a ratio, so it does
+    not depend on how the system is scaled.  0/0 counts as 0, and a
+    non-finite F gives inf."""
+    num = np.abs(F)
+    den = _contract(T, np.abs(x), 1, mags) + np.abs(b)
+    omega = _max(np.divide(num, den, out=np.zeros_like(num), where=num != 0.0))
+    return math.inf if math.isnan(omega) else float(omega)
 
 
 def _non_finite(res2: float, x: np.ndarray, F: np.ndarray) -> bool:

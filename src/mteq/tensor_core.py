@@ -290,7 +290,16 @@ def _pack(T: DenseTensor) -> np.ndarray:
     return P
 
 
-def _contract(T: Tensor, x: np.ndarray, keep: int) -> np.ndarray:
+def magnitudes(T: Tensor) -> np.ndarray:
+    """|v| for the values v that T x^{m-1} is computed from: the stored
+    entries of a COO tensor, the packed matrix of a dense one.  Passed to
+    `_contract` as `values` with |x| for x, they give |T| |x|^{m-1}.  On a
+    Z-tensor the packing of |T| is |T.packed|, since each packed entry sums
+    entries of one sign; on any tensor |T.packed| is never larger."""
+    return np.abs(T.vals if isinstance(T, SparseTensor) else T.packed)
+
+
+def _contract(T: Tensor, x: np.ndarray, keep: int, values: np.ndarray | None = None) -> np.ndarray:
     """Contract every mode of T after the first `keep` (1 or 2) with x.
 
     This is the one contraction kernel of each storage and each `keep`.
@@ -303,12 +312,13 @@ def _contract(T: Tensor, x: np.ndarray, keep: int) -> np.ndarray:
     on T only through those sums.  Dense keep = 2 reads the full array,
     one matrix-vector product per contracted mode.  x must already be a
     float64 vector of length n; it is not checked here, so that solve()
-    can contract its own iterates without the check.
+    can contract its own iterates without the check.  `values`, for
+    keep = 1, stands in for T.vals or T.packed (see `magnitudes`).
     """
     n = T.dim
     if isinstance(T, SparseTensor):
         cols = T.cols
-        w = T.vals
+        w = T.vals if values is None else values
         for c in cols[keep:]:
             w = w * x[c]
         rows = cols[0] if keep == 1 else cols[0] * n + cols[1]
@@ -318,7 +328,7 @@ def _contract(T: Tensor, x: np.ndarray, keep: int) -> np.ndarray:
         z = x[first]
         for c in rest:
             z = z * x[c]
-        a = T.packed @ z
+        a = (T.packed if values is None else values) @ z
     else:
         a = T.array
         for _ in range(T.order - keep):

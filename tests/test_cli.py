@@ -146,6 +146,7 @@ class TestSolve:
         assert "iterations: 0" in out
         assert "residual (scaled 2-norm): 0.000000e+00" in out
         assert "residual (unscaled 2-norm): 0.000000e+00" in out
+        assert "backward error (componentwise): 0.000000e+00" in out
 
     @pytest.mark.parametrize("text", ["-1", "-0.5", "nan", "inf"])
     def test_x0_invalid_number_is_parse_error(self, text, capsys):
@@ -231,6 +232,7 @@ class TestSolve:
         assert ref.scale_factor != 1.0
         assert f"residual (scaled 2-norm): {res2:.6e}" in out
         assert f"residual (unscaled 2-norm): {res2 * ref.scale_factor:.6e}" in out
+        assert f"backward error (componentwise): {ref.omega:.6e}" in out
 
     @pytest.mark.parametrize("scale", [[], ["--no-scale"]])
     def test_non_finite_rhs_is_parse_error(self, scale, tmp_path, capsys):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mteq import (
@@ -22,7 +22,7 @@ from mteq import (
     solve,
 )
 from mteq.problems import gen_problem1, gen_problem3, gen_problem4
-from mteq.solvers import AUDIT_TOL, METHODS, Stepper
+from mteq.solvers import AUDIT_TOL, METHODS, OMEGA_TOL, Stepper
 from mteq.tensor_core import system_scale
 
 
@@ -293,7 +293,7 @@ class TestSolveBehaviour:
         out = solve(DenseTensor(arr), [1.0, 1.0], None, SolveConfig())
         assert out.status is Status.SINGULAR_MATRIX
         assert out.iterations == 0
-        assert np.isnan(out.res2)
+        assert np.isnan(out.res2) and np.isnan(out.omega)
 
     # P4 n = 3 seed 1 at alpha = 2 diverges.  Jacobi and Gauss-Seidel reach
     # inf entries; smeqm stays finite (x ~ 5e82) while the 2-norm of its
@@ -314,6 +314,7 @@ class TestSolveBehaviour:
         out = solve(inst.tensor, inst.rhs, [1e200, 1e200], SolveConfig())
         assert out.status is Status.NON_FINITE
         assert out.iterations == 0 and len(out.trace) == 0
+        assert out.omega == np.inf
 
     # The same divergent runs, with every warning turned into an error: the
     # status reports the divergence, and numpy prints nothing.
@@ -333,8 +334,8 @@ class TestSolveBehaviour:
 
     @pytest.mark.parametrize("method", ["smeqm", "jacobi", "gs", "sor", "anewton"])
     def test_leaves_no_reference_cycle(self, method):
-        # a cycle would keep each finished solve's tensor copy and packing alive
-        # until a full garbage collection
+        # a cycle would keep each finished solve's factors, trace and
+        # magnitudes of the tensor alive until a full garbage collection
         inst = gen_problem1(6, 2)
         gc.collect()
         gc.disable()
@@ -369,6 +370,14 @@ class TestSolveBehaviour:
         assert out.converged
         assert out.trace.max_violation() <= 1e-12
         assert out.trace.max_feas_violation() <= 1e-12
+
+    def test_monotone_audit_is_relative_to_x(self):
+        # x reaches 6.37e6 here, where one ulp is 9.3e-10, so a drop of a few
+        # ulps read 6.4e-7 in absolute units of x
+        inst = gen_problem3(10)
+        out = solve(inst.tensor, inst.rhs, None, SolveConfig(method="anewton", alpha=0.5))
+        assert out.converged and out.x.max() > 6e6
+        assert out.trace.max_violation() <= AUDIT_TOL
 
     def test_eta_controls_stopping(self):
         inst = gen_problem1(6, 3)
@@ -413,10 +422,12 @@ class TestTraceCsv:
 
 
 @st.composite
-def strong_m_systems(draw):
+def strong_m_systems(draw, huge_b=False):
     """(T, b) with T = s*I - B, B >= 0 random and s from 1.05 to 2 times the
     largest row sum of B, so T is a strong M-tensor; b > 0, so the system
-    has exactly one positive solution.  T is dense or COO."""
+    has exactly one positive solution.  T is dense or COO.  With huge_b one
+    entry of b is 1e12, so ||F||_2 / w can meet eta while the rows of the
+    other entries are unresolved."""
     m, n = draw(st.integers(2, 5)), draw(st.integers(1, 8))
     density, margin = draw(st.floats(0.05, 1.0)), draw(st.floats(1.05, 2.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -426,6 +437,8 @@ def strong_m_systems(draw):
     arr = -B
     arr[(i,) * m] += margin * B.reshape(n, -1).sum(axis=1).max()
     b = rng.uniform(0.01, 1.0, n)
+    if huge_b:
+        b[draw(st.integers(0, n - 1))] = 1e12
     if draw(st.booleans()):
         nonzero = arr != 0.0
         return SparseTensor(m, n, np.argwhere(nonzero), arr[nonzero]), b
@@ -458,3 +471,51 @@ class TestRandomStrongMTensors:
                 assert big.x.tobytes() == out.x.tobytes(), (method, alpha)
                 for column in ("res2", "resinf", "feas_violation", "eps_fallback"):
                     assert getattr(big.trace, column) == getattr(out.trace, column), column
+
+
+def badly_scaled_system(sparse):
+    """m = 2, T = [[2, 0, -1], [0, 2, 0], [-1, 0, 2]] and b = (1, 1e12, 1),
+    solved by x = (1, 5e11, 1).  ||F||_2 / w meets the default eta as soon
+    as row 2 is resolved, with x_1 and x_3 still far off."""
+    A = np.array([[2.0, 0.0, -1.0], [0.0, 2.0, 0.0], [-1.0, 0.0, 2.0]])
+    T = SparseTensor(2, 3, np.argwhere(A != 0.0), A[A != 0.0]) if sparse else DenseTensor(A)
+    return T, np.array([1.0, 1e12, 1.0])
+
+
+def backward_error_oracle(A, b, x):
+    """max_i |F_i| / ((|A| |x|^{m-1})_i + |b_i|) from the dense array A, by
+    reshape-matmul, with 0/0 read as 0."""
+    n = len(x)
+
+    def contract(A, x):
+        for _ in range(A.ndim - 1):
+            A = A.reshape(-1, n) @ x
+        return A
+
+    num = np.abs(contract(A, x) - b)
+    den = contract(np.abs(A), np.abs(x)) + np.abs(b)
+    return np.divide(num, den, out=np.zeros(n), where=num != 0.0).max(initial=0.0)
+
+
+class TestBackwardError:
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "coo"])
+    @pytest.mark.parametrize("method", ["jacobi", "gs", "sor"])
+    def test_every_row_is_resolved(self, method, sparse):
+        # the 2-norm test alone is met after one step, at x_1 = 0.5
+        T, b = badly_scaled_system(sparse)
+        out = solve(T, b, None, SolveConfig(method=method))
+        assert out.converged and out.omega <= OMEGA_TOL
+        exact = np.array([1.0, 5e11, 1.0])
+        assert np.max(np.abs(out.x - exact) / exact) <= 1e-4
+
+    @settings(max_examples=20, deadline=None)
+    @given(system=strong_m_systems(huge_b=True))
+    @example(system=badly_scaled_system(sparse=False))
+    def test_converged_means_small_backward_error(self, system):
+        T, b = system
+        for method in METHODS:
+            for alpha in (0.5, 1.0):
+                out = solve(T, b, None, SolveConfig(method=method, alpha=alpha))
+                if out.converged:
+                    omega = backward_error_oracle(T.array, b, out.x)
+                    assert omega <= 2 * OMEGA_TOL, (method, alpha, omega)

@@ -30,9 +30,11 @@ from mteq import (
 )
 from mteq.tensor_core import (
     COO_ENTRY_COST,
+    _contract,
     cheaper_storage,
     diagonal,
     identity_minus,
+    magnitudes,
     offdiagonal_max,
     row_sums,
 )
@@ -122,6 +124,20 @@ class TestPrimitivesAgree:
         Td, Tc = both_storages(np.full((1, 1, 1), 3.0))
         assert offdiagonal_max(Tc) == offdiagonal_max(Td) == -np.inf
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_magnitudes_contract_the_absolute_z_tensor(self, m):
+        # each packed entry of a Z-tensor sums entries of one sign, so
+        # |T.packed| is the packing of |T|
+        n, rng = 5, np.random.default_rng(m)
+        arr = -rng.uniform(0.0, 1.0, (n,) * m) * (rng.random((n,) * m) < 0.5)
+        arr[(np.arange(n),) * m] = 10.0
+        x = rng.uniform(0.0, 1.0, n)
+        expected = np.abs(arr)
+        for _ in range(m - 1):
+            expected = expected.reshape(-1, n) @ x
+        for T in both_storages(arr):
+            np.testing.assert_allclose(_contract(T, x, 1, magnitudes(T)), expected, rtol=1e-13)
+
 
 class TestSolvesAgree:
     @settings(max_examples=25, deadline=None)
@@ -196,10 +212,7 @@ class TestFileRoundTrip:
         np.testing.assert_array_equal(b, inst.rhs)
         assert is_z_tensor(T)
         assert mtensor_certificate(T).row_sum_bound == 2.0
-        # At this n the scaled residual drops below the default eta after one
-        # step, long before the interior is resolved; a tighter eta keeps
-        # all five iterations running.
-        out = solve(T, b, None, SolveConfig(method="anewton", max_iter=5, eta=1e-14))
+        out = solve(T, b, None, SolveConfig(method="anewton", max_iter=5))
         assert out.status is Status.MAX_ITER and out.iterations == 5
         assert out.trace.max_violation() <= 1e-12
         assert out.trace.max_feas_violation() <= 1e-12

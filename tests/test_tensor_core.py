@@ -132,18 +132,20 @@ class TestPackedContraction:
         monkeypatch.setattr(solvers.Stepper, "step", stepping)
         return log
 
-    @pytest.mark.parametrize("method", ["smeqm", "anewton"])
-    def test_solve_packs_a_copy_once(self, events, method):
-        # the run packs its own shallow copy of the tensor before the loop,
-        # and the packing goes with the run
+    @pytest.mark.parametrize("first, second", [("smeqm", "anewton"), ("anewton", "smeqm")])
+    def test_solve_packs_the_tensor_it_is_given_once(self, events, first, second):
+        # the run packs the caller's tensor on its first contraction, before
+        # the first step, and the tensor keeps the packing for the next run
         inst = gen_problem1(6, 0)
-        out = solve(inst.tensor, inst.rhs, None, SolveConfig(method=method))
+        out = solve(inst.tensor, inst.rhs, None, SolveConfig(method=first))
         assert out.converged and out.iterations > 1
         packs = [T for kind, T in events if kind == "pack"]
-        assert len(packs) == 1 and events[0][0] == "pack"
-        assert packs[0] is not inst.tensor
-        assert packs[0].array.tobytes() == inst.tensor.array.tobytes()
-        assert "packed" not in vars(inst.tensor)
+        assert len(packs) == 1 and packs[0] is inst.tensor and events[0][0] == "pack"
+        P = inst.tensor.packed
+        events.clear()
+        assert solve(inst.tensor, inst.rhs, None, SolveConfig(method=second)).converged
+        assert all(kind == "step" for kind, _ in events)
+        assert inst.tensor.packed is P
 
     def test_solve_uses_the_packing_a_tensor_holds(self, events):
         inst = gen_problem1(6, 0)
