@@ -54,7 +54,6 @@ from .tensor_core import (
     residual,
     scale_system,
     semi_symmetrize,
-    split_offmajor,
 )
 
 __version__ = "0.1.0"

@@ -156,6 +156,17 @@ def _add_system_args(p):
     p.add_argument("--seed", type=int, default=0)
 
 
+def _add_solver_args(p, sweep: bool):
+    """The SolveConfig options, defaulting to SolveConfig's own values.  A
+    sweep takes one or more methods and alphas."""
+    cfg, many = SolveConfig(), {"nargs": "+"} if sweep else {}
+    p.add_argument("--method", default=[cfg.method] if sweep else cfg.method, choices=METHODS, **many)
+    p.add_argument("--alpha", type=float, default=[cfg.alpha] if sweep else cfg.alpha, **many)
+    p.add_argument("--omega", type=float, default=cfg.omega)
+    p.add_argument("--tol", type=float, default=cfg.eta)
+    p.add_argument("--max-iter", type=int, default=cfg.max_iter)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mteq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -169,11 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve a single system")
     _add_system_args(p)
-    p.add_argument("--method", default="smeqm", choices=METHODS)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=3000)
+    _add_solver_args(p, sweep=False)
     p.add_argument("--x0", default="zero", help="'zero', a comma list, a number, or a vector file")
     p.add_argument("--no-scale", action="store_true")
     p.add_argument("--trace", help="write per-iteration CSV trace here")
@@ -188,13 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="seeded benchmark sweep")
     p.add_argument("--problem", required=True)
     p.add_argument("--n", type=int, nargs="+", default=[10])
-    p.add_argument("--alpha", type=float, nargs="+", default=[1.0])
-    p.add_argument("--method", nargs="+", default=["smeqm"], choices=METHODS)
-    p.add_argument("--omega", type=float, default=1.0)
+    _add_solver_args(p, sweep=True)
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=3000)
     p.add_argument("--csv", help="write per-run rows to this CSV")
     p.set_defaults(func=cmd_bench)
 

@@ -16,24 +16,25 @@ import numpy as np
 
 from . import dense_linalg
 from .errors import NoNonnegativeSolution, NotStructured, NotZTensor
+from .solvers import AUDIT_TOL
 from .tensor_core import (
     Tensor,
     contract_full,
     diagonal,
     elementwise_root,
+    has_offmajor,
     identity_minus,
     majorization,
     offdiagonal_max,
     residual,
     row_sums,
-    split_offmajor,
     stored_values,
+    system_scale,
 )
 
 
-# The stopping rule of spectral_radius_estimate, and the slack of is_feasible_S.
+# The stopping rule of spectral_radius_estimate.
 POWER_MAX_ITER, POWER_TOL = 200, 1e-10
-FEASIBILITY_TOL = 1e-10
 
 
 class Verdict(str, Enum):
@@ -116,12 +117,15 @@ def spectral_radius_estimate(B: Tensor) -> float:
 
 
 def is_feasible_S(T: Tensor, b, x) -> FeasibilityReport:
-    """Membership test for S = {x >= 0 : T x^{m-1} <= b}, relaxed by FEASIBILITY_TOL."""
+    """Membership test for S = {x >= 0 : T x^{m-1} <= b} by solve()'s start
+    test, F <= AUDIT_TOL * system_scale(T, b); the scale is read only for a
+    positive F, so an identically zero system has every x >= 0 in S."""
     x = np.asarray(x, dtype=np.float64)
     F = residual(T, b, x)
-    is_nonneg = bool(np.all(x >= -FEASIBILITY_TOL))
+    is_nonneg = bool(np.all(x >= 0.0))
     residual_max = float(F.max())
-    return FeasibilityReport(is_nonneg, residual_max, is_nonneg and residual_max <= FEASIBILITY_TOL)
+    below = residual_max <= 0.0 or residual_max <= AUDIT_TOL * system_scale(T, b)
+    return FeasibilityReport(is_nonneg, residual_max, is_nonneg and below)
 
 
 def solve_structured(T: Tensor, b) -> np.ndarray:
@@ -130,10 +134,10 @@ def solve_structured(T: Tensor, b) -> np.ndarray:
     The equation reduces to M y = b with y = x^[m-1]; a nonnegative y
     yields the unique nonnegative solution x = y^[1/(m-1)].
     """
-    if np.any(stored_values(split_offmajor(T)) != 0.0):
+    if has_offmajor(T):
         raise NotStructured("tensor has entries outside the (i, j, ..., j) positions")
-    y = _solve_majorization(T, b)
-    if np.any(y < -1e-12):
+    y, tol = _solve_majorization(T, b)
+    if np.any(y < -tol):
         raise NoNonnegativeSolution(f"M^-1 b has negative entry {y.min():.3e}")
     return elementwise_root(np.where(y < 0, 0.0, y), T.order)
 
@@ -144,18 +148,21 @@ def existence_sufficient(T: Tensor, b) -> Existence:
     Positive y guarantees a positive solution; nonnegative y a nonnegative
     one.  A sign change is Inconclusive (the test is not necessary).
     """
-    y = _solve_majorization(T, b)
-    if np.all(y > 1e-12):
+    y, tol = _solve_majorization(T, b)
+    if np.all(y > tol):
         return Existence.POSITIVE
-    if np.all(y >= -1e-12):
+    if np.all(y >= -tol):
         return Existence.NONNEGATIVE
     return Existence.INCONCLUSIVE
 
 
-def _solve_majorization(T: Tensor, b) -> np.ndarray:
-    """y = M^-1 b for the majorization matrix M of T.  A non-finite b is
-    rejected, since its y would read as a sign pattern it does not have."""
+def _solve_majorization(T: Tensor, b) -> tuple[np.ndarray, float]:
+    """y = M^-1 b for the majorization matrix M of T, and the tolerance
+    AUDIT_TOL * max|y| that its signs are judged by, in the units of b.  A
+    non-finite b is rejected, since its y would read as a sign pattern it
+    does not have."""
     b = np.asarray(b, dtype=np.float64)
     if not np.all(np.isfinite(b)):
         raise ValueError("b must be finite")
-    return dense_linalg.lu_solve(dense_linalg.lu_factor(majorization(T)), b)
+    y = dense_linalg.lu_solve(dense_linalg.lu_factor(majorization(T)), b)
+    return y, AUDIT_TOL * float(np.abs(y).max())

@@ -62,6 +62,8 @@ class DenseTensor:
         n = arr.shape[0]
         if any(s != n for s in arr.shape):
             raise ValueError("all tensor modes must have equal dimension")
+        if n == 0:
+            raise ValueError("tensor dimension must be positive")
         if not np.all(np.isfinite(arr)):
             raise ValueError("tensor entries must be finite")
         arr.flags.writeable = False
@@ -120,8 +122,8 @@ class SparseTensor:
         order, dim = int(self.order), int(self.dim)
         if order < 2:
             raise ValueError("tensor order must be at least 2")
-        if dim < 0:
-            raise ValueError("tensor dimension must be nonnegative")
+        if dim < 1:
+            raise ValueError("tensor dimension must be positive")
         idx = np.asarray(self.idx)
         if idx.size == 0:
             idx = np.zeros((0, order), dtype=np.intp)
@@ -142,10 +144,6 @@ class SparseTensor:
         repeated = np.all(idx[1:] == idx[:-1], axis=1)
         if np.any(repeated):
             raise ValueError(f"duplicate entry at index {_one_based(idx[1:][repeated][0])}")
-        self._store(order, dim, idx, vals)
-
-    def _store(self, order, dim, idx, vals):
-        """Set the fields, read-only, and the column views `cols` of idx."""
         idx.flags.writeable = False
         vals.flags.writeable = False
         for name, value in (("order", order), ("dim", dim), ("idx", idx), ("vals", vals),
@@ -174,15 +172,6 @@ class SparseTensor:
     def array(self) -> np.ndarray:
         """A dense copy with n^m entries, for inspection and tests only."""
         return DenseTensor.from_sparse(self).array
-
-    def _take(self, keep, vals) -> "SparseTensor":
-        """The tensor over the entries selected by `keep` (a mask or slice),
-        with values `vals`.  Entries taken from this tensor are already
-        sorted, in range and distinct, so validation is skipped; `vals` must
-        be finite."""
-        T = object.__new__(SparseTensor)
-        T._store(self.order, self.dim, np.asfortranarray(self.idx[keep]), np.asarray(vals, dtype=np.float64))
-        return T
 
 
 Tensor = DenseTensor | SparseTensor
@@ -459,18 +448,13 @@ def majorization(T: Tensor) -> np.ndarray:
     return M
 
 
-def split_offmajor(T: Tensor) -> Tensor:
-    """The off-major part: T with all (i, j, ..., j) entries zeroed.
-
-    The complement (T minus the result) acts on x as M x^[m-1].
-    """
+def has_offmajor(T: Tensor) -> bool:
+    """Whether T has a nonzero entry outside the (i, j, ..., j) positions,
+    without a copy of T: a dense T has more nonzeros than M, whose entries
+    are those positions."""
     if isinstance(T, SparseTensor):
-        off = ~_major_mask(T)
-        return T._take(off, T.vals[off])
-    arr = T.array.copy()
-    j = np.arange(T.dim)
-    arr[(slice(None),) + (j,) * (T.order - 1)] = 0.0
-    return DenseTensor(arr)
+        return bool(np.any(T.vals[~_major_mask(T)]))
+    return bool(np.count_nonzero(T.array) != np.count_nonzero(majorization(T)))
 
 
 def identity_tensor(m: int, n: int) -> DenseTensor:
@@ -534,5 +518,5 @@ def scale_system(T: Tensor, b) -> ScaledSystem:
     """The system divided through by w = system_scale(T, b), a copy: the
     reference that solve()'s residuals F / w are checked against."""
     w = system_scale(T, b)
-    scaled = T._take(slice(None), T.vals / w) if isinstance(T, SparseTensor) else DenseTensor(T.array / w)
+    scaled = SparseTensor(T.order, T.dim, T.idx, T.vals / w) if isinstance(T, SparseTensor) else DenseTensor(T.array / w)
     return ScaledSystem(scaled, _as_vector(b, T.dim) / w, w)

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from mteq import SolveConfig, cli, fixture, solve, tensorio
+from mteq import DenseTensor, SolveConfig, cli, fixture, solve, tensorio
 from mteq.solvers import METHODS
 from mteq.problems import gen_problem1, gen_problem3
 
@@ -223,6 +223,25 @@ class TestSolve:
         assert captured.err.startswith("error: malformed tensor file: ")
         assert captured.err.count("\n") == 1
 
+    def test_dimension_zero_is_parse_error(self, tmp_path, capsys):
+        (tmp_path / "t.json").write_text('{"order": 3, "dim": 0, "entries": []}')
+        (tmp_path / "b.txt").write_text("")
+        code = cli.main(["solve", "--tensor", str(tmp_path / "t.json"),
+                         "--rhs", str(tmp_path / "b.txt")])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert captured.err == "error: tensor dimension must be positive\n"
+
+    def test_zero_diagonal_splitting_exits_singular(self, tmp_path, capsys):
+        T = DenseTensor(np.array([[0.0, -1.0], [-1.0, 2.0]]))
+        tensorio.write_tensor(tmp_path / "t.json", T)
+        tensorio.write_vector(tmp_path / "b.txt", [1.0, 1.0])
+        code, out = run(["solve", "--tensor", str(tmp_path / "t.json"),
+                         "--rhs", str(tmp_path / "b.txt"), "--method", "jacobi"], capsys)
+        assert code == 5
+        assert "status: SingularMatrix" in out and "iterations: 0" in out
+
     def test_unscaled_residual_is_scaled_times_scale_factor(self, capsys):
         code, out = run(["solve", "--problem", "1", "--n", "6", "--seed", "4"], capsys)
         assert code == 0
@@ -362,6 +381,15 @@ class TestParser:
     def test_method_choices_enforced(self):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["solve", "--problem", "1", "--method", "cg"])
+
+    def test_defaults_are_solve_config(self):
+        parser = cli.build_parser()
+        args = parser.parse_args(["solve", "--problem", "1"])
+        cfg = cli._solve_config(args, method=args.method, alpha=args.alpha, scale=not args.no_scale)
+        assert cfg == SolveConfig()
+        args = parser.parse_args(["bench", "--problem", "1"])
+        assert args.method == [SolveConfig().method] and args.alpha == [SolveConfig().alpha]
+        assert cli._solve_config(args, method=args.method[0], alpha=args.alpha[0]) == SolveConfig()
 
     def test_every_method_is_a_choice(self):
         parser = cli.build_parser()

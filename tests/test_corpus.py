@@ -1,0 +1,81 @@
+"""The comparison of tools/corpus.py, fed hand-written records.  The corpus
+itself takes about as long as the acceptance sweep and is run by hand."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "corpus", Path(__file__).resolve().parents[1] / "tools" / "corpus.py")
+corpus = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(corpus)
+
+
+def record(case, status="Converged", iterations=10, fallbacks=0, res2=1e-9, x=(1.0, 2.0)):
+    return {"case": case, "status": status, "iterations": iterations, "fallbacks": fallbacks,
+            "res2": float.hex(res2), "omega": float.hex(1e-7), "x": [float.hex(v) for v in x]}
+
+
+BASE = [record("same"), record("rounded"), record("slower"), record("failed"), record("fell-back")]
+NEW = [
+    record("same"),
+    record("rounded", res2=1e-9 * (1 + 2**-40), x=(1.0, 2.0 + 2**-40)),
+    record("slower", iterations=11),
+    record("failed", status="MaxIterReached", iterations=3000),
+    record("fell-back", fallbacks=1),
+]
+
+
+def summary(capsys):
+    return capsys.readouterr().out.splitlines()[-1]
+
+
+def test_four_counts_and_exit_on_status_change(capsys):
+    assert corpus.compare(BASE, NEW) == 1
+    assert summary(capsys) == (
+        "1/5 bit-identical, 1 rounding only (largest relative move: x 4.55e-13, res2 9.09e-13), "
+        "2 iteration changes, 1 status changes")
+
+
+def test_no_status_change_exits_zero(capsys):
+    assert corpus.compare(BASE[:3], NEW[:3]) == 0
+    assert summary(capsys).endswith("1 iteration changes, 0 status changes")
+
+
+def test_identical_runs(capsys):
+    assert corpus.compare(BASE, BASE) == 0
+    assert summary(capsys).startswith("5/5 bit-identical, 0 rounding only")
+
+
+def test_nan_appearing_is_an_infinite_move(capsys):
+    new = [record("same", res2=float("nan"))]
+    assert corpus.compare([record("same")], new) == 0
+    assert "res2 inf" in summary(capsys)
+
+
+def test_different_case_sets_exit_two(capsys):
+    assert corpus.compare(BASE, NEW[:4]) == 2
+    assert summary(capsys) == "case sets differ: base has 5 cases, new has 4"
+
+
+def test_main_writes_and_compares(tmp_path, monkeypatch, capsys):
+    base = tmp_path / "base.jsonl"
+    base.write_text("".join(json.dumps(r) + "\n" for r in BASE))
+    monkeypatch.setattr(corpus, "run_corpus", lambda: NEW)
+    assert corpus.main(["--out", str(tmp_path / "new.jsonl"), "--against", str(base)]) == 1
+    assert corpus.read_records(tmp_path / "new.jsonl") == NEW
+    assert summary(capsys).endswith("1 status changes")
+    assert corpus.main(["--against", str(tmp_path / "new.jsonl")]) == 0
+
+
+def test_main_needs_out_or_against():
+    with pytest.raises(SystemExit):
+        corpus.main([])
+
+
+def test_corpus_has_1420_distinct_cases(monkeypatch):
+    monkeypatch.setattr(corpus, "gen_problem1", lambda n, seed: corpus.fixture("ex21"))
+    ids = [case for case, *_ in corpus.cases()]
+    assert len(ids) == len(set(ids)) == 1420

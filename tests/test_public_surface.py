@@ -55,7 +55,6 @@ PUBLIC_NAMES = [
     "solve",
     "solve_structured",
     "spectral_radius_estimate",
-    "split_offmajor",
 ]
 
 SOLVE_CONFIG_FIELDS = ["alpha", "eta", "max_iter", "method", "omega", "scale"]

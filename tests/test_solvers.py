@@ -295,6 +295,21 @@ class TestSolveBehaviour:
         assert out.iterations == 0
         assert np.isnan(out.res2) and np.isnan(out.omega)
 
+    # M = T has a zero diagonal entry but is nonsingular: the splittings
+    # cannot divide by it, while smeqm factors M and runs.
+    ZERO_DIAGONAL = DenseTensor(np.array([[0.0, -1.0], [-1.0, 2.0]]))
+
+    @pytest.mark.parametrize("method", ["jacobi", "gs", "sor"])
+    def test_zero_diagonal_splitting_status(self, method):
+        out = solve(self.ZERO_DIAGONAL, [1.0, 1.0], None, SolveConfig(method=method))
+        assert out.status is Status.SINGULAR_MATRIX
+        assert out.iterations == 0 and len(out.trace) == 0
+        assert np.isnan(out.res2) and np.isnan(out.omega)
+
+    def test_zero_diagonal_factors_for_smeqm(self):
+        out = solve(self.ZERO_DIAGONAL, [1.0, 1.0], None, SolveConfig(method="smeqm"))
+        assert out.status is Status.NEGATIVE_POWER_RHS
+
     # P4 n = 3 seed 1 at alpha = 2 diverges.  Jacobi and Gauss-Seidel reach
     # inf entries; smeqm stays finite (x ~ 5e82) while the 2-norm of its
     # residual overflows, which is not a non-finite outcome.

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mteq import (
     DenseTensor,
@@ -140,6 +142,19 @@ class TestFeasibility:
         inst = gen_problem1(6, 1)
         assert is_feasible_S(inst.tensor, inst.rhs, np.zeros(6)).in_S
 
+    def test_tolerance_is_relative_to_the_system(self):
+        # F_2 = 4e-9 at x = (2, 2 + 1e-9): outside S at any scale
+        inst = fixture("ex22")
+        x = [2.0, 2.0 + 1e-9]
+        for k in (0, -40):
+            T = DenseTensor(np.ldexp(inst.tensor.array, k))
+            assert not is_feasible_S(T, np.ldexp(inst.rhs, k), x).in_S
+
+    def test_identically_zero_system_is_in_S(self):
+        T = DenseTensor(np.zeros((2, 2, 2)))
+        assert is_feasible_S(T, np.zeros(2), [1.0, 2.0]).in_S
+        assert not is_feasible_S(T, np.zeros(2), [-1.0, 2.0]).in_S
+
 
 class TestSolveStructured:
     def test_ex11_exact(self):
@@ -154,6 +169,28 @@ class TestSolveStructured:
     def test_no_nonnegative_solution(self):
         with pytest.raises(NoNonnegativeSolution):
             solve_structured(identity_tensor(3, 2), [-1.0, 1.0])
+
+    def test_negative_entry_at_any_scale(self):
+        for b in ([1.0, -1.0], [1e-15, -1e-15]):
+            with pytest.raises(NoNonnegativeSolution):
+                solve_structured(identity_tensor(3, 2), b)
+
+    def test_problem3_at_scale_builds_no_n_by_n_array(self, monkeypatch):
+        inst = gen_problem3(2000)
+        zeros = np.zeros
+
+        def small_zeros(shape, *args, **kwargs):
+            if np.prod(shape) >= inst.n**2:
+                raise AssertionError("an n x n array was built")
+            return zeros(shape, *args, **kwargs)
+
+        def densify(*args):
+            raise AssertionError("a COO tensor was densified")
+
+        monkeypatch.setattr(np, "zeros", small_zeros)
+        monkeypatch.setattr(DenseTensor, "from_sparse", densify)
+        with pytest.raises(NotStructured):
+            solve_structured(inst.tensor, inst.rhs)
 
     def test_random_structured_solutions_verify(self):
         rng = np.random.default_rng(9)
@@ -176,6 +213,10 @@ class TestExistence:
     def test_nonnegative_boundary(self):
         assert existence_sufficient(identity_tensor(3, 2), [0.0, 2.0]) is Existence.NONNEGATIVE
 
+    def test_positive_at_any_scale(self):
+        for b in ([1.0, 1.0], [1e-15, 1e-15]):
+            assert existence_sufficient(identity_tensor(4, 2), b) is Existence.POSITIVE
+
     def test_sufficient_condition_verified_by_solve(self):
         # whenever the test reports Positive, the structured solve confirms it
         rng = np.random.default_rng(4)
@@ -189,3 +230,40 @@ class TestExistence:
         M = majorization(inst.tensor)
         y = lu_solve(lu_factor(M), inst.rhs)
         np.testing.assert_allclose(y, [-1.0, 8.0])
+
+
+@st.composite
+def near_boundary_systems(draw):
+    """(T, b, x): a random structured strong M-tensor, a b of mixed signs
+    and magnitudes from 1e-20 to 1, and x the positive part of the
+    structured solution moved by a relative 1e-16 to 1e-6, so that the
+    verdicts below fall on both sides."""
+    m, n = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T = random_structured_strong(rng, m, n)
+    b = rng.choice([-1.0, 1.0], n, p=[0.2, 0.8]) * 10.0 ** rng.uniform(-20.0, 0.0, n)
+    y = np.linalg.solve(majorization(T), b)
+    x = np.abs(y) ** (1.0 / (m - 1)) * (1.0 + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-16.0, -6.0, n))
+    return T, b, x
+
+
+class TestScaleInvariance:
+    """The structural verdicts read tolerances in the units of the system,
+    so multiplying it by 2^k, which is exact, changes none of them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(system=near_boundary_systems(), k=st.integers(-60, 60))
+    def test_verdicts_do_not_change_under_powers_of_two(self, system, k):
+        T, b, x = system
+        Tk, bk = DenseTensor(np.ldexp(T.array, k)), np.ldexp(b, k)
+        assert is_feasible_S(Tk, bk, x).in_S == is_feasible_S(T, b, x).in_S
+        assert existence_sufficient(T, bk) is existence_sufficient(T, b)
+        assert raises_no_solution(T, bk) == raises_no_solution(T, b)
+
+
+def raises_no_solution(T, b) -> bool:
+    try:
+        solve_structured(T, b)
+    except NoNonnegativeSolution:
+        return True
+    return False

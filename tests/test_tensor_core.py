@@ -21,7 +21,6 @@ from mteq import (
     scale_system,
     semi_symmetrize,
     solve,
-    split_offmajor,
 )
 from mteq import solvers, tensor_core
 from mteq.errors import DimensionMismatch
@@ -31,6 +30,7 @@ from mteq.tensor_core import (
     BLOCK_BYTES,
     SparseTensor,
     _contract,
+    has_offmajor,
     identity_minus,
     offdiagonal_max,
     permutation_mean,
@@ -285,7 +285,9 @@ class TestMajorization:
         rng = np.random.default_rng(seed)
         T = random_tensor(rng, m, n)
         x = rng.uniform(-1.0, 1.0, n)
-        major_part = DenseTensor(T.array - split_offmajor(T).array)
+        arr = np.zeros((n,) * m)
+        arr[(slice(None),) + (np.arange(n),) * (m - 1)] = majorization(T)
+        major_part = DenseTensor(arr)
         np.testing.assert_allclose(
             contract_full(major_part, x),
             majorization(T) @ x ** (m - 1),
@@ -294,19 +296,53 @@ class TestMajorization:
         )
 
 
-class TestSplitOffmajor:
+def offmajor_by_copy(arr) -> bool:
+    """The reference for has_offmajor: zero the (i, j, ..., j) entries of a
+    copy and look for a nonzero."""
+    off = arr.copy()
+    off[(slice(None),) + (np.arange(arr.shape[0]),) * (arr.ndim - 1)] = 0.0
+    return bool(np.any(off != 0.0))
+
+
+def coo(arr) -> SparseTensor:
+    nonzero = arr != 0.0
+    return SparseTensor(arr.ndim, arr.shape[0], np.argwhere(nonzero), arr[nonzero])
+
+
+class TestHasOffmajor:
     def test_structured_tensor_has_no_offmajor(self):
-        inst = fixture("ex11")  # only (i, j, j) entries
-        assert np.all(split_offmajor(inst.tensor).array == 0.0)
+        T = fixture("ex11").tensor  # only (i, j, j) entries
+        assert not has_offmajor(T) and not has_offmajor(coo(T.array))
 
     def test_ex22_single_offmajor_entry(self):
-        inst = fixture("ex22")
-        off = split_offmajor(inst.tensor)
-        assert off.array[0, 0, 1] == -1.5
-        assert np.count_nonzero(off.array) == 1
+        T = fixture("ex22").tensor
+        assert T.array[0, 0, 1] == -1.5
+        assert has_offmajor(T) and has_offmajor(coo(T.array))
+        arr = T.array.copy()
+        arr[0, 0, 1] = 0.0
+        assert not has_offmajor(coo(arr)) and not has_offmajor(DenseTensor(arr))
 
     def test_identity_is_pure_major(self):
-        assert np.all(split_offmajor(identity_tensor(3, 4)).array == 0.0)
+        assert not has_offmajor(identity_tensor(3, 4))
+
+    def test_stored_zero_is_not_an_entry(self):
+        T = SparseTensor(3, 2, [[0, 0, 1], [1, 1, 1]], [0.0, 1.0])
+        assert not has_offmajor(T)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=tensor_shapes, seed=st.integers(0, 2**31), major_only=st.booleans(),
+           density=st.floats(0.0, 1.0))
+    def test_agrees_with_a_masked_copy(self, shape, seed, major_only, density):
+        m, n = shape
+        rng = np.random.default_rng(seed)
+        arr = rng.uniform(-1.0, 1.0, (n,) * m) * (rng.random((n,) * m) < density)
+        if major_only:
+            j = (slice(None),) + (np.arange(n),) * (m - 1)
+            major, arr = arr[j], np.zeros_like(arr)
+            arr[j] = major
+        expected = offmajor_by_copy(arr)
+        assert has_offmajor(DenseTensor(arr)) is expected
+        assert has_offmajor(coo(arr)) is expected
 
 
 class TestIdentityTensor:
@@ -498,7 +534,10 @@ class TestCooContraction:
         assert _contract(T, x, keep).tobytes() == ref.tobytes()
 
     def test_columns_follow_taken_entries(self):
-        T = split_offmajor(gen_problem3(8).tensor)
+        # Some entries of P3, given unsorted to the constructor.
+        P = gen_problem3(8).tensor
+        keep = np.flatnonzero(P.vals < 0.0)[::-1]
+        T = SparseTensor(P.order, P.dim, P.idx[keep], P.vals[keep])
         assert isinstance(T, SparseTensor) and T.idx.flags.f_contiguous
         for k, c in enumerate(T.cols):
             np.testing.assert_array_equal(c, T.idx[:, k])
@@ -517,6 +556,11 @@ class TestDenseTensor:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             DenseTensor(np.full((2, 2), np.nan))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_dimension_zero_rejected(self, m):
+        with pytest.raises(ValueError, match="tensor dimension must be positive"):
+            DenseTensor(np.zeros((0,) * m))
 
     def test_immutable(self):
         T = identity_tensor(3, 2)
