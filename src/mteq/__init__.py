@@ -47,7 +47,6 @@ from .tensor_core import (
     ScaledSystem,
     SparseTensor,
     contract_full,
-    contract_matrix,
     elementwise_root,
     identity_tensor,
     majorization,

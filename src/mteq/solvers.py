@@ -239,7 +239,7 @@ class Stepper:
             x = np.sign(v) * np.abs(v) ** (1.0 / self.p)
         else:
             x = elementwise_root(v, self.p + 1)
-        F = _contract(self.T, x, 1) - self.b
+        F = _contract(self.T, x) - self.b
         return x, x**self.p, F, _max(F)
 
 
@@ -289,7 +289,7 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
         return outcome(Status.SINGULAR_MATRIX, 0)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        F = _contract(T, x, 1) - b
+        F = _contract(T, x) - b
         mags = magnitudes(T)
         infeasible = bool(np.any(F > AUDIT_TOL * w))
         xpow = x ** (m - 1)
@@ -342,7 +342,7 @@ def _backward_error(T: Tensor, mags: np.ndarray, b: np.ndarray, x: np.ndarray, F
     not depend on how the system is scaled.  0/0 counts as 0, and a
     non-finite F gives inf."""
     num = np.abs(F)
-    den = _contract(T, np.abs(x), 1, mags) + np.abs(b)
+    den = _contract(T, np.abs(x), mags) + np.abs(b)
     omega = _max(np.divide(num, den, out=np.zeros_like(num), where=num != 0.0))
     return math.inf if math.isnan(omega) else float(omega)
 

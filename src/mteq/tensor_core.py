@@ -4,18 +4,17 @@ A tensor of order m and dimension n is stored either densely, as a numpy
 array of shape (n,) * m (`DenseTensor`), or in coordinate form, as the list
 of its nonzero entries (`SparseTensor`).  The storage is chosen where a
 tensor is built; every primitive here accepts both and keeps the storage of
-its input, and each storage has exactly one contraction kernel.  Indices are
-1-based in external formats and 0-based internally.  All operations here are
-pure functions over immutable inputs.
+its input.  The one contraction is T x^{m-1}, with one kernel per storage.
+Indices are 1-based in external formats and 0-based internally.  All
+operations here are pure functions over immutable inputs.
 
 T x^{m-1} depends on T only through the sums of T(i, ...) over the
 orderings of each trailing multi-index.  A dense tensor therefore computes
 it from its packed matrix `DenseTensor.packed`: n x C(n+m-2, m-1), one
 column per sorted trailing multi-index holding those sums, about (m-1)!
 times fewer entries than n^m.  It is built on the first such contraction
-and kept by the tensor, as a COO tensor keeps its index columns.  The
-n x n matrix T x^{m-2} (`contract_matrix`) still reads the full array.
-This is the packed symmetric storage of Schatz, Low, van de Geijn & Kolda,
+and kept by the tensor, as a COO tensor keeps its index columns.  This is
+the packed symmetric storage of Schatz, Low, van de Geijn & Kolda,
 "Exploiting symmetry in tensors for high performance" (SIAM J. Sci.
 Comput., 2014), applied to the trailing modes; it holds for every tensor,
 symmetric or not.
@@ -51,12 +50,17 @@ BLOCK_BYTES = 256 * 1024
 
 @dataclass(frozen=True)
 class DenseTensor:
-    """Order-m, dimension-n real tensor with dense storage."""
+    """Order-m, dimension-n real tensor with dense storage, read-only: a
+    writeable input array is copied, a read-only one is taken as is."""
 
     array: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.array, dtype=np.float64))
+        arr = self.array
+        if isinstance(arr, np.ndarray) and not arr.flags.writeable:
+            arr = np.ascontiguousarray(arr, dtype=np.float64)
+        else:
+            arr = np.array(arr, dtype=np.float64, order="C")
         if arr.ndim < 2:
             raise ValueError("tensor order must be at least 2")
         n = arr.shape[0]
@@ -91,7 +95,7 @@ class DenseTensor:
         """The dense copy of a COO tensor, with n^m entries."""
         arr = np.zeros((T.dim,) * T.order)
         arr[tuple(T.idx.T)] = T.vals
-        return cls(arr)
+        return _adopt(arr)
 
     @functools.cached_property
     def packed(self) -> np.ndarray:
@@ -175,6 +179,14 @@ class SparseTensor:
 
 
 Tensor = DenseTensor | SparseTensor
+
+
+def _adopt(arr: np.ndarray) -> DenseTensor:
+    """The DenseTensor of a new float64 C-order array that nothing else
+    holds, without a copy: the array is made read-only first."""
+    arr.flags.writeable = False
+    return DenseTensor(arr)
+
 
 # COO is kept while COO_ENTRY_COST * nnz < n^m.  A COO contraction (numpy
 # gathers and a bincount) costs about as much per stored entry as the packed
@@ -288,52 +300,37 @@ def magnitudes(T: Tensor) -> np.ndarray:
     return np.abs(T.vals if isinstance(T, SparseTensor) else T.packed)
 
 
-def _contract(T: Tensor, x: np.ndarray, keep: int, values: np.ndarray | None = None) -> np.ndarray:
-    """Contract every mode of T after the first `keep` (1 or 2) with x.
+def _contract(T: Tensor, x: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
+    """T x^{m-1}, the one contraction, with one kernel per storage.
 
-    This is the one contraction kernel of each storage and each `keep`.
     COO sums over the stored entries: it gathers x through the contiguous
-    index column `cols[k]` of each contracted mode k and multiplies `vals`
-    by the gathered factors in mode order.  Dense keep = 1 is one
-    matrix-vector product with the packed matrix `T.packed`, n x
-    C(n+m-2, m-1), against the products of x over its sorted trailing
-    multi-indices, gathered in mode order as for COO; T x^{m-1} depends
-    on T only through those sums.  Dense keep = 2 reads the full array,
-    one matrix-vector product per contracted mode.  x must already be a
-    float64 vector of length n; it is not checked here, so that solve()
-    can contract its own iterates without the check.  `values`, for
-    keep = 1, stands in for T.vals or T.packed (see `magnitudes`).
+    index column `cols[k]` of each trailing mode k, multiplies `vals` by
+    the gathered factors in mode order and bins the products by row.
+    Dense is one matrix-vector product with the packed matrix `T.packed`,
+    n x C(n+m-2, m-1), against the products of x over its sorted trailing
+    multi-indices, gathered in mode order as for COO; T x^{m-1} depends on
+    T only through those sums.  x must already be a float64 vector of
+    length n; it is not checked here, so that solve() can contract its own
+    iterates without the check.  `values` stands in for T.vals or T.packed
+    (see `magnitudes`).
     """
-    n = T.dim
     if isinstance(T, SparseTensor):
-        cols = T.cols
+        first, *rest = T.cols
         w = T.vals if values is None else values
-        for c in cols[keep:]:
-            w = w * x[c]
-        rows = cols[0] if keep == 1 else cols[0] * n + cols[1]
-        a = np.bincount(rows, weights=w, minlength=n**keep)
-    elif keep == 1:
-        first, *rest = _packing(n, T.order)[0]
-        z = x[first]
         for c in rest:
-            z = z * x[c]
-        a = (T.packed if values is None else values) @ z
-    else:
-        a = T.array
-        for _ in range(T.order - keep):
-            a = a.reshape(-1, n) @ x
-    return a if keep == 1 else a.reshape(n, n)
+            w = w * x[c]
+        return np.bincount(first, weights=w, minlength=T.dim)
+    first, *rest = _packing(T.dim, T.order)[0]
+    z = x[first]
+    for c in rest:
+        z = z * x[c]
+    return (T.packed if values is None else values) @ z
 
 
 def contract_full(T: Tensor, x) -> np.ndarray:
     """The vector T x^{m-1}: entry i is the sum over trailing multi-indices
     of T(i, i2, ..., im) * x_{i2} ... x_{im}."""
-    return _contract(T, _as_vector(x, T.dim), 1)
-
-
-def contract_matrix(T: Tensor, x) -> np.ndarray:
-    """The n x n matrix T x^{m-2}; satisfies (T x^{m-2}) x = T x^{m-1}."""
-    return _contract(T, _as_vector(x, T.dim), 2)
+    return _contract(T, _as_vector(x, T.dim))
 
 
 def residual(T: Tensor, b, x) -> np.ndarray:
@@ -414,7 +411,7 @@ def dense_identity_minus(A: np.ndarray, s: float, out: np.ndarray | None = None)
     arr = np.subtract(0.0, A, out=out)
     i = np.arange(A.shape[0])
     arr[(i,) * A.ndim] += s
-    return DenseTensor(arr)
+    return _adopt(arr)
 
 
 def row_sums(T: Tensor) -> np.ndarray:
@@ -462,7 +459,7 @@ def identity_tensor(m: int, n: int) -> DenseTensor:
     arr = np.zeros((n,) * m)
     i = np.arange(n)
     arr[(i,) * m] = 1.0
-    return DenseTensor(arr)
+    return _adopt(arr)
 
 
 def permutation_mean(A: np.ndarray, fixed: int) -> np.ndarray:
@@ -501,7 +498,7 @@ def semi_symmetrize(T: DenseTensor) -> DenseTensor:
 
     Leaves contract_full unchanged for every x and is idempotent.
     """
-    return DenseTensor(permutation_mean(T.array, 1))
+    return _adopt(permutation_mean(T.array, 1))
 
 
 def system_scale(T: Tensor, b) -> float:
@@ -518,5 +515,5 @@ def scale_system(T: Tensor, b) -> ScaledSystem:
     """The system divided through by w = system_scale(T, b), a copy: the
     reference that solve()'s residuals F / w are checked against."""
     w = system_scale(T, b)
-    scaled = SparseTensor(T.order, T.dim, T.idx, T.vals / w) if isinstance(T, SparseTensor) else DenseTensor(T.array / w)
+    scaled = SparseTensor(T.order, T.dim, T.idx, T.vals / w) if isinstance(T, SparseTensor) else _adopt(T.array / w)
     return ScaledSystem(scaled, _as_vector(b, T.dim) / w, w)

