@@ -5,7 +5,9 @@ Four families share one driver: the sequential M-matrix equation method
 Gauss-Seidel / SOR splittings (Li, Xie & Xu, Numer. Linear Algebra Appl.,
 2017), and an approximate Newton method that augments the step with a
 correction built from r(x) = (T x^{m-1} - (m-1) M x^[m-1]) / (m-1).  Each
-method's math exists once, in `Stepper`, which solve() drives.
+method's math exists once, in `Stepper`, which solve() drives: it is the
+only code that evaluates anything on T during a run (the start, every
+step and the backward error).
 
 From a feasible start (x0 in S = {x >= 0 : F(x) <= 0}) with alpha in
 (0, 1], the iterates increase monotonically and stay in S; the driver
@@ -44,8 +46,9 @@ METHODS = ("smeqm", "jacobi", "gs", "sor", "anewton")
 AUDIT_TOL = ACCEPT_TOL = 1e-12
 
 # Converged needs, besides ||F / w||_2 <= eta, a componentwise backward error
-# omega(x) (see _backward_error) at or below OMEGA_TOL.  The 2-norm alone is
-# met by an x that resolves only the rows with the largest entries of b.
+# omega(x) (see Stepper.backward_error) at or below OMEGA_TOL.  The 2-norm
+# alone is met by an x that resolves only the rows with the largest entries
+# of b.
 OMEGA_TOL = 1e-5
 
 # ndarray.max/min wrap the ufunc reduction in Python code that costs about
@@ -151,8 +154,8 @@ class SolveOutcome:
     # start residual after 0 iterations, NaN if none was computed.
     res2: float = math.nan
     # The componentwise backward error of the returned x (see
-    # _backward_error; not SolveConfig.omega, the SOR factor), NaN if no
-    # residual was computed (SingularMatrix).
+    # Stepper.backward_error; not SolveConfig.omega, the SOR factor), NaN
+    # if no residual was computed (SingularMatrix).
     omega: float = math.nan
 
     @property
@@ -175,11 +178,13 @@ class Stepper:
     P the lower splitting part of M (gs, sor; gs is sor at omega = 1).
     anewton first tries x^[m-1] + M^{-1}(-alpha F(x_k) - eps_k) and takes the
     plain update if that candidate has an F entry above ACCEPT_TOL * scale,
-    with scale solve()'s w.  `start` sets r(x_0) in r_prev and that right
-    side, at eps_0 = 0, in rhs; each step then stores eps_k and r(x_k) in
-    eps and r_prev.
-    step(xpow, F), with xpow = x^[m-1] and F = F(x), returns (x_new,
-    xpow_new, F_new, F_new.max(), fallback).
+    with scale solve()'s w.  anewton's state is eps_k and r(x_k), in eps
+    and r_prev.
+    start(x0) evaluates the start, returns (x0, x0^[m-1], F(x0),
+    F(x0).max()) and sets r_prev = r(x_0) and eps = 0.  step(xpow, F), with
+    xpow = x^[m-1] and F = F(x), returns (x_new, xpow_new, F_new,
+    F_new.max(), fallback) and stores the new eps and r_prev.
+    backward_error(x, F) is the componentwise backward error of x.
     """
 
     def __init__(self, method, T: Tensor, b, alpha, omega=1.0, scale=1.0):
@@ -211,34 +216,51 @@ class Stepper:
                 P, alpha_w = np.tril(M, -1) * w + np.diag(d), alpha * w
                 self.delta = lambda F: alpha_w * lower_tri_solve(P, F)
 
-    def start(self, xpow: np.ndarray, F: np.ndarray) -> None:
-        """Set anewton's state at the start x_0, with xpow = x_0^[m-1] and
-        F = F(x_0)."""
+    def start(self, x0: np.ndarray):
+        """Evaluate the start x0, a float64 vector of length n: returns
+        (x0, x0^[m-1], F(x0), F(x0).max()).  Prepares |T| for
+        backward_error and sets anewton's r(x_0) and eps_0 = 0."""
+        self.mags = magnitudes(self.T)
+        x, xpow, F, Fmax = self._evaluate(x0)
         if self.newton:
-            self.r_prev = _r_of(F + self.b, self.M @ xpow, self.p)
-            self.rhs = -self.alpha * F
+            self.r_prev, self.eps = _r_of(F + self.b, self.M @ xpow, self.p), 0.0
+        return x, xpow, F, Fmax
 
     def step(self, xpow: np.ndarray, F: np.ndarray):
         if not self.newton:
             return *self._advance(xpow - self.delta(F)), False
-        x_new, xpow_new, F_new, Fmax = self._advance(xpow + lu_solve(self.lu, self.rhs))
+        x_new, xpow_new, F_new, Fmax = self._advance(xpow + lu_solve(self.lu, -self.alpha * F - self.eps))
         fallback = bool(Fmax > self.accept_tol)
         if fallback:
             x_new, xpow_new, F_new, Fmax = self._advance(xpow - self.delta(F))
         r_new = _r_of(F_new + self.b, self.M @ xpow_new, self.p)
         # eps_k = min(-alpha F(x_k), r(x_k) - r(x_{k-1}))
-        aF = -self.alpha * F_new
-        self.eps, self.r_prev = np.minimum(aF, r_new - self.r_prev), r_new
-        self.rhs = aF - self.eps
+        self.eps, self.r_prev = np.minimum(-self.alpha * F_new, r_new - self.r_prev), r_new
         return x_new, xpow_new, F_new, Fmax, fallback
 
+    def backward_error(self, x: np.ndarray, F: np.ndarray) -> float:
+        """omega(x) = max_i |F_i| / ((|T| |x|^{m-1})_i + |b_i|), with F = F(x):
+        the componentwise backward error of Oettli & Prager (Numer. Math.,
+        1964; Higham, "Accuracy and Stability of Numerical Algorithms",
+        ch. 7), the smallest relative change of the entries of T and b that
+        x solves exactly.  It is a ratio, so it does not depend on how the
+        system is scaled.  0/0 counts as 0, and a non-finite F gives inf."""
+        num = np.abs(F)
+        den = _contract(self.T, np.abs(x), self.mags) + np.abs(self.b)
+        omega = _max(np.divide(num, den, out=np.zeros_like(num), where=num != 0.0))
+        return math.inf if math.isnan(omega) else float(omega)
+
     def _advance(self, v):
-        """x = v^[1/(m-1)], x^[m-1], F(x) and F(x).max().  x is a float64
-        vector of length n, so the contraction kernel runs unchecked."""
+        """x = v^[1/(m-1)], then _evaluate(x)."""
         if self.signed_root and _min(v) < 0.0:
             x = np.sign(v) * np.abs(v) ** (1.0 / self.p)
         else:
             x = elementwise_root(v, self.p + 1)
+        return self._evaluate(x)
+
+    def _evaluate(self, x):
+        """x, x^[m-1], F(x) and F(x).max().  x is a float64 vector of length
+        n, so the contraction kernel runs unchecked."""
         F = _contract(self.T, x) - self.b
         return x, x**self.p, F, _max(F)
 
@@ -263,11 +285,9 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
     by numpy warnings.
     """
     cfg = cfg or SolveConfig()
-    n, m = T.dim, T.order
+    n = T.dim
     b = _as_vector(b, n)
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    if x.shape != (n,):
-        raise ValueError(f"x0 must have length {n}")
+    x = np.zeros(n) if x0 is None else _as_vector(x0, n).copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
     if np.any(x < 0):
@@ -277,46 +297,38 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
 
     w = system_scale(T, b) if cfg.scale else 1.0
     trace = IterationTrace()
-
-    def outcome(status, iters, infeasible=False, res0=math.nan, omega=math.nan):
-        res2 = trace.res2[-1] if len(trace) else res0
-        return SolveOutcome(status, x, iters, trace, infeasible, cfg.alpha > 1.0, w, res2, omega)
-
     # One factorization (or splitting) per run, reused every iteration.
     try:
         stepper = Stepper(cfg.method, T, b, cfg.alpha, cfg.omega, w)
     except (SingularMatrix, ZeroDiagonal):
-        return outcome(Status.SINGULAR_MATRIX, 0)
+        return SolveOutcome(Status.SINGULAR_MATRIX, x, 0, trace, alpha_warning=cfg.alpha > 1.0,
+                            scale_factor=w)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        F = _contract(T, x) - b
-        mags = magnitudes(T)
+        x, xpow, F, _ = stepper.start(x)
+        # Not the largest entry: F(x0) = (inf, NaN) is infeasible, yet its max is NaN.
         infeasible = bool(np.any(F > AUDIT_TOL * w))
-        xpow = x ** (m - 1)
-        stepper.start(xpow, F)
-
-        # res2 = ||F(x_k) / w||_2, the stopping test of iteration k and then the trace
-        # row of iteration k + 1; F / w is squared, so the sum stays in range.
+        # res2 = ||F(x_k) / w||_2, the stopping test of iteration k and the outcome's
+        # res2 if the run ends at x_k; F / w is squared, so the sum stays in range.
         Fw = F / w
-        res0 = res2 = math.sqrt(Fw @ Fw)
-        if _non_finite(res2, x, F):
-            return outcome(Status.NON_FINITE, 0, infeasible, res0, _backward_error(T, mags, b, x, F))
-        for k in range(cfg.max_iter + 1):
+        res2, omega, k = math.sqrt(Fw @ Fw), math.nan, 0
+        status = Status.NON_FINITE if _non_finite(res2, x, F) else None
+        while status is None:
             # omega(x_k), or NaN while the 2-norm test fails; NaN <= OMEGA_TOL is False.
-            omega = _backward_error(T, mags, b, x, F) if res2 <= cfg.eta else math.nan
+            omega = stepper.backward_error(x, F) if res2 <= cfg.eta else math.nan
             if omega <= OMEGA_TOL or k == cfg.max_iter:
-                status, iters = Status.CONVERGED if omega <= OMEGA_TOL else Status.MAX_ITER, k
+                status = Status.CONVERGED if omega <= OMEGA_TOL else Status.MAX_ITER
                 break
             t0 = time.perf_counter()
             try:
                 x_new, xpow_new, F_new, Fmax, fallback = stepper.step(xpow, F)
             except NegativePowerRHS:
-                status, iters = Status.NEGATIVE_POWER_RHS, k
+                status = Status.NEGATIVE_POWER_RHS
                 break
             Fw = F_new / w
-            res2 = math.sqrt(Fw @ Fw)
-            if _non_finite(res2, x_new, F_new):
-                status, iters = Status.NON_FINITE, k
+            res2_new = math.sqrt(Fw @ Fw)
+            if _non_finite(res2_new, x_new, F_new):
+                status = Status.NON_FINITE
                 break
             # The largest drop of an entry, in units of the largest |entry| of x_new.
             drop = _max(x - x_new)
@@ -325,26 +337,12 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
             ms = (time.perf_counter() - t0) * 1e3
             # The largest |entry| of a finite F; abs() turns a -0.0 maximum into 0.0.
             resinf = float(abs(max(Fmax, -_min(F_new)))) / w
-            trace.append(res2, resinf, mono, feas, fallback, ms)
-            x, xpow, F = x_new, xpow_new, F_new
+            trace.append(res2_new, resinf, mono, feas, fallback, ms)
+            x, xpow, F, res2, k = x_new, xpow_new, F_new, res2_new, k + 1
         if math.isnan(omega):
-            omega = _backward_error(T, mags, b, x, F)
+            omega = stepper.backward_error(x, F)
 
-    return outcome(status, iters, infeasible, res0, omega)
-
-
-def _backward_error(T: Tensor, mags: np.ndarray, b: np.ndarray, x: np.ndarray, F: np.ndarray) -> float:
-    """omega(x) = max_i |F_i| / ((|T| |x|^{m-1})_i + |b_i|), with F = F(x) and
-    mags = magnitudes(T): the componentwise backward error of Oettli &
-    Prager (Numer. Math., 1964; Higham, "Accuracy and Stability of
-    Numerical Algorithms", ch. 7), the smallest relative change of the
-    entries of T and b that x solves exactly.  It is a ratio, so it does
-    not depend on how the system is scaled.  0/0 counts as 0, and a
-    non-finite F gives inf."""
-    num = np.abs(F)
-    den = _contract(T, np.abs(x), mags) + np.abs(b)
-    omega = _max(np.divide(num, den, out=np.zeros_like(num), where=num != 0.0))
-    return math.inf if math.isnan(omega) else float(omega)
+    return SolveOutcome(status, x, k, trace, infeasible, cfg.alpha > 1.0, w, res2, omega)
 
 
 def _non_finite(res2: float, x: np.ndarray, F: np.ndarray) -> bool:

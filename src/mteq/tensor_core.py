@@ -50,17 +50,16 @@ BLOCK_BYTES = 256 * 1024
 
 @dataclass(frozen=True)
 class DenseTensor:
-    """Order-m, dimension-n real tensor with dense storage, read-only: a
-    writeable input array is copied, a read-only one is taken as is."""
+    """Order-m, dimension-n real tensor with dense storage, read-only: the
+    input array is copied, so no other holder can change the tensor."""
 
     array: np.ndarray
 
     def __post_init__(self):
-        arr = self.array
-        if isinstance(arr, np.ndarray) and not arr.flags.writeable:
-            arr = np.ascontiguousarray(arr, dtype=np.float64)
-        else:
-            arr = np.array(arr, dtype=np.float64, order="C")
+        self._hold(np.array(self.array, dtype=np.float64, order="C"))
+
+    def _hold(self, arr: np.ndarray) -> None:
+        """Check arr and keep it, read-only, as self.array."""
         if arr.ndim < 2:
             raise ValueError("tensor order must be at least 2")
         n = arr.shape[0]
@@ -183,9 +182,10 @@ Tensor = DenseTensor | SparseTensor
 
 def _adopt(arr: np.ndarray) -> DenseTensor:
     """The DenseTensor of a new float64 C-order array that nothing else
-    holds, without a copy: the array is made read-only first."""
-    arr.flags.writeable = False
-    return DenseTensor(arr)
+    holds, without the constructor's copy; the checks are the same."""
+    T = object.__new__(DenseTensor)
+    T._hold(arr)
+    return T
 
 
 # COO is kept while COO_ENTRY_COST * nnz < n^m.  A COO contraction (numpy

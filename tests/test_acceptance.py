@@ -127,9 +127,7 @@ def test_criterion_03_hand_step_oracle():
     #   x1^[3] + M^-1 (-F(x1) - eps_1) = (0.774487, 8) -> x2 = (0.918343, 2)
     inst = fixture("ex21")
     stepper = Stepper("anewton", inst.tensor, inst.rhs, 1.0)
-    x0 = np.array([0.8, 2.0])
-    xpow, F = x0**3, residual(inst.tensor, inst.rhs, x0)
-    stepper.start(xpow, F)
+    _, xpow, F, _ = stepper.start(np.array([0.8, 2.0]))
     x1, xpow, F, _, fallback = stepper.step(xpow, F)
     assert np.abs(x1 - np.array([0.843433, 2.0])).max() <= 5e-6
     assert np.abs(stepper.eps - np.array([-0.262865, 0.0])).max() <= 5e-6

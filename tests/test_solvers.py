@@ -31,9 +31,7 @@ from reference import dense_contract
 def started(method, T, b, x0, alpha=1.0, omega=1.0, scale=1.0):
     """A Stepper started at x0, with x0^[m-1] and F(x0) to take its first step from."""
     stepper = Stepper(method, T, b, alpha, omega, scale)
-    x0 = np.asarray(x0, dtype=np.float64)
-    xpow, F = x0 ** (T.order - 1), residual(T, b, x0)
-    stepper.start(xpow, F)
+    _, xpow, F, _ = stepper.start(np.asarray(x0, dtype=np.float64))
     return stepper, xpow, F
 
 
@@ -129,6 +127,23 @@ class TestStepFunctions:
         assert np.all((aF < dr) == [True, False] * 3)
         np.testing.assert_allclose(stepper.r_prev, r1, rtol=1e-12)
         np.testing.assert_allclose(stepper.eps, np.minimum(aF, dr), rtol=1e-12)
+
+    @pytest.mark.parametrize("storage", ["dense", "coo"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_start_evaluates_x0(self, storage, method):
+        # start(x0) returns x0, x0^[m-1], F(x0) and its largest entry bit for bit
+        A = gen_problem1(6, 2).tensor.array
+        nonzero = A != 0.0
+        T = DenseTensor(A) if storage == "dense" else SparseTensor(4, 6, np.argwhere(nonzero), A[nonzero])
+        b, x0 = np.linspace(1.0, 2.0, 6), np.linspace(0.0, 0.5, 6)
+        stepper = Stepper(method, T, b, 0.5, 1.3)
+        x, xpow, F, Fmax = stepper.start(x0)
+        ref = residual(T, b, x0)
+        assert x.tobytes() == x0.tobytes() and xpow.tobytes() == (x0 ** (T.order - 1)).tobytes()
+        assert F.tobytes() == ref.tobytes() and Fmax == ref.max()
+        if method == "anewton":
+            np.testing.assert_allclose(stepper.r_prev, r_oracle(T, x0), rtol=1e-12)
+            assert np.all(stepper.eps == 0.0)
 
     def test_jacobi_step_on_diagonal_tensor_is_exact_direction(self):
         # for the identity tensor the Jacobi step solves the system in one move
@@ -264,7 +279,7 @@ class TestSolveBehaviour:
 
     def test_wrong_length_x0_rejected(self):
         inst = fixture("ex22")
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch):
             solve(inst.tensor, inst.rhs, [1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("scale", [True, False])
@@ -332,6 +347,12 @@ class TestSolveBehaviour:
         assert out.status is Status.NON_FINITE
         assert out.iterations == 0 and len(out.trace) == 0
         assert out.omega == np.inf
+
+    def test_start_with_inf_and_nan_residual_is_infeasible(self):
+        # F(x0) = (inf, NaN): its largest entry is NaN, yet F_1 is above AUDIT_TOL
+        inst = fixture("ex22")
+        out = solve(inst.tensor, inst.rhs, [1e200, 1.0], SolveConfig())
+        assert out.status is Status.NON_FINITE and out.infeasible_start
 
     # The same divergent runs, with every warning turned into an error: the
     # status reports the divergence, and numpy prints nothing.

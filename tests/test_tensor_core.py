@@ -536,10 +536,17 @@ class TestDenseTensor:
         a[0, 0, 0] = 5.0
         assert T.array[0, 0, 0] == 0.0
 
-    def test_read_only_array_is_taken_as_is(self):
+    def test_read_only_view_is_copied(self):
+        # the owner of a read-only view's base can still write it
         a = np.zeros((2, 2, 2))
-        a.flags.writeable = False
-        assert DenseTensor(a).array is a
+        a[0, 0, 0] = a[1, 1, 1] = 1.0
+        v = a.view()
+        v.flags.writeable = False
+        T = DenseTensor(v)
+        contract_full(T, [1.0, 2.0])
+        a[0, 0, 0] = 5.0
+        assert T.array[0, 0, 0] == 1.0
+        np.testing.assert_array_equal(contract_full(T, [1.0, 2.0]), [1.0, 4.0])
 
     @pytest.mark.parametrize("build", ["from_sparse", "identity_minus", "identity_tensor", "scale_system"])
     def test_builders_make_no_second_array(self, build):
