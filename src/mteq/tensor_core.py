@@ -17,7 +17,8 @@ and kept by the tensor, as a COO tensor keeps its index columns.  This is
 the packed symmetric storage of Schatz, Low, van de Geijn & Kolda,
 "Exploiting symmetry in tensors for high performance" (SIAM J. Sci.
 Comput., 2014), applied to the trailing modes; it holds for every tensor,
-symmetric or not.
+symmetric or not.  A tensor likewise keeps its largest |entry|, `max_abs`,
+so a repeat solve reads nothing of size n^m.
 """
 
 from __future__ import annotations
@@ -102,6 +103,13 @@ class DenseTensor:
         from (see `_pack`), built on first use and kept."""
         return _pack(self)
 
+    @functools.cached_property
+    def max_abs(self) -> float:
+        """The largest |entry|, computed on first use and kept, so that a
+        later solve reads none of the n^m entries for its scale.  The
+        array is read-only and held by no one else, so it cannot go stale."""
+        return _max_abs(self.array)
+
 
 @dataclass(frozen=True)
 class SparseTensor:
@@ -176,6 +184,11 @@ class SparseTensor:
         """A dense copy with n^m entries, for inspection and tests only."""
         return DenseTensor.from_sparse(self).array
 
+    @functools.cached_property
+    def max_abs(self) -> float:
+        """The largest |entry|, computed on first use and kept."""
+        return _max_abs(self.vals)
+
 
 Tensor = DenseTensor | SparseTensor
 
@@ -212,6 +225,11 @@ def _one_based(row) -> tuple:
     return tuple(int(i) + 1 for i in row)
 
 
+def _max_abs(values: np.ndarray) -> float:
+    """max |v| over values, 0 if there are none, without an |v| temporary."""
+    return float(max(values.max(initial=0.0), -values.min(initial=0.0)))
+
+
 @dataclass(frozen=True)
 class ScaledSystem:
     """A system divided through by the largest absolute entry of (tensor, rhs)."""
@@ -235,17 +253,18 @@ def stored_values(T: Tensor) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _packing(n: int, m: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """The packed layout of a dense order-m, dimension-n tensor: (cols,
-    gathers).
+def _packing(n: int, m: int) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The packed layout of a dense order-m, dimension-n tensor, m >= 3:
+    (pairs, rest, gathers).
 
     Packed column u stands for the sorted trailing multi-index
-    cols[0][u] <= ... <= cols[m-2][u].  Every trailing multi-index j (a
-    column of T.reshape(n, -1)) is one ordering of exactly one u;
-    gathers[k][u] is the k-th ordering of u in increasing j, so gathers[0]
-    is u itself.  Columns are ordered by their number of orderings, most
-    first, so the columns that have a k-th ordering are the first
-    len(gathers[k]).
+    c0[u] <= ... <= c_{m-2}[u].  pairs[u] = c0[u] * n + c1[u] is the
+    position of x_{c0} x_{c1} in the flattened outer product x x^T, and
+    rest = (c2, ..., c_{m-2}).  Every trailing multi-index j (a column of
+    T.reshape(n, -1)) is one ordering of exactly one u; gathers[k][u] is
+    the k-th ordering of u in increasing j, so gathers[0] is u itself.
+    Columns are ordered by their number of orderings, most first, so the
+    columns that have a k-th ordering are the first len(gathers[k]).
     """
     shape = (n,) * (m - 1)
     # The position j of each trailing multi-index's sorted copy.
@@ -256,11 +275,12 @@ def _packing(n: int, m: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, 
     count = np.diff(start, append=key.size)
     by_count = np.argsort(-count, kind="stable")
     start, count = start[by_count], count[by_count]
-    cols = np.ascontiguousarray(np.unravel_index(key[start], shape))
+    c0, c1, *rest = np.unravel_index(key[start], shape)
+    pairs, rest = c0 * n + c1, tuple(np.ascontiguousarray(c) for c in rest)
     gathers = tuple(order[start[count > k] + k] for k in range(count.max(initial=0)))
-    for a in (cols, *gathers):
+    for a in (pairs, *rest, *gathers):
         a.flags.writeable = False
-    return tuple(cols), gathers
+    return pairs, rest, gathers
 
 
 def _pack(T: DenseTensor) -> np.ndarray:
@@ -276,7 +296,7 @@ def _pack(T: DenseTensor) -> np.ndarray:
     if T.order == 2:
         return T.array
     A = T.array.reshape(T.dim, -1)
-    first, *rest = _packing(T.dim, T.order)[1]
+    first, *rest = _packing(T.dim, T.order)[2]
     P = np.empty((T.dim, first.size))
     rows = max(1, BLOCK_BYTES // P[:1].nbytes)
     buf = np.empty(min(rows, T.dim) * first.size)
@@ -307,12 +327,15 @@ def _contract(T: Tensor, x: np.ndarray, values: np.ndarray | None = None) -> np.
     index column `cols[k]` of each trailing mode k, multiplies `vals` by
     the gathered factors in mode order and bins the products by row.
     Dense is one matrix-vector product with the packed matrix `T.packed`,
-    n x C(n+m-2, m-1), against the products of x over its sorted trailing
-    multi-indices, gathered in mode order as for COO; T x^{m-1} depends on
-    T only through those sums.  x must already be a float64 vector of
-    length n; it is not checked here, so that solve() can contract its own
-    iterates without the check.  `values` stands in for T.vals or T.packed
-    (see `magnitudes`).
+    n x C(n+m-2, m-1), against the products z of x over its sorted
+    trailing multi-indices; T x^{m-1} depends on T only through those sums.
+    For m >= 3 the first two factors of z are gathered from the n^2 outer
+    product x x^T, and the later ones multiplied in mode order as for COO:
+    each entry is the same IEEE product as gathering every factor.  For
+    m = 2, z is x.  x must already be a float64 vector of length n; it is
+    not checked here, so that solve() can contract its own iterates
+    without the check.  `values` stands in for T.vals or T.packed (see
+    `magnitudes`).
     """
     if isinstance(T, SparseTensor):
         first, *rest = T.cols
@@ -320,10 +343,12 @@ def _contract(T: Tensor, x: np.ndarray, values: np.ndarray | None = None) -> np.
         for c in rest:
             w = w * x[c]
         return np.bincount(first, weights=w, minlength=T.dim)
-    first, *rest = _packing(T.dim, T.order)[0]
-    z = x[first]
-    for c in rest:
-        z = z * x[c]
+    z = x
+    if T.order > 2:
+        pairs, rest, _ = _packing(T.dim, T.order)
+        z = np.outer(x, x).ravel()[pairs]
+        for c in rest:
+            z = z * x[c]
     return (T.packed if values is None else values) @ z
 
 
@@ -502,10 +527,10 @@ def semi_symmetrize(T: DenseTensor) -> DenseTensor:
 
 
 def system_scale(T: Tensor, b) -> float:
-    """The joint largest absolute entry of tensor and right side."""
-    b = _as_vector(b, T.dim)
-    A = stored_values(T)  # max(A.max(), -A.min()) makes no |A| temporary of n^m entries
-    w = max(A.max(initial=0.0), -A.min(initial=0.0), np.abs(b).max())
+    """The joint largest absolute entry of tensor and right side.  The
+    tensor's part is `T.max_abs`, which the tensor keeps, so only the
+    first call on a tensor reads its entries."""
+    w = max(T.max_abs, np.abs(_as_vector(b, T.dim)).max())
     if w == 0.0:
         raise ValueError("cannot scale an identically zero system")
     return float(w)

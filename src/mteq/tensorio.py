@@ -35,6 +35,8 @@ def read_tensor(path) -> Tensor:
             if type(doc[key]) is not int:
                 raise ValueError(f"tensor file {key!r} must be an integer, got {doc[key]!r}")
         coo = SparseTensor.from_entries(doc["order"], doc["dim"], doc["entries"])
+    except KeyError as exc:
+        raise ValueError(f"malformed tensor file: missing key {exc.args[0]!r}") from None
     except TypeError as exc:  # not an object, or entries not a list of number lists
         raise ValueError(f"malformed tensor file: {exc}") from None
     return cheaper_storage(coo)

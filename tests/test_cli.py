@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -222,6 +223,19 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err.startswith("error: malformed tensor file: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["order", "dim", "entries"])
+    def test_missing_key_is_named(self, key, tmp_path, capsys):
+        doc = {"order": 3, "dim": 2, "entries": [[1, 1, 1, 1.0], [2, 2, 2, 1.0]]}
+        del doc[key]
+        (tmp_path / "t.json").write_text(json.dumps(doc))
+        tensorio.write_vector(tmp_path / "b.txt", np.ones(2))
+        code = cli.main(["solve", "--tensor", str(tmp_path / "t.json"),
+                         "--rhs", str(tmp_path / "b.txt")])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert captured.err == f"error: malformed tensor file: missing key '{key}'\n"
 
     def test_dimension_zero_is_parse_error(self, tmp_path, capsys):
         (tmp_path / "t.json").write_text('{"order": 3, "dim": 0, "entries": []}')

@@ -29,12 +29,14 @@ from mteq.tensor_core import (
     BLOCK_BYTES,
     SparseTensor,
     _contract,
+    _packing,
     has_offmajor,
     identity_minus,
+    magnitudes,
     offdiagonal_max,
     permutation_mean,
 )
-from reference import dense_contract
+from reference import dense_contract, gathered_products
 
 
 def random_tensor(rng, m, n):
@@ -76,10 +78,10 @@ class TestContractFull:
 @st.composite
 def dense_contractions(draw):
     """A random non-symmetric dense tensor, m in 2..5 and n in 1..8, and an x
-    with zero and negative entries."""
+    with negative entries, zeros and -0.0."""
     m, n = draw(st.integers(2, 5)), draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
-    x = draw(st.lists(st.just(0.0) | st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    x = draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0), min_size=n, max_size=n))
     return rng.uniform(-1.0, 1.0, size=(n,) * m), np.array(x)
 
 
@@ -96,6 +98,23 @@ class TestPackedContraction:
         np.testing.assert_allclose(contract_full(T, x), dense_contract(A, x), rtol=1e-12,
                                    atol=1e-12 * scale)
         assert T.packed.shape == (n, math.comb(n + m - 2, m - 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=dense_contractions())
+    @example(case=(np.arange(16.0).reshape(2, 2, 2, 2) - 7.5, np.array([-0.0, -1.5])))
+    def test_products_match_one_gather_per_mode(self, case):
+        # z from the outer product x x^T is the gathered z bit for bit, for
+        # T x^{m-1} and for |T| |x|^{m-1}
+        A, x = case
+        T, n = DenseTensor(A), A.shape[0]
+        if A.ndim == 2:
+            cols = (np.arange(n),)
+        else:
+            pairs, rest, _ = _packing(n, A.ndim)
+            cols = (*np.divmod(pairs, n), *rest)
+        for v, values in ((x, T.packed), (np.abs(x), magnitudes(T))):
+            expected = values @ gathered_products(v, cols)
+            assert _contract(T, v, values).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("m, n", [(3, 90), (4, 37)])
     def test_packs_several_uneven_row_blocks(self, m, n):
@@ -156,6 +175,25 @@ class TestPackedContraction:
             tracemalloc.stop()
         assert out.converged
         assert peak < inst.tensor.array.nbytes
+
+    def test_repeat_solve_reads_only_the_packing_and_majorization(self):
+        # after a first solve, a solve of the same tensor reads none of the
+        # n^m entries but the (i, j, ..., j) ones that M is gathered from
+        inst = gen_problem1(7, 3)
+        T, n, m = inst.tensor, inst.tensor.dim, inst.tensor.order
+        cfgs = [SolveConfig(method=method) for method in ("smeqm", "anewton", "gs")]
+        first = [solve(T, inst.rhs, None, cfg) for cfg in cfgs]
+        j = np.arange(n)[None, :]
+        major = (np.arange(n)[:, None],) + (j,) * (m - 1)
+        poisoned = np.full_like(T.array, np.nan)
+        poisoned[major] = T.array[major]
+        poisoned.flags.writeable = False
+        object.__setattr__(T, "array", poisoned)
+        for cfg, before in zip(cfgs, first):
+            after = solve(T, inst.rhs, None, cfg)
+            assert after.status is before.status and after.iterations == before.iterations
+            assert after.x.tobytes() == before.x.tobytes()
+            assert (after.res2, after.omega) == (before.res2, before.omega)
 
     def test_tensor_keeps_its_packing(self, events):
         T = gen_problem1(5, 0).tensor
