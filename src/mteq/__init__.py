@@ -1,6 +1,5 @@
 """Monotone iterative solvers and benchmarks for M-tensor equations."""
 
-from .dense_linalg import LuFactorization, lower_tri_solve, lu_factor, lu_solve
 from .errors import (
     DimensionMismatch,
     MteqError,
@@ -44,15 +43,11 @@ from .structure import (
 )
 from .tensor_core import (
     DenseTensor,
-    ScaledSystem,
     SparseTensor,
     contract_full,
     elementwise_root,
-    identity_tensor,
     majorization,
     residual,
-    scale_system,
-    semi_symmetrize,
 )
 
 __version__ = "0.1.0"

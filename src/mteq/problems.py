@@ -44,7 +44,7 @@ def _symmetric_uniform_tensor(n: int, m: int, rng: np.random.Generator) -> np.nd
     Averaging concentrates the row sums, which is what makes these
     instances hard at alpha = 1 and makes over-relaxation pay off.
     """
-    return permutation_mean(rng.random((n,) * m), 0)
+    return permutation_mean(rng.random((n,) * m))
 
 
 def _shifted_identity_minus(B: np.ndarray) -> DenseTensor:

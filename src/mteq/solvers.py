@@ -91,7 +91,8 @@ class SolveConfig:
             raise ValueError("omega must lie in (0, 2)")
         if not (math.isfinite(self.eta) and self.eta > 0.0):
             raise ValueError("eta must be finite and positive")
-        if not isinstance(self.max_iter, numbers.Integral):
+        # bool is an Integral, and True is no iteration count
+        if not isinstance(self.max_iter, numbers.Integral) or isinstance(self.max_iter, bool):
             raise ValueError("max_iter must be an integer")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")

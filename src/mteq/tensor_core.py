@@ -179,11 +179,6 @@ class SparseTensor:
             raise ValueError(f"index {idx[bad][0].tolist()} is not an integer in 1..{dim}")
         return cls(order, dim, idx.astype(np.intp) - 1, table[:, order])
 
-    @property
-    def array(self) -> np.ndarray:
-        """A dense copy with n^m entries, for inspection and tests only."""
-        return DenseTensor.from_sparse(self).array
-
     @functools.cached_property
     def max_abs(self) -> float:
         """The largest |entry|, computed on first use and kept."""
@@ -479,17 +474,9 @@ def has_offmajor(T: Tensor) -> bool:
     return bool(np.count_nonzero(T.array) != np.count_nonzero(majorization(T)))
 
 
-def identity_tensor(m: int, n: int) -> DenseTensor:
-    """The tensor with ones on the main diagonal (i, i, ..., i) and zeros elsewhere."""
-    arr = np.zeros((n,) * m)
-    i = np.arange(n)
-    arr[(i,) * m] = 1.0
-    return _adopt(arr)
-
-
-def permutation_mean(A: np.ndarray, fixed: int) -> np.ndarray:
-    """The mean of A over all permutations of its axes after the first
-    `fixed`, summed in itertools.permutations order.
+def permutation_mean(A: np.ndarray) -> np.ndarray:
+    """The mean of A over all permutations of its axes, summed in
+    itertools.permutations order.
 
     The result is built a block of leading rows (axis 0) at a time.  Each
     axis `a` that a permutation puts first is sliced to the block's rows
@@ -500,7 +487,7 @@ def permutation_mean(A: np.ndarray, fixed: int) -> np.ndarray:
     bit, while the strided reads stay within a cache-sized buffer.
     """
     m = A.ndim
-    perms = [tuple(range(fixed)) + p for p in itertools.permutations(range(fixed, m))]
+    perms = list(itertools.permutations(range(m)))
     # The axes of A in the order the buffer of each leading axis holds them.
     order = {p[0]: (p[0],) + tuple(k for k in range(m) if k != p[0]) for p in perms}
     views = [(p[0], tuple(order[p[0]].index(k) for k in p)) for p in perms]
@@ -516,14 +503,6 @@ def permutation_mean(A: np.ndarray, fixed: int) -> np.ndarray:
             block += bufs[a].transpose(axes)
         block /= len(perms)
     return acc
-
-
-def semi_symmetrize(T: DenseTensor) -> DenseTensor:
-    """Average over all permutations of the trailing m-1 indices.
-
-    Leaves contract_full unchanged for every x and is idempotent.
-    """
-    return _adopt(permutation_mean(T.array, 1))
 
 
 def system_scale(T: Tensor, b) -> float:

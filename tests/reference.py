@@ -1,4 +1,11 @@
-"""The tests' reference contractions."""
+"""The tests' reference code: plain whole-array versions of what the package
+computes, and the builders that only the tests need."""
+
+import itertools
+
+import numpy as np
+
+from mteq import DenseTensor, SparseTensor
 
 
 def dense_contract(A, x, keep=1):
@@ -19,3 +26,34 @@ def gathered_products(x, cols):
     for c in cols[1:]:
         z = z * x[c]
     return z
+
+
+def reference_permutation_mean(A, fixed):
+    """Whole-array passes: zeros, += each transpose of the axes after the
+    first `fixed` in itertools.permutations order, then divide by the count."""
+    head = tuple(range(fixed))
+    perms = list(itertools.permutations(range(fixed, A.ndim)))
+    acc = np.zeros_like(A)
+    for p in perms:
+        acc += np.transpose(A, head + p)
+    return acc / len(perms)
+
+
+def semi_symmetrize(T):
+    """T, in either storage, averaged over all permutations of its trailing
+    m-1 indices, as a dense tensor: the same T x^{m-1} for every x, and
+    idempotent."""
+    return DenseTensor(reference_permutation_mean(dense_array(T), 1))
+
+
+def identity_tensor(m, n):
+    """The tensor with ones on the main diagonal (i, i, ..., i) and zeros elsewhere."""
+    arr = np.zeros((n,) * m)
+    i = np.arange(n)
+    arr[(i,) * m] = 1.0
+    return DenseTensor(arr)
+
+
+def dense_array(T):
+    """The n^m array of a tensor in either storage."""
+    return DenseTensor.from_sparse(T).array if isinstance(T, SparseTensor) else T.array

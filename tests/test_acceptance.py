@@ -29,13 +29,12 @@ from mteq import (
     is_z_tensor,
     mtensor_certificate,
     residual,
-    semi_symmetrize,
     solve,
     solve_structured,
 )
 from mteq.cli import rep_seed
 from mteq.solvers import Stepper
-from reference import dense_contract
+from reference import dense_contract, semi_symmetrize
 
 # test name -> (criterion number, scoreboard title)
 CRITERIA = {

@@ -7,6 +7,7 @@ import pytest
 from mteq import DenseTensor, SolveConfig, cli, fixture, solve, tensorio
 from mteq.solvers import METHODS
 from mteq.problems import gen_problem1, gen_problem3
+from reference import dense_array
 
 
 def run(argv, capsys):
@@ -36,7 +37,7 @@ class TestGen:
         T = tensorio.read_tensor(f"{prefix}.tensor.json")
         b = tensorio.read_vector(f"{prefix}.rhs.txt")
         ref = gen_problem3(5)
-        np.testing.assert_array_equal(T.array, ref.tensor.array)
+        np.testing.assert_array_equal(dense_array(T), dense_array(ref.tensor))
         np.testing.assert_array_equal(b, ref.rhs)
 
     def test_fixture_metadata_includes_solutions(self, tmp_path, capsys):

@@ -9,14 +9,11 @@ from mteq import (
     ZeroDiagonal,
     gen_problem1,
     gen_problem3,
-    lower_tri_solve,
-    lu_factor,
-    lu_solve,
     majorization,
     residual,
-    scale_system,
 )
-from mteq.dense_linalg import PIVOT_TOL
+from mteq.dense_linalg import PIVOT_TOL, lower_tri_solve, lu_factor, lu_solve
+from mteq.tensor_core import scale_system
 
 
 def _factors(F):

@@ -15,7 +15,6 @@ PUBLIC_NAMES = [
     "FeasibilityReport",
     "GRAVITATIONAL_CONSTANT",
     "IterationTrace",
-    "LuFactorization",
     "MTensorCertificate",
     "MteqError",
     "NegativePowerRHS",
@@ -23,7 +22,6 @@ PUBLIC_NAMES = [
     "NotStructured",
     "NotZTensor",
     "ProblemInstance",
-    "ScaledSystem",
     "SingularMatrix",
     "SolveConfig",
     "SolveOutcome",
@@ -40,17 +38,11 @@ PUBLIC_NAMES = [
     "gen_problem3",
     "gen_problem4",
     "generate",
-    "identity_tensor",
     "is_feasible_S",
     "is_z_tensor",
-    "lower_tri_solve",
-    "lu_factor",
-    "lu_solve",
     "majorization",
     "mtensor_certificate",
     "residual",
-    "scale_system",
-    "semi_symmetrize",
     "solve",
     "solve_structured",
     "spectral_radius_estimate",

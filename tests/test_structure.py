@@ -12,7 +12,6 @@ from mteq import (
     Verdict,
     existence_sufficient,
     fixture,
-    identity_tensor,
     is_feasible_S,
     is_z_tensor,
     majorization,
@@ -23,6 +22,7 @@ from mteq import (
 )
 from mteq.dense_linalg import lu_factor, lu_solve
 from mteq.problems import gen_problem1, gen_problem2, gen_problem3, gen_problem4
+from reference import identity_tensor
 
 
 def random_structured_strong(rng, m, n):
