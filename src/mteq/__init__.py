@@ -8,12 +8,8 @@ from .errors import (
     NotStructured,
     NotZTensor,
     SingularMatrix,
-    ZeroDiagonal,
 )
 from .problems import (
-    BOUNDARY_VALUE,
-    EARTH_MASS,
-    GRAVITATIONAL_CONSTANT,
     ProblemInstance,
     fixture,
     gen_problem1,

@@ -11,36 +11,25 @@ non-finite solution, which the solver loop reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs, dtrtrs
 
-from .errors import SingularMatrix, ZeroDiagonal
+from .errors import SingularMatrix
 
 # A pivot below this fraction of the matrix magnitude flags singularity.
 PIVOT_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class LuFactorization:
-    """LU factors with row pivoting, P A = L U, as `dgetrf` returns them.
-
-    `packed` holds the unit-lower factor strictly below the diagonal and
-    the upper factor on and above it, in Fortran order; `ipiv` holds the
-    0-based row interchanges, row k swapped with row ipiv[k] in turn.
-    `lu_solve` passes both to `dgetrs` unchanged.
-    """
-
-    packed: np.ndarray
-    ipiv: np.ndarray
-
-
-def lu_factor(A) -> LuFactorization:
+def lu_factor(A) -> tuple[np.ndarray, np.ndarray]:
     """Factor a square matrix as P A = L U with partial (row) pivoting.
 
-    Raises SingularMatrix when a pivot |U_kk| falls below PIVOT_TOL times
-    the largest |A_ij|, also where LAPACK itself reports no singularity.
+    Returns `dgetrf`'s pair (packed, ipiv), the shape
+    `scipy.linalg.lu_factor` returns: `packed` holds the unit-lower factor
+    strictly below the diagonal and the upper factor on and above it, in
+    Fortran order; `ipiv` holds the 0-based row interchanges, row k swapped
+    with row ipiv[k] in turn.  Raises SingularMatrix when a pivot |U_kk|
+    falls below PIVOT_TOL times the largest |A_ij|, also where LAPACK itself
+    reports no singularity.
     """
     A = np.array(A, dtype=np.float64, order="F")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -54,27 +43,28 @@ def lu_factor(A) -> LuFactorization:
     if small.size:
         k = int(small[0])
         raise SingularMatrix(f"pivot {packed[k, k]:.3e} at column {k} below threshold")
-    return LuFactorization(packed, ipiv)
+    return packed, ipiv
 
 
-def lu_solve(F: LuFactorization, rhs) -> np.ndarray:
-    """Solve A y = rhs given the factorization of A."""
+def lu_solve(lu, rhs) -> np.ndarray:
+    """Solve A y = rhs given lu = lu_factor(A), passed to `dgetrs` unchanged."""
+    packed, ipiv = lu
     rhs = np.asarray(rhs, dtype=np.float64)
-    n = F.packed.shape[0]
+    n = packed.shape[0]
     if rhs.shape != (n,):
         raise ValueError(f"rhs length {rhs.shape} does not match dim {n}")
-    return dgetrs(F.packed, F.ipiv, rhs)[0]
+    return dgetrs(packed, ipiv, rhs)[0]
 
 
 def lower_tri_solve(A, rhs) -> np.ndarray:
     """Forward substitution for a lower-triangular A; the upper part is ignored.
 
     Solves through the transpose, which is Fortran-ordered for a C-ordered
-    A and so is passed to LAPACK without a copy.  Raises ZeroDiagonal when
+    A and so is passed to LAPACK without a copy.  Raises SingularMatrix when
     a diagonal entry is exactly zero.
     """
     A = np.asarray(A, dtype=np.float64)
     y, info = dtrtrs(A.T, np.asarray(rhs, dtype=np.float64), lower=0, trans=1)
     if info > 0:
-        raise ZeroDiagonal("lower triangular solve with a zero diagonal entry")
+        raise SingularMatrix("lower triangular solve with a zero diagonal entry")
     return y

@@ -17,11 +17,8 @@ class NegativePowerRHS(MteqError, ValueError):
 
 
 class SingularMatrix(MteqError, ArithmeticError):
-    """A pivot fell below the singularity threshold during factorization."""
-
-
-class ZeroDiagonal(MteqError, ArithmeticError):
-    """A triangular solve hit a zero diagonal entry."""
+    """A pivot fell below the singularity threshold during factorization,
+    or a triangular or diagonal solve met a zero diagonal entry."""
 
 
 class NotZTensor(MteqError, ValueError):

@@ -37,16 +37,6 @@ def _rng(problem: str, n: int, seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([code, n, seed])))
 
 
-def _symmetric_uniform_tensor(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Symmetric tensor: i.i.d. uniform(0,1) draws averaged over all index
-    permutations.
-
-    Averaging concentrates the row sums, which is what makes these
-    instances hard at alpha = 1 and makes over-relaxation pay off.
-    """
-    return permutation_mean(rng.random((n,) * m))
-
-
 def _shifted_identity_minus(B: np.ndarray) -> DenseTensor:
     """s*I - B with s = 1.01 * max row sum of B; a strong M-tensor.
 
@@ -61,7 +51,10 @@ def gen_problem1(n: int, seed: int) -> ProblemInstance:
     if n < 2:
         raise ValueError("problem 1 requires n >= 2")
     rng = _rng("P1", n, seed)
-    B = _symmetric_uniform_tensor(n, 4, rng)
+    # i.i.d. uniform(0,1) draws averaged over all index permutations.
+    # Averaging concentrates the row sums, which is what makes these
+    # instances hard at alpha = 1 and makes over-relaxation pay off.
+    B = permutation_mean(rng.random((n,) * 4))
     rhs = rng.random(n)
     return ProblemInstance(_shifted_identity_minus(B), rhs, "P1", n, seed)
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dense_linalg
 from .dense_linalg import lower_tri_solve, lu_solve
-from .errors import NegativePowerRHS, SingularMatrix, ZeroDiagonal
+from .errors import NegativePowerRHS, SingularMatrix
 from .tensor_core import (
     Tensor,
     _as_vector,
@@ -85,6 +85,10 @@ class SolveConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        # bool is a Real, and True is no step length, tolerance or factor
+        for name in ("alpha", "omega", "eta"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, not a bool")
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError("alpha must lie in (0, 2]")
         if self.method == "sor" and not 0.0 < self.omega < 2.0:
@@ -209,7 +213,7 @@ class Stepper:
         else:
             d = np.diag(M)
             if np.any(d == 0.0):
-                raise ZeroDiagonal("majorization matrix has a zero diagonal entry")
+                raise SingularMatrix("majorization matrix has a zero diagonal entry")
             if method == "jacobi":
                 self.delta = lambda F: alpha * F / d
             else:
@@ -301,7 +305,7 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
     # One factorization (or splitting) per run, reused every iteration.
     try:
         stepper = Stepper(cfg.method, T, b, cfg.alpha, cfg.omega, w)
-    except (SingularMatrix, ZeroDiagonal):
+    except SingularMatrix:
         return SolveOutcome(Status.SINGULAR_MATRIX, x, 0, trace, alpha_warning=cfg.alpha > 1.0,
                             scale_factor=w)
 

@@ -39,7 +39,6 @@ POWER_MAX_ITER, POWER_TOL = 200, 1e-10
 
 class Verdict(str, Enum):
     STRONG_BY_ROW_SUM = "StrongByRowSum"
-    NOT_Z_TENSOR = "NotZTensor"
     UNKNOWN = "Unknown"
 
 
@@ -119,8 +118,13 @@ def spectral_radius_estimate(B: Tensor) -> float:
 def is_feasible_S(T: Tensor, b, x) -> FeasibilityReport:
     """Membership test for S = {x >= 0 : T x^{m-1} <= b} by solve()'s start
     test, F <= AUDIT_TOL * system_scale(T, b); the scale is read only for a
-    positive F, so an identically zero system has every x >= 0 in S."""
-    x = np.asarray(x, dtype=np.float64)
+    positive F, so an identically zero system has every x >= 0 in S.  A
+    non-finite b or x is rejected, as solve() rejects it."""
+    b, x = np.asarray(b, dtype=np.float64), np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("b must be finite")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
     F = residual(T, b, x)
     is_nonneg = bool(np.all(x >= 0.0))
     residual_max = float(F.max())

@@ -3,8 +3,10 @@
 A tensor of order m and dimension n is stored either densely, as a numpy
 array of shape (n,) * m (`DenseTensor`), or in coordinate form, as the list
 of its nonzero entries (`SparseTensor`).  The storage is chosen where a
-tensor is built; every primitive here accepts both and keeps the storage of
-its input.  The one contraction is T x^{m-1}, with one kernel per storage.
+tensor is built; every primitive here accepts both, a primitive that returns
+a tensor returns it in the storage of its input, and `majorization` returns
+a dense n x n array for either.  The one contraction is T x^{m-1}, with one
+kernel per storage.
 Indices are 1-based in external formats and 0-based internally.  All
 operations here are pure functions over immutable inputs.
 

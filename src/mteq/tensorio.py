@@ -3,6 +3,7 @@ and the metadata sidecar written next to generated instances."""
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -34,6 +35,12 @@ def read_tensor(path) -> Tensor:
             # bool is a subclass of int, and true is no tensor order
             if type(doc[key]) is not int:
                 raise ValueError(f"tensor file {key!r} must be an integer, got {doc[key]!r}")
+        # One pass over every field of every record: a JSON string, true,
+        # false or null is no index or value, though numpy would convert it.
+        kinds = set(map(type, itertools.chain.from_iterable(doc["entries"]))) - {int, float}
+        if kinds:
+            names = ", ".join(sorted(kind.__name__ for kind in kinds))
+            raise ValueError(f"malformed tensor file: entry fields must be numbers, got {names}")
         coo = SparseTensor.from_entries(doc["order"], doc["dim"], doc["entries"])
     except KeyError as exc:
         raise ValueError(f"malformed tensor file: missing key {exc.args[0]!r}") from None
@@ -51,17 +58,13 @@ def read_vector(path) -> np.ndarray:
     return np.array([float(t) for t in tokens])
 
 
-def instance_paths(prefix) -> dict[str, Path]:
+def write_instance(prefix, inst: ProblemInstance) -> dict[str, Path]:
     prefix = Path(prefix)
-    return {
+    paths = {
         "tensor": prefix.with_name(prefix.name + ".tensor.json"),
         "rhs": prefix.with_name(prefix.name + ".rhs.txt"),
         "meta": prefix.with_name(prefix.name + ".meta.json"),
     }
-
-
-def write_instance(prefix, inst: ProblemInstance) -> dict[str, Path]:
-    paths = instance_paths(prefix)
     write_tensor(paths["tensor"], inst.tensor)
     write_vector(paths["rhs"], inst.rhs)
     meta = {

@@ -211,8 +211,13 @@ class TestSolve:
     @pytest.mark.parametrize(
         "doc",
         ["[1, 2]", '{"order": 2, "dim": 2, "entries": 5}', '{"order": 2, "dim": 2, "entries": [5]}',
-         '{"order": 2, "dim": 2, "entries": [[1, {}, 1.0]]}'],
-        ids=["list", "entries-int", "record-int", "record-object"],
+         '{"order": 2, "dim": 2, "entries": [[1, {}, 1.0]]}',
+         # numpy would read "2" as 2.0 and true as 1, and the system would solve
+         '{"order": 2, "dim": 2, "entries": [[1, 1, "2"], [2, 2, 1.0]]}',
+         '{"order": 2, "dim": 2, "entries": [[1, 1, 1.0], [2, 2, true]]}',
+         '{"order": 2, "dim": 2, "entries": [[1, 1, 1.0], [2, 2, null]]}'],
+        ids=["list", "entries-int", "record-int", "record-object",
+             "field-string", "field-true", "field-null"],
     )
     def test_malformed_tensor_file_is_parse_error(self, doc, tmp_path, capsys):
         (tmp_path / "t.json").write_text(doc)

@@ -6,10 +6,7 @@ import numpy as np
 import pytest
 
 from mteq import (
-    BOUNDARY_VALUE,
     DenseTensor,
-    EARTH_MASS,
-    GRAVITATIONAL_CONSTANT,
     fixture,
     gen_problem1,
     gen_problem2,
@@ -20,6 +17,7 @@ from mteq import (
     majorization,
     residual,
 )
+from mteq.problems import BOUNDARY_VALUE, EARTH_MASS, GRAVITATIONAL_CONSTANT
 from reference import dense_array, semi_symmetrize
 
 

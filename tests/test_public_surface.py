@@ -7,13 +7,10 @@ import types
 import mteq
 
 PUBLIC_NAMES = [
-    "BOUNDARY_VALUE",
     "DenseTensor",
     "DimensionMismatch",
-    "EARTH_MASS",
     "Existence",
     "FeasibilityReport",
-    "GRAVITATIONAL_CONSTANT",
     "IterationTrace",
     "MTensorCertificate",
     "MteqError",
@@ -28,7 +25,6 @@ PUBLIC_NAMES = [
     "SparseTensor",
     "Status",
     "Verdict",
-    "ZeroDiagonal",
     "contract_full",
     "elementwise_root",
     "existence_sufficient",

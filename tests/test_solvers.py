@@ -57,6 +57,9 @@ class TestSolveConfig:
             {"max_iter": True},
             {"eta": float("inf")},
             {"eta": float("nan")},
+            {"alpha": True},
+            {"eta": True},
+            {"method": "sor", "omega": True},
         ],
     )
     def test_invalid_rejected(self, kwargs):

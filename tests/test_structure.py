@@ -155,6 +155,20 @@ class TestFeasibility:
         assert is_feasible_S(T, np.zeros(2), [1.0, 2.0]).in_S
         assert not is_feasible_S(T, np.zeros(2), [-1.0, 2.0]).in_S
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rhs_rejected(self, value):
+        inst = fixture("ex22")
+        b = inst.rhs.copy()
+        b[0] = value
+        with pytest.raises(ValueError, match="b must be finite"):
+            is_feasible_S(inst.tensor, b, [1.5, 2.0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_x_rejected(self, value):
+        inst = fixture("ex22")
+        with pytest.raises(ValueError, match="x must be finite"):
+            is_feasible_S(inst.tensor, inst.rhs, [value, 2.0])
+
 
 class TestSolveStructured:
     def test_ex11_exact(self):

@@ -92,14 +92,20 @@ class TestPackedContraction:
     @settings(max_examples=60, deadline=None)
     @given(case=dense_contractions())
     @example(case=(np.arange(16.0).reshape(2, 2, 2, 2) - 7.5, np.array([0.0, -1.5])))
+    # x_2^4 = 3.5e-313 is subnormal, and the two orders of summation differ by 5e-324
+    @example(case=(np.random.default_rng(2).uniform(-1.0, 1.0, size=(2,) * 5),
+                   np.array([0.0, 7.70165432e-79])))
     def test_matches_reshape_matmul(self, case):
         A, x = case
         m, n = A.ndim, A.shape[0]
         T = DenseTensor(A)
-        # Rounding is relative to the size of the terms summed, |T| |x|^{m-1}.
+        # Rounding is relative to the size of the terms summed, |T| |x|^{m-1},
+        # except in the subnormal range, where each of the at most m roundings
+        # of each of the n^{m-1} terms errs by up to half the smallest subnormal.
         scale = dense_contract(np.abs(A), np.abs(x)).max()
+        subnormal = m * n ** (m - 1) * np.finfo(np.float64).smallest_subnormal
         np.testing.assert_allclose(contract_full(T, x), dense_contract(A, x), rtol=1e-12,
-                                   atol=1e-12 * scale)
+                                   atol=1e-12 * scale + subnormal)
         assert T.packed.shape == (n, math.comb(n + m - 2, m - 1))
 
     @settings(max_examples=60, deadline=None)
