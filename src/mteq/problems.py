@@ -3,7 +3,9 @@
 Randomness uses the counter-based Philox generator keyed by
 (problem code, n, seed); entries are drawn in a fixed documented order
 (tensor values first, then the right side), so repeated calls agree
-bit-for-bit.
+bit-for-bit.  The symmetrization of P1 may run on worker threads; no
+thread is left running when a generator returns, and the result is the
+same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -66,14 +68,17 @@ def gen_problem2(n: int) -> ProblemInstance:
     """
     if n < 2:
         raise ValueError("problem 2 requires n >= 2")
-    i = np.arange(1, n + 1)
-    sums = (
+    # The index sums are integers below 2^53, exact in float64, so sin and
+    # abs can work in place on the one n^4 array.
+    i = np.arange(1, n + 1, dtype=np.float64)
+    B = (
         i[:, None, None, None]
         + i[None, :, None, None]
         + i[None, None, :, None]
         + i[None, None, None, :]
     )
-    B = np.abs(np.sin(sums))
+    np.sin(B, out=B)
+    np.abs(B, out=B)
     tensor = dense_identity_minus(B, float(n) ** 3, out=B)
     rhs = _rng("P2", n, 0).random(n)
     return ProblemInstance(tensor, rhs, "P2", n, seed=0)

@@ -28,6 +28,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +49,8 @@ ROOT_CLAMP_TOL = 1e-14
 # m = 2..5 and n = 10..300, while 16 KiB pays per-block overhead (3x at
 # m = 2, n = 1000) and 2 MiB loses 25 % at n = 40.  Packing is within
 # noise from 32 KiB to 1 MiB, and 30-40 % faster than unblocked at n = 40,
-# m = 4 and n = 200, m = 3.
+# m = 4 and n = 200, m = 3.  permutation_mean's blocks run on worker
+# threads, each worker with its own buffers.
 BLOCK_BYTES = 256 * 1024
 
 
@@ -476,17 +479,43 @@ def has_offmajor(T: Tensor) -> bool:
     return bool(np.count_nonzero(T.array) != np.count_nonzero(majorization(T)))
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_blocks(fn, starts: range, max_workers: int) -> None:
+    """Call fn(start) for every start, on at most `max_workers` worker
+    threads and no more than there are usable CPUs or blocks.  The blocks
+    must be independent.  The threads are made for this call and joined
+    before it returns, so none is left running; with one block or one
+    usable CPU fn runs inline and no thread is started."""
+    workers = min(max_workers, _usable_cpus(), len(starts))
+    if workers <= 1:
+        for start in starts:
+            fn(start)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        for _ in pool.map(fn, starts):
+            pass
+
+
 def permutation_mean(A: np.ndarray) -> np.ndarray:
     """The mean of A over all permutations of its axes, summed in
     itertools.permutations order.
 
-    The result is built a block of leading rows (axis 0) at a time.  Each
-    axis `a` that a permutation puts first is sliced to the block's rows
-    and copied with `a` moved to the front into a contiguous buffer; the
-    permuted views of those buffers are added into the block in
-    permutation order.  Every entry thus sums the same terms in the same
-    order as `zeros + transpose(A, p)` over whole arrays would, bit for
-    bit, while the strided reads stay within a cache-sized buffer.
+    The result is built a block of leading rows (axis 0) at a time, the
+    blocks on worker threads.  Each axis `a` that a permutation puts first
+    is sliced to the block's rows and copied with `a` moved to the front
+    into a contiguous buffer of the worker's own; the permuted views of
+    those buffers are added into the block in permutation order.  Every
+    entry thus sums the same terms in the same order as
+    `zeros + transpose(A, p)` over whole arrays would, bit for bit, on any
+    number of workers, while the strided reads stay within a cache-sized
+    buffer.
     """
     m = A.ndim
     perms = list(itertools.permutations(range(m)))
@@ -495,7 +524,8 @@ def permutation_mean(A: np.ndarray) -> np.ndarray:
     views = [(p[0], tuple(order[p[0]].index(k) for k in p)) for p in perms]
     acc = np.empty_like(A)
     rows = max(1, BLOCK_BYTES // max(A[:1].nbytes, 1))
-    for r in range(0, A.shape[0], rows):
+
+    def symmetrize(r):
         cut = slice(r, r + rows)
         bufs = {a: np.ascontiguousarray(np.moveaxis(A[(slice(None),) * a + (cut,)], a, 0))
                 for a in order}
@@ -504,6 +534,12 @@ def permutation_mean(A: np.ndarray) -> np.ndarray:
         for a, axes in views:
             block += bufs[a].transpose(axes)
         block /= len(perms)
+
+    # The workers' buffers together hold at most a fifth of A's bytes.  P1's
+    # draw and its mean take twice the tensor's bytes, so generating P1
+    # then peaks below 2.25 times them on any number of CPUs.
+    worker_bytes = len(order) * rows * max(A[:1].nbytes, 1)
+    _run_blocks(symmetrize, range(0, A.shape[0], rows), A.nbytes // (5 * worker_bytes))
     return acc
 
 

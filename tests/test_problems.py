@@ -1,5 +1,6 @@
 import hashlib
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from mteq import (
     majorization,
     residual,
 )
+from mteq import tensor_core
 from mteq.problems import BOUNDARY_VALUE, EARTH_MASS, GRAVITATIONAL_CONSTANT
 from reference import dense_array, semi_symmetrize
 
@@ -127,6 +129,28 @@ class TestGeneratedBits:
     def test_generated_tensor_digest(self, make, digest):
         assert hashlib.sha256(make().tensor.array.tobytes()).hexdigest() == digest
 
+    def test_threaded_symmetrization_digest(self, monkeypatch):
+        # P1 at n = 40 is the smallest whose symmetrization the buffer cap
+        # lets run on two workers; the digests were computed by the serial
+        # code.
+        workers = []
+
+        class Pool(tensor_core.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(tensor_core, "ThreadPoolExecutor", Pool)
+        inst = gen_problem1(40, 3)
+        assert workers == [2]
+        assert hashlib.sha256(inst.tensor.array.tobytes()).hexdigest() == (
+            "ad2470380d162ff3d08cce8d411343cda8696f762f9e47fdff8121f16d24c409"
+        )
+        assert hashlib.sha256(inst.rhs.tobytes()).hexdigest() == (
+            "ea5950d3c39492f772838d87abadef9972eb777b0c7054d76cec978e75b850a8"
+        )
+
     def test_semi_symmetrize_digest(self):
         T = DenseTensor(np.random.default_rng(20181).random((7,) * 4))
         assert hashlib.sha256(semi_symmetrize(T).array.tobytes()).hexdigest() == (
@@ -136,19 +160,46 @@ class TestGeneratedBits:
 
 class TestGenerationMemory:
     """Peak traced allocation while generating, in units of the tensor's
-    own bytes: P1 holds the draw and its mean, P4 only its draw, and each
-    builds s*I - B in place."""
+    own bytes: P1 holds the draw and its mean, P4 and P2 only the tensor,
+    and each builds s*I - B in place.  The limits hold on any number of
+    CPUs: the symmetrization's workers share a fixed buffer budget."""
 
-    @pytest.mark.parametrize("gen, limit", [(gen_problem1, 2.25), (gen_problem4, 1.25)],
-                             ids=["P1", "P4"])
-    def test_peak_relative_to_tensor_bytes(self, gen, limit):
+    LIMITS = pytest.mark.parametrize("problem, limit", [("1", 2.25), ("4", 1.25), ("2", 1.25)],
+                                     ids=["P1", "P4", "P2"])
+
+    @staticmethod
+    def peak_ratio(problem):
         tracemalloc.start()
         try:
-            inst = gen(40, 3)
+            inst = generate(problem, 40, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= limit * inst.tensor.array.nbytes
+        return peak / inst.tensor.array.nbytes
+
+    @LIMITS
+    def test_peak_relative_to_tensor_bytes(self, problem, limit):
+        assert self.peak_ratio(problem) <= limit
+
+    @LIMITS
+    def test_peak_on_64_cpus(self, monkeypatch, problem, limit):
+        monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: 64)
+        assert self.peak_ratio(problem) <= limit
+
+
+class TestGenerationThreads:
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        generate("1", 10, 0)
+
+    def test_no_thread_left_running(self):
+        before = threading.active_count()
+        generate("1", 40, 3)
+        assert threading.active_count() == before
 
 
 class TestFixtures:

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -414,6 +415,25 @@ class TestPermutationMean:
         A = rng.uniform(-1.0, 1.0, size=(n,) * m)
         A.flat[0] = -0.0
         assert permutation_mean(A).tobytes() == reference_permutation_mean(A, 0).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 64])
+    @pytest.mark.parametrize("m", sorted(BLOCKED_N))
+    def test_any_worker_count_keeps_bytes(self, monkeypatch, m, workers):
+        # The worker count is forced past the buffer budget, which keeps
+        # tensors this small on one worker.
+        run_blocks = tensor_core._run_blocks
+        monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(tensor_core, "_run_blocks", lambda fn, starts, _: run_blocks(fn, starts, workers))
+        A = np.random.default_rng([m, workers]).uniform(-1.0, 1.0, size=(BLOCKED_N[m],) * m)
+        # Threads switch often, so a worker that wrote outside its own rows
+        # or shared another's buffers would show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = permutation_mean(A)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == reference_permutation_mean(A, 0).tobytes()
 
 
 class TestOffdiagonalMax:
