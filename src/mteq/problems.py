@@ -119,72 +119,36 @@ def gen_problem4(n: int, seed: int) -> ProblemInstance:
     return ProblemInstance(_shifted_identity_minus(B), rhs, "P4", n, seed)
 
 
-def fixture(fixture_id: str) -> ProblemInstance:
-    """Exact small systems with known nonnegative solutions.
+# The exact fixture systems: id -> (order, dim, entries [i1, ..., im, value]
+# (1-based, unlisted positions zero), right side, known nonnegative solutions).
+_FIXTURES = {
+    # A 3rd-order quadratic system that is not a Z-tensor.
+    "ex11": (3, 3,
+             [[1, 1, 1, 1.0], [2, 2, 2, 1.0], [3, 3, 3, 1.0],
+              [2, 1, 1, 1.0], [3, 2, 2, 1.0], [3, 1, 1, -1.0]],
+             [1.0, 1.0, -1.0], ([1.0, 0.0, 0.0],)),
+    # A 4th-order strong M-tensor with two nonnegative solutions.
+    "ex21": (4, 2,
+             [[1, 1, 1, 1, 3.0], [2, 2, 2, 2, 3.0], [1, 1, 2, 2, -1.5], [1, 2, 2, 2, -0.5]],
+             [-7.0, 24.0], ([1.0, 2.0], [(math.sqrt(5.0) - 1.0) / 2.0, 2.0])),
+    # A 3rd-order strong M-tensor with two nonnegative solutions.
+    "ex22": (3, 2,
+             [[1, 1, 1, 1.0], [2, 2, 2, 1.0], [1, 1, 2, -1.5], [1, 2, 2, -1.0]],
+             [-6.0, 4.0], ([1.0, 2.0], [2.0, 2.0])),
+}
 
-    ex11: a 3rd-order quadratic system that is not a Z-tensor.
-    ex21: 4th-order strong M-tensor with two nonnegative solutions.
-    ex22: 3rd-order strong M-tensor with two nonnegative solutions.
-    """
+
+def fixture(fixture_id: str) -> ProblemInstance:
+    """An exact small system with known nonnegative solutions, from
+    `_FIXTURES`: 'ex11', 'ex21' or 'ex22'.  Its entries are read as a
+    tensor file's are, by SparseTensor.from_entries, and held densely."""
     fid = fixture_id.lower()
-    if fid == "ex11":
-        tensor = DenseTensor.from_entries(
-            3,
-            3,
-            [
-                [1, 1, 1, 1.0],
-                [2, 2, 2, 1.0],
-                [3, 3, 3, 1.0],
-                [2, 1, 1, 1.0],
-                [3, 2, 2, 1.0],
-                [3, 1, 1, -1.0],
-            ],
-        )
-        return ProblemInstance(
-            tensor,
-            np.array([1.0, 1.0, -1.0]),
-            "Ex11",
-            3,
-            known_solutions=(np.array([1.0, 0.0, 0.0]),),
-        )
-    if fid == "ex21":
-        tensor = DenseTensor.from_entries(
-            4,
-            2,
-            [
-                [1, 1, 1, 1, 3.0],
-                [2, 2, 2, 2, 3.0],
-                [1, 1, 2, 2, -1.5],
-                [1, 2, 2, 2, -0.5],
-            ],
-        )
-        golden = (math.sqrt(5.0) - 1.0) / 2.0
-        return ProblemInstance(
-            tensor,
-            np.array([-7.0, 24.0]),
-            "Ex21",
-            2,
-            known_solutions=(np.array([1.0, 2.0]), np.array([golden, 2.0])),
-        )
-    if fid == "ex22":
-        tensor = DenseTensor.from_entries(
-            3,
-            2,
-            [
-                [1, 1, 1, 1.0],
-                [2, 2, 2, 1.0],
-                [1, 1, 2, -1.5],
-                [1, 2, 2, -1.0],
-            ],
-        )
-        return ProblemInstance(
-            tensor,
-            np.array([-6.0, 4.0]),
-            "Ex22",
-            2,
-            known_solutions=(np.array([1.0, 2.0]), np.array([2.0, 2.0])),
-        )
-    raise ValueError(f"unknown fixture id {fixture_id!r}")
+    if fid not in _FIXTURES:
+        raise ValueError(f"unknown fixture id {fixture_id!r}")
+    order, dim, entries, rhs, known = _FIXTURES[fid]
+    tensor = DenseTensor.from_sparse(SparseTensor.from_entries(order, dim, entries))
+    return ProblemInstance(tensor, np.array(rhs), fid.capitalize(), dim,
+                           known_solutions=tuple(map(np.array, known)))
 
 
 def generate(problem: str, n: int, seed: int = 0) -> ProblemInstance:
@@ -198,6 +162,6 @@ def generate(problem: str, n: int, seed: int = 0) -> ProblemInstance:
         return gen_problem3(n)
     if key in ("4", "p4"):
         return gen_problem4(n, seed)
-    if key in ("ex11", "ex21", "ex22"):
+    if key in _FIXTURES:
         return fixture(key)
     raise ValueError(f"unknown problem id {problem!r}")

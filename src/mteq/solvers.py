@@ -291,14 +291,10 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
     """
     cfg = cfg or SolveConfig()
     n = T.dim
-    b = _as_vector(b, n)
-    x = np.zeros(n) if x0 is None else _as_vector(x0, n).copy()
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x0 must be finite")
+    b = _as_vector(b, n, "b")
+    x = np.zeros(n) if x0 is None else _as_vector(x0, n, "x0").copy()
     if np.any(x < 0):
         raise ValueError("x0 must be nonnegative")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("b must be finite")
 
     w = system_scale(T, b) if cfg.scale else 1.0
     trace = IterationTrace()

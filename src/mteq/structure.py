@@ -19,6 +19,8 @@ from .errors import NoNonnegativeSolution, NotStructured, NotZTensor
 from .solvers import AUDIT_TOL
 from .tensor_core import (
     Tensor,
+    _as_vector,
+    _contract,
     contract_full,
     diagonal,
     elementwise_root,
@@ -26,7 +28,6 @@ from .tensor_core import (
     identity_minus,
     majorization,
     offdiagonal_max,
-    residual,
     row_sums,
     stored_values,
     system_scale,
@@ -120,12 +121,8 @@ def is_feasible_S(T: Tensor, b, x) -> FeasibilityReport:
     test, F <= AUDIT_TOL * system_scale(T, b); the scale is read only for a
     positive F, so an identically zero system has every x >= 0 in S.  A
     non-finite b or x is rejected, as solve() rejects it."""
-    b, x = np.asarray(b, dtype=np.float64), np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(b)):
-        raise ValueError("b must be finite")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-    F = residual(T, b, x)
+    b, x = _as_vector(b, T.dim, "b"), _as_vector(x, T.dim, "x")
+    F = _contract(T, x) - b
     is_nonneg = bool(np.all(x >= 0.0))
     residual_max = float(F.max())
     below = residual_max <= 0.0 or residual_max <= AUDIT_TOL * system_scale(T, b)
@@ -162,11 +159,10 @@ def existence_sufficient(T: Tensor, b) -> Existence:
 
 def _solve_majorization(T: Tensor, b) -> tuple[np.ndarray, float]:
     """y = M^-1 b for the majorization matrix M of T, and the tolerance
-    AUDIT_TOL * max|y| that its signs are judged by, in the units of b.  A
-    non-finite b is rejected, since its y would read as a sign pattern it
-    does not have."""
-    b = np.asarray(b, dtype=np.float64)
-    if not np.all(np.isfinite(b)):
-        raise ValueError("b must be finite")
+    AUDIT_TOL * max|y| that its signs are judged by, in the units of b.  b
+    is checked as solve() checks it: a wrong length raises
+    DimensionMismatch, and a non-finite b is rejected, since its y would
+    read as a sign pattern it does not have."""
+    b = _as_vector(b, T.dim, "b")
     y = dense_linalg.lu_solve(dense_linalg.lu_factor(majorization(T)), b)
     return y, AUDIT_TOL * float(np.abs(y).max())

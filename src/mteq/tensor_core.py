@@ -19,8 +19,13 @@ and kept by the tensor, as a COO tensor keeps its index columns.  This is
 the packed symmetric storage of Schatz, Low, van de Geijn & Kolda,
 "Exploiting symmetry in tensors for high performance" (SIAM J. Sci.
 Comput., 2014), applied to the trailing modes; it holds for every tensor,
-symmetric or not.  A tensor likewise keeps its largest |entry|, `max_abs`,
-so a repeat solve reads nothing of size n^m.
+symmetric or not.
+
+Each input is checked once, where it enters.  A tensor's constructor reads
+its entries in one max/min pass, which rejects an inf or NaN and keeps the
+largest |entry| as `max_abs`, so no solve reads anything of size n^m for
+its scale.  A vector is checked by `_as_vector`, for its length and, when
+it is named, for finite entries.
 """
 
 from __future__ import annotations
@@ -57,7 +62,8 @@ BLOCK_BYTES = 256 * 1024
 @dataclass(frozen=True)
 class DenseTensor:
     """Order-m, dimension-n real tensor with dense storage, read-only: the
-    input array is copied, so no other holder can change the tensor."""
+    input array is copied, so no other holder can change the tensor.
+    `max_abs` is its largest |entry|."""
 
     array: np.ndarray
 
@@ -65,7 +71,8 @@ class DenseTensor:
         self._hold(np.array(self.array, dtype=np.float64, order="C"))
 
     def _hold(self, arr: np.ndarray) -> None:
-        """Check arr and keep it, read-only, as self.array."""
+        """Check arr and keep it, read-only, as self.array, with its largest
+        |entry| as self.max_abs."""
         if arr.ndim < 2:
             raise ValueError("tensor order must be at least 2")
         n = arr.shape[0]
@@ -73,10 +80,10 @@ class DenseTensor:
             raise ValueError("all tensor modes must have equal dimension")
         if n == 0:
             raise ValueError("tensor dimension must be positive")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("tensor entries must be finite")
+        max_abs = _max_abs(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "array", arr)
+        object.__setattr__(self, "max_abs", max_abs)
 
     @property
     def order(self) -> int:
@@ -85,15 +92,6 @@ class DenseTensor:
     @property
     def dim(self) -> int:
         return self.array.shape[0]
-
-    @classmethod
-    def from_entries(cls, order: int, dim: int, entries) -> "DenseTensor":
-        """Build a tensor from sparse records [i1, ..., im, value], 1-based.
-
-        Unlisted positions are zero; the records are validated as by
-        SparseTensor.from_entries.
-        """
-        return cls.from_sparse(SparseTensor.from_entries(order, dim, entries))
 
     @classmethod
     def from_sparse(cls, T: "SparseTensor") -> "DenseTensor":
@@ -108,13 +106,6 @@ class DenseTensor:
         from (see `_pack`), built on first use and kept."""
         return _pack(self)
 
-    @functools.cached_property
-    def max_abs(self) -> float:
-        """The largest |entry|, computed on first use and kept, so that a
-        later solve reads none of the n^m entries for its scale.  The
-        array is read-only and held by no one else, so it cannot go stale."""
-        return _max_abs(self.array)
-
 
 @dataclass(frozen=True)
 class SparseTensor:
@@ -124,9 +115,9 @@ class SparseTensor:
     unlisted positions are zero.  Entries are kept in lexicographic index
     order.  `idx` is stored column-major, and `cols[k]` is its k-th column,
     the contiguous index array of mode k that the contraction gathers
-    through.  The layout follows Bader & Kolda, "Efficient MATLAB
-    computations with sparse and factored tensors" (SIAM J. Sci. Comput.,
-    2007).
+    through; `max_abs` is the largest |entry|.  The layout follows Bader &
+    Kolda, "Efficient MATLAB computations with sparse and factored tensors"
+    (SIAM J. Sci. Comput., 2007).
     """
 
     order: int
@@ -150,8 +141,7 @@ class SparseTensor:
         vals = np.asarray(self.vals, dtype=np.float64)
         if vals.shape != (idx.shape[0],):
             raise ValueError(f"expected {idx.shape[0]} entry values, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("tensor entries must be finite")
+        max_abs = _max_abs(vals)
         outside = np.any((idx < 0) | (idx >= dim), axis=1)
         if np.any(outside):
             raise ValueError(f"index {_one_based(idx[outside][0])} out of range for dim {dim}")
@@ -163,7 +153,7 @@ class SparseTensor:
         idx.flags.writeable = False
         vals.flags.writeable = False
         for name, value in (("order", order), ("dim", dim), ("idx", idx), ("vals", vals),
-                            ("cols", tuple(idx.T))):
+                            ("cols", tuple(idx.T)), ("max_abs", max_abs)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -183,11 +173,6 @@ class SparseTensor:
         if np.any(bad):
             raise ValueError(f"index {idx[bad][0].tolist()} is not an integer in 1..{dim}")
         return cls(order, dim, idx.astype(np.intp) - 1, table[:, order])
-
-    @functools.cached_property
-    def max_abs(self) -> float:
-        """The largest |entry|, computed on first use and kept."""
-        return _max_abs(self.vals)
 
 
 Tensor = DenseTensor | SparseTensor
@@ -226,8 +211,13 @@ def _one_based(row) -> tuple:
 
 
 def _max_abs(values: np.ndarray) -> float:
-    """max |v| over values, 0 if there are none, without an |v| temporary."""
-    return float(max(values.max(initial=0.0), -values.min(initial=0.0)))
+    """max |v| over the entries of a tensor, 0 if there are none, from one
+    max and one min, with no |v| temporary.  It is also the tensor's check
+    for finite entries: a NaN passes through max and min, an inf gives inf."""
+    w = float(max(values.max(initial=0.0), -values.min(initial=0.0)))
+    if not math.isfinite(w):
+        raise ValueError("tensor entries must be finite")
+    return w
 
 
 @dataclass(frozen=True)
@@ -239,10 +229,14 @@ class ScaledSystem:
     scale: float
 
 
-def _as_vector(x, n: int) -> np.ndarray:
+def _as_vector(x, n: int, name: str | None = None) -> np.ndarray:
+    """x as a float64 vector of length n, else DimensionMismatch.  A named
+    vector is an input to the system, and its entries must also be finite."""
     v = np.asarray(x, dtype=np.float64)
     if v.shape != (n,):
         raise DimensionMismatch(f"expected vector of length {n}, got shape {v.shape}")
+    if name is not None and not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be finite")
     return v
 
 
@@ -545,8 +539,8 @@ def permutation_mean(A: np.ndarray) -> np.ndarray:
 
 def system_scale(T: Tensor, b) -> float:
     """The joint largest absolute entry of tensor and right side.  The
-    tensor's part is `T.max_abs`, which the tensor keeps, so only the
-    first call on a tensor reads its entries."""
+    tensor's part is `T.max_abs`, which its constructor computed, so no
+    call reads the tensor's entries."""
     w = max(T.max_abs, np.abs(_as_vector(b, T.dim)).max())
     if w == 0.0:
         raise ValueError("cannot scale an identically zero system")

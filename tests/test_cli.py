@@ -253,6 +253,19 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err == "error: tensor dimension must be positive\n"
 
+    # Python's json reads all three as floats: NaN, inf and inf.
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e999"])
+    def test_non_finite_tensor_entry_is_parse_error(self, value, tmp_path, capsys):
+        doc = '{"order": 2, "dim": 2, "entries": [[1, 1, 1.0], [2, 2, %s]]}' % value
+        (tmp_path / "t.json").write_text(doc)
+        tensorio.write_vector(tmp_path / "b.txt", np.ones(2))
+        code = cli.main(["solve", "--tensor", str(tmp_path / "t.json"),
+                         "--rhs", str(tmp_path / "b.txt")])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert captured.err == "error: tensor entries must be finite\n"
+
     def test_zero_diagonal_splitting_exits_singular(self, tmp_path, capsys):
         T = DenseTensor(np.array([[0.0, -1.0], [-1.0, 2.0]]))
         tensorio.write_tensor(tmp_path / "t.json", T)

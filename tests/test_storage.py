@@ -275,13 +275,6 @@ class TestSparseTensor:
         A = dense_array(T)
         assert A[1, 0, 0] == 2.0 and A[0, 0, 0] == 0.0
 
-    def test_from_entries_matches_dense(self):
-        entries = [[1, 1, 1, 1.0], [2, 2, 2, 1.0], [1, 1, 2, -1.5], [1, 2, 2, -1.0]]
-        np.testing.assert_array_equal(
-            dense_array(SparseTensor.from_entries(3, 2, entries)),
-            DenseTensor.from_entries(3, 2, entries).array,
-        )
-
     def test_empty(self):
         T = SparseTensor.from_entries(3, 2, [])
         np.testing.assert_array_equal(contract_full(T, [1.0, 2.0]), [0.0, 0.0])
@@ -299,9 +292,8 @@ class TestSparseTensor:
         ],
     )
     def test_rejects_bad_records(self, entries, match):
-        for cls in (SparseTensor, DenseTensor):
-            with pytest.raises(ValueError, match=match):
-                cls.from_entries(3, 2, entries)
+        with pytest.raises(ValueError, match=match):
+            SparseTensor.from_entries(3, 2, entries)
 
     @pytest.mark.parametrize(
         "idx, vals, match",

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mteq import (
     DenseTensor,
+    DimensionMismatch,
     Existence,
     NoNonnegativeSolution,
     NotStructured,
@@ -244,6 +245,12 @@ class TestExistence:
         M = majorization(inst.tensor)
         y = lu_solve(lu_factor(M), inst.rhs)
         np.testing.assert_allclose(y, [-1.0, 8.0])
+
+
+@pytest.mark.parametrize("check", [existence_sufficient, solve_structured])
+def test_wrong_length_rhs_is_dimension_mismatch(check):
+    with pytest.raises(DimensionMismatch, match="expected vector of length 2"):
+        check(identity_tensor(3, 2), [1.0, 2.0, 3.0])
 
 
 @st.composite

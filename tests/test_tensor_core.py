@@ -563,14 +563,6 @@ class TestCooContraction:
 
 
 class TestDenseTensor:
-    def test_from_entries_duplicate_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            DenseTensor.from_entries(3, 2, [[1, 1, 1, 1.0], [1, 1, 1, 2.0]])
-
-    def test_from_entries_out_of_range(self):
-        with pytest.raises(ValueError):
-            DenseTensor.from_entries(3, 2, [[1, 1, 3, 1.0]])
-
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             DenseTensor(np.full((2, 2), np.nan))
