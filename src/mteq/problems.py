@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_core import DenseTensor, SparseTensor, Tensor, dense_identity_minus, permutation_mean
+from .tensor_core import DenseTensor, SparseTensor, Tensor, cheaper_storage, dense_identity_minus, permutation_mean
 
 GRAVITATIONAL_CONSTANT = 6.67e-11
 EARTH_MASS = 5.98e24
@@ -24,7 +24,7 @@ BOUNDARY_VALUE = 6.37e6  # both endpoint conditions of the gravitation problem
 _PROBLEM_CODES = {"P1": 1, "P2": 2, "P3": 3, "P4": 4}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     tensor: Tensor
     rhs: np.ndarray
@@ -88,8 +88,8 @@ def gen_problem3(n: int) -> ProblemInstance:
     """Discretized boundary-value problem for motion under gravity.
 
     Row i couples x_i to its grid neighbors through -1/3 entries at mixed
-    index positions; the boundary rows pin x_1 and x_n to 6.37e6.  With at
-    most 7 nonzeros per row the tensor is built in COO storage.
+    index positions; the boundary rows pin x_1 and x_n to 6.37e6.  It is
+    stored as its file is read, by `cheaper_storage`: COO from n = 6.
     """
     if n < 3:
         raise ValueError("problem 3 requires n >= 3")
@@ -102,7 +102,7 @@ def gen_problem3(n: int) -> ProblemInstance:
             block[:, pos] = j
             idx.append(block)
             vals.append(np.full(n - 2, -1.0 / 3.0))
-    tensor = SparseTensor(4, n, np.concatenate(idx), np.concatenate(vals))
+    tensor = cheaper_storage(SparseTensor(4, n, np.concatenate(idx), np.concatenate(vals)))
     rhs = np.full(n, GRAVITATIONAL_CONSTANT * EARTH_MASS / (n - 1) ** 2)
     rhs[0] = BOUNDARY_VALUE**3
     rhs[n - 1] = BOUNDARY_VALUE**3
@@ -140,13 +140,13 @@ _FIXTURES = {
 
 def fixture(fixture_id: str) -> ProblemInstance:
     """An exact small system with known nonnegative solutions, from
-    `_FIXTURES`: 'ex11', 'ex21' or 'ex22'.  Its entries are read as a
-    tensor file's are, by SparseTensor.from_entries, and held densely."""
+    `_FIXTURES`: 'ex11', 'ex21' or 'ex22'.  It is read and stored as a
+    tensor file is, by SparseTensor.from_entries and `cheaper_storage`."""
     fid = fixture_id.lower()
     if fid not in _FIXTURES:
         raise ValueError(f"unknown fixture id {fixture_id!r}")
     order, dim, entries, rhs, known = _FIXTURES[fid]
-    tensor = DenseTensor.from_sparse(SparseTensor.from_entries(order, dim, entries))
+    tensor = cheaper_storage(SparseTensor.from_entries(order, dim, entries))
     return ProblemInstance(tensor, np.array(rhs), fid.capitalize(), dim,
                            known_solutions=tuple(map(np.array, known)))
 

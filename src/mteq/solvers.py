@@ -146,7 +146,7 @@ class IterationTrace:
                 fh.write(f"{k},{r2:.16e},{ri:.16e},{mono:.16e},{int(fb)},{ms:.3f},{feas:.16e}\n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveOutcome:
     status: Status
     x: np.ndarray

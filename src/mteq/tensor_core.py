@@ -2,11 +2,11 @@
 
 A tensor of order m and dimension n is stored either densely, as a numpy
 array of shape (n,) * m (`DenseTensor`), or in coordinate form, as the list
-of its nonzero entries (`SparseTensor`).  The storage is chosen where a
-tensor is built; every primitive here accepts both, a primitive that returns
-a tensor returns it in the storage of its input, and `majorization` returns
-a dense n x n array for either.  The one contraction is T x^{m-1}, with one
-kernel per storage.
+of its nonzero entries (`SparseTensor`).  Every tensor built from entries
+is stored as `cheaper_storage` picks; every primitive here accepts both, a
+primitive that returns a tensor returns it in the storage of its input, and
+`majorization` returns a dense n x n array for either.  The one contraction
+is T x^{m-1}, with one kernel per storage.
 Indices are 1-based in external formats and 0-based internally.  All
 operations here are pure functions over immutable inputs.
 
@@ -21,11 +21,11 @@ the packed symmetric storage of Schatz, Low, van de Geijn & Kolda,
 Comput., 2014), applied to the trailing modes; it holds for every tensor,
 symmetric or not.
 
-Each input is checked once, where it enters.  A tensor's constructor reads
-its entries in one max/min pass, which rejects an inf or NaN and keeps the
-largest |entry| as `max_abs`, so no solve reads anything of size n^m for
-its scale.  A vector is checked by `_as_vector`, for its length and, when
-it is named, for finite entries.
+Each input is checked once, where it enters, and a tensor only here:
+`_order_and_dim` checks the order and dimension, `from_entries` the entry
+fields, and a constructor's one max/min pass rejects an inf or NaN and
+keeps the largest |entry| as `max_abs`, so no solve reads n^m entries for
+its scale.  `_as_vector` checks a vector's length and, if named, finiteness.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -59,7 +60,7 @@ ROOT_CLAMP_TOL = 1e-14
 BLOCK_BYTES = 256 * 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseTensor:
     """Order-m, dimension-n real tensor with dense storage, read-only: the
     input array is copied, so no other holder can change the tensor.
@@ -73,13 +74,10 @@ class DenseTensor:
     def _hold(self, arr: np.ndarray) -> None:
         """Check arr and keep it, read-only, as self.array, with its largest
         |entry| as self.max_abs."""
-        if arr.ndim < 2:
-            raise ValueError("tensor order must be at least 2")
-        n = arr.shape[0]
+        n = arr.shape[0] if arr.ndim else 0
         if any(s != n for s in arr.shape):
             raise ValueError("all tensor modes must have equal dimension")
-        if n == 0:
-            raise ValueError("tensor dimension must be positive")
+        _order_and_dim(arr.ndim, n)
         max_abs = _max_abs(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "array", arr)
@@ -107,7 +105,7 @@ class DenseTensor:
         return _pack(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseTensor:
     """Order-m, dimension-n real tensor in coordinate (COO) storage.
 
@@ -126,11 +124,7 @@ class SparseTensor:
     vals: np.ndarray
 
     def __post_init__(self):
-        order, dim = int(self.order), int(self.dim)
-        if order < 2:
-            raise ValueError("tensor order must be at least 2")
-        if dim < 1:
-            raise ValueError("tensor dimension must be positive")
+        order, dim = _order_and_dim(self.order, self.dim)
         idx = np.asarray(self.idx)
         if idx.size == 0:
             idx = np.zeros((0, order), dtype=np.intp)
@@ -160,10 +154,14 @@ class SparseTensor:
     def from_entries(cls, order: int, dim: int, entries) -> "SparseTensor":
         """Build a tensor from sparse records [i1, ..., im, value], 1-based.
 
-        Unlisted positions are zero.  Indices must be integers in 1..dim,
-        values finite, and no index tuple may repeat.
+        Unlisted positions are zero.  Fields must be real numbers, not bools
+        (TypeError); indices integers in 1..dim, values finite, none repeated.
         """
+        order, dim = _order_and_dim(order, dim)
         records = entries if isinstance(entries, list) else list(entries)
+        kinds = set(map(type, itertools.chain.from_iterable(records)))  # one pass over every field
+        if bad := sorted(k.__name__ for k in kinds if not issubclass(k, numbers.Real) or issubclass(k, bool)):
+            raise TypeError(f"entry fields must be numbers, got {', '.join(bad)}")
         for rec in records:
             if len(rec) != order + 1:
                 raise ValueError(f"entry record has {len(rec) - 1} indices, expected {order}")
@@ -206,6 +204,18 @@ def cheaper_storage(T: SparseTensor) -> Tensor:
     return DenseTensor.from_sparse(T)
 
 
+def _order_and_dim(order, dim) -> tuple[int, int]:
+    """order and dim as ints, checked: integers but not bools, order >= 2, dim >= 1."""
+    for key, value in (("order", order), ("dim", dim)):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"tensor {key!r} must be an integer, got {value!r}")
+    if order < 2:
+        raise ValueError("tensor order must be at least 2")
+    if dim < 1:
+        raise ValueError("tensor dimension must be positive")
+    return int(order), int(dim)
+
+
 def _one_based(row) -> tuple:
     return tuple(int(i) + 1 for i in row)
 
@@ -220,7 +230,7 @@ def _max_abs(values: np.ndarray) -> float:
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScaledSystem:
     """A system divided through by the largest absolute entry of (tensor, rhs)."""
 

@@ -3,7 +3,6 @@ and the metadata sidecar written next to generated instances."""
 
 from __future__ import annotations
 
-import itertools
 import json
 from pathlib import Path
 
@@ -27,26 +26,15 @@ def write_tensor(path, T: Tensor) -> None:
 
 
 def read_tensor(path) -> Tensor:
-    """Read a tensor file into COO storage when its listed entries are few
-    enough for that to be the cheaper storage to contract, dense otherwise."""
+    """Read a tensor file through `SparseTensor.from_entries`, which checks
+    it, into the storage `cheaper_storage` picks, as a generator does."""
     doc = json.loads(Path(path).read_text())
     try:
-        for key in ("order", "dim"):
-            # bool is a subclass of int, and true is no tensor order
-            if type(doc[key]) is not int:
-                raise ValueError(f"tensor file {key!r} must be an integer, got {doc[key]!r}")
-        # One pass over every field of every record: a JSON string, true,
-        # false or null is no index or value, though numpy would convert it.
-        kinds = set(map(type, itertools.chain.from_iterable(doc["entries"]))) - {int, float}
-        if kinds:
-            names = ", ".join(sorted(kind.__name__ for kind in kinds))
-            raise ValueError(f"malformed tensor file: entry fields must be numbers, got {names}")
-        coo = SparseTensor.from_entries(doc["order"], doc["dim"], doc["entries"])
+        return cheaper_storage(SparseTensor.from_entries(doc["order"], doc["dim"], doc["entries"]))
     except KeyError as exc:
         raise ValueError(f"malformed tensor file: missing key {exc.args[0]!r}") from None
     except TypeError as exc:  # not an object, or entries not a list of number lists
         raise ValueError(f"malformed tensor file: {exc}") from None
-    return cheaper_storage(coo)
 
 
 def write_vector(path, v) -> None:

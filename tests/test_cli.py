@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mteq import DenseTensor, SolveConfig, cli, fixture, solve, tensorio
+from mteq import DenseTensor, SolveConfig, cli, fixture, solve, structure, tensorio
 from mteq.solvers import METHODS
 from mteq.problems import gen_problem1, gen_problem3
 from reference import dense_array
@@ -206,7 +206,7 @@ class TestSolve:
         captured = capsys.readouterr()
         assert code == 65
         assert captured.out == ""
-        assert captured.err == "error: tensor file 'order' must be an integer, got 3.7\n"
+        assert captured.err == "error: tensor 'order' must be an integer, got 3.7\n"
 
     @pytest.mark.parametrize(
         "doc",
@@ -318,6 +318,15 @@ class TestAnalyze:
         assert code == 0
         assert "z_tensor: False" in out
         assert "verdict" not in out
+
+    def test_z_tensor_question_asked_once(self, capsys, monkeypatch):
+        # each offdiagonal_max reads all n^m entries of a dense tensor
+        calls = []
+        offdiagonal_max = structure.offdiagonal_max
+        monkeypatch.setattr(structure, "offdiagonal_max", lambda T: calls.append(T) or offdiagonal_max(T))
+        code, out = run(["analyze", "--problem", "1", "--n", "4"], capsys)
+        assert code == 0 and "z_tensor: True" in out
+        assert len(calls) == 1
 
     def test_power_flag_adds_estimate(self, capsys):
         _, out = run(["analyze", "--problem", "2", "--n", "4", "--power"], capsys)

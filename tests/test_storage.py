@@ -18,6 +18,7 @@ from mteq import (
     fixture,
     gen_problem1,
     gen_problem3,
+    generate,
     is_z_tensor,
     majorization,
     mtensor_certificate,
@@ -223,6 +224,51 @@ class TestFileRoundTrip:
             tensorio.read_tensor(tmp_path / "t.json")
 
 
+GENERATED = (
+    [(p, n) for p in ("1", "2", "4") for n in range(2, 6)]
+    + [("3", n) for n in range(3, 9)]
+    + [(fid, 0) for fid in ("ex11", "ex21", "ex22")]  # a fixture takes no n
+)
+STARTS = {"ex21": [0.8, 2.0], "ex22": [1.5, 2.0]}
+
+
+class TestGeneratedMatchesFile:
+    """A generated system and its file are one tensor: same storage, same
+    array, and every method gives the same run, bit for bit."""
+
+    @pytest.mark.parametrize("problem, n", GENERATED)
+    def test_same_tensor_and_runs(self, problem, n, tmp_path):
+        inst = generate(problem, n)
+        paths = tensorio.write_instance(tmp_path / "inst", inst)
+        back = tensorio.read_tensor(paths["tensor"])
+        assert type(back) is type(inst.tensor)
+        np.testing.assert_array_equal(dense_array(back), dense_array(inst.tensor))
+        x0 = STARTS.get(problem)
+        for method in METHODS:
+            cfg = SolveConfig(method=method)
+            og, of = solve(inst.tensor, inst.rhs, x0, cfg), solve(back, inst.rhs, x0, cfg)
+            assert of.status is og.status, method
+            assert of.iterations == og.iterations, method
+            assert of.x.tobytes() == og.x.tobytes(), method
+
+
+class TestIdentity:
+    """Tensors, instances and results compare by identity and hash: a
+    generated __eq__ would compare numpy arrays and raise."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: fixture("ex21").tensor, lambda: gen_problem3(10).tensor, lambda: fixture("ex21"),
+         lambda: solve(DenseTensor(np.eye(2)), [1.0, 1.0]),
+         lambda: scale_system(fixture("ex22").tensor, fixture("ex22").rhs)],
+        ids=["DenseTensor", "SparseTensor", "ProblemInstance", "SolveOutcome", "ScaledSystem"],
+    )
+    def test_equal_only_to_itself(self, build):
+        a, b = build(), build()
+        assert a == a and a != b
+        assert len({a, a, b}) == 2
+
+
 class TestMajorizationLayout:
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_c_contiguous_read_only_float64(self, m):
@@ -237,7 +283,13 @@ class TestMajorizationLayout:
 
 class TestStorageChoice:
     def test_built_sparse(self):
-        assert isinstance(gen_problem3(5).tensor, SparseTensor)
+        # P3 is held as cheaper_storage picks, as its file is read: COO
+        # from n = 6 (nnz = 7n - 12 against n^4 positions)
+        for n in range(3, 9):
+            T = gen_problem3(n).tensor
+            coo = both_storages(dense_array(T))[1]
+            assert type(T) is type(cheaper_storage(coo)), n
+            assert isinstance(T, SparseTensor) == (n >= 6), n
 
     def test_built_dense(self):
         assert isinstance(gen_problem1(4, 0).tensor, DenseTensor)
@@ -309,6 +361,32 @@ class TestSparseTensor:
     def test_constructor_validates(self, idx, vals, match):
         with pytest.raises(ValueError, match=match):
             SparseTensor(3, 2, idx, vals)
+
+    @pytest.mark.parametrize(
+        "order, dim",
+        [(3.7, 2), ("3", 2), (True, 2), (3, 2.5), (3, None)],
+        ids=["order-float", "order-str", "order-bool", "dim-float", "dim-None"],
+    )
+    def test_order_and_dim_must_be_integers(self, order, dim):
+        # int() would read 3.7 and "3" as order 3
+        with pytest.raises(ValueError, match="must be an integer"):
+            SparseTensor(order, dim, np.zeros((0, 3), dtype=int), np.zeros(0))
+        with pytest.raises(ValueError, match="must be an integer"):
+            SparseTensor.from_entries(order, dim, [])
+
+    @pytest.mark.parametrize("field", [True, "2", None])
+    def test_entry_fields_must_be_numbers(self, field):
+        # numpy would read True as 1 and "2" as 2.0
+        with pytest.raises(TypeError, match="entry fields must be numbers"):
+            SparseTensor.from_entries(3, 2, [[1, 1, 1, 1.0], [2, 2, 2, field]])
+        with pytest.raises(TypeError, match="entry fields must be numbers"):
+            SparseTensor.from_entries(3, 2, [[1, 1, 1, 1.0], [2, field, 2, 1.0]])
+
+    def test_numpy_scalars_accepted(self):
+        T = SparseTensor.from_entries(np.int64(3), np.int64(2), [[np.int64(1), 1, 1, np.float64(2.0)]])
+        assert (T.order, T.dim) == (3, 2) and type(T.order) is int and type(T.dim) is int
+        np.testing.assert_array_equal(T.vals, [2.0])
+        assert SparseTensor(np.int64(3), np.int64(2), [[0, 0, 0]], [1.0]).order == 3
 
     @pytest.mark.parametrize("dim", [0, -1])
     def test_dimension_must_be_positive(self, dim):
