@@ -129,8 +129,8 @@ def cmd_bench(args) -> int:
     lines, groups = [BENCH_CSV_HEADER], {}
     for n in args.n:
         for rep in range(args.reps):
-            seed = rep_seed(args.seed, args.problem, n, rep)
-            inst = problems.generate(args.problem, n, seed)
+            inst = problems.generate(args.problem, n, rep_seed(args.seed, args.problem, n, rep))
+            seed = "" if inst.seed is None else inst.seed  # as built: 0 for P2, none for P3 or a fixture
             for cfg in configs:
                 t0 = time.perf_counter()
                 out = solve(inst.tensor, inst.rhs, None, cfg)

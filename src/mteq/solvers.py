@@ -18,7 +18,6 @@ trace rather than aborting.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -32,6 +31,7 @@ from .tensor_core import (
     Tensor,
     _as_vector,
     _contract,
+    _is_number,
     elementwise_root,
     magnitudes,
     majorization,
@@ -40,10 +40,10 @@ from .tensor_core import (
 
 METHODS = ("smeqm", "jacobi", "gs", "sor", "anewton")
 
-# A start with an F entry above AUDIT_TOL is infeasible, and its run is not
-# audited; an anewton candidate with an F entry above ACCEPT_TOL has left S,
-# and the plain update is taken instead.  Both apply to F / w (see solve).
-AUDIT_TOL = ACCEPT_TOL = 1e-12
+# A point with an F entry above AUDIT_TOL has left S: a start there is
+# infeasible, and its run is not audited; an anewton candidate there is
+# dropped for the plain update.  It applies to F / w (see solve).
+AUDIT_TOL = 1e-12
 
 # Converged needs, besides ||F / w||_2 <= eta, a componentwise backward error
 # omega(x) (see Stepper.backward_error) at or below OMEGA_TOL.  The 2-norm
@@ -69,7 +69,7 @@ class SolveConfig:
     """Method selection and iteration parameters.
 
     alpha in (0, 1] is covered by the monotone convergence theory; values
-    in (1, 2) are admitted as experimental and flagged in the outcome.
+    in (1, 2] are admitted as experimental and flagged in the outcome.
     omega is the SOR relaxation factor (ignored elsewhere); eta is the
     stopping tolerance on the 2-norm of F / w, with w the system's largest
     absolute entry (1 when scale is False).
@@ -85,19 +85,16 @@ class SolveConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        # bool is a Real, and True is no step length, tolerance or factor
-        for name in ("alpha", "omega", "eta"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, not a bool")
+        for name in ("alpha", "omega", "eta", "max_iter"):
+            value, count = getattr(self, name), name == "max_iter"
+            if not _is_number(type(value), count):
+                raise ValueError(f"{name} must be {'an integer' if count else 'a number'}, got {value!r}")
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError("alpha must lie in (0, 2]")
         if self.method == "sor" and not 0.0 < self.omega < 2.0:
             raise ValueError("omega must lie in (0, 2)")
         if not (math.isfinite(self.eta) and self.eta > 0.0):
             raise ValueError("eta must be finite and positive")
-        # bool is an Integral, and True is no iteration count
-        if not isinstance(self.max_iter, numbers.Integral) or isinstance(self.max_iter, bool):
-            raise ValueError("max_iter must be an integer")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -182,7 +179,7 @@ class Stepper:
     (smeqm, anewton), alpha F / diag(M) (jacobi), or alpha omega P^{-1} F with
     P the lower splitting part of M (gs, sor; gs is sor at omega = 1).
     anewton first tries x^[m-1] + M^{-1}(-alpha F(x_k) - eps_k) and takes the
-    plain update if that candidate has an F entry above ACCEPT_TOL * scale,
+    plain update if that candidate has an F entry above AUDIT_TOL * scale,
     with scale solve()'s w.  anewton's state is eps_k and r(x_k), in eps
     and r_prev.
     start(x0) evaluates the start, returns (x0, x0^[m-1], F(x0),
@@ -194,7 +191,7 @@ class Stepper:
 
     def __init__(self, method, T: Tensor, b, alpha, omega=1.0, scale=1.0):
         self.T, self.b = T, np.asarray(b, dtype=np.float64)
-        self.accept_tol = ACCEPT_TOL * scale
+        self.accept_tol = AUDIT_TOL * scale
         self.alpha, self.p, self.newton = alpha, T.order - 1, method == "anewton"
         # For alpha <= 1 a negative x^[m-1] is a hard error.  For alpha > 1
         # and odd m-1 the real signed root is taken, so a step that

@@ -21,11 +21,14 @@ the packed symmetric storage of Schatz, Low, van de Geijn & Kolda,
 Comput., 2014), applied to the trailing modes; it holds for every tensor,
 symmetric or not.
 
-Each input is checked once, where it enters, and a tensor only here:
-`_order_and_dim` checks the order and dimension, `from_entries` the entry
-fields, and a constructor's one max/min pass rejects an inf or NaN and
-keeps the largest |entry| as `max_abs`, so no solve reads n^m entries for
-its scale.  `_as_vector` checks a vector's length and, if named, finiteness.
+Each input is checked once, where it enters, and a tensor and a number
+only here: `_is_number` is the package's one rule for a scalar (also for
+`SolveConfig`), `_order_and_dim` checks the order and dimension,
+`from_entries` the entry fields, and a constructor's one max/min pass
+rejects an inf or NaN and keeps the largest |entry| as `max_abs`, so no
+solve reads n^m entries for its scale.  `_as_vector` checks a vector's
+length and, if named, finiteness.  A tensor record is read by
+`from_entries` and written by its inverse, `entries`.
 """
 
 from __future__ import annotations
@@ -160,7 +163,7 @@ class SparseTensor:
         order, dim = _order_and_dim(order, dim)
         records = entries if isinstance(entries, list) else list(entries)
         kinds = set(map(type, itertools.chain.from_iterable(records)))  # one pass over every field
-        if bad := sorted(k.__name__ for k in kinds if not issubclass(k, numbers.Real) or issubclass(k, bool)):
+        if bad := sorted(k.__name__ for k in kinds if not _is_number(k)):
             raise TypeError(f"entry fields must be numbers, got {', '.join(bad)}")
         for rec in records:
             if len(rec) != order + 1:
@@ -204,10 +207,19 @@ def cheaper_storage(T: SparseTensor) -> Tensor:
     return DenseTensor.from_sparse(T)
 
 
+def _is_number(kind: type, count: bool = False) -> bool:
+    """Whether values of type `kind` are numbers to the package: a
+    numbers.Real, or for a count a numbers.Integral, and never a bool.
+    numpy floats and ints and Fraction are; bool, numpy's bool, str, None
+    and Decimal are not.  It takes the type, so that a caller can judge
+    each distinct type of many values once."""
+    return issubclass(kind, numbers.Integral if count else numbers.Real) and not issubclass(kind, bool)
+
+
 def _order_and_dim(order, dim) -> tuple[int, int]:
-    """order and dim as ints, checked: integers but not bools, order >= 2, dim >= 1."""
+    """order and dim as ints, checked: counts (`_is_number`), order >= 2, dim >= 1."""
     for key, value in (("order", order), ("dim", dim)):
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        if not _is_number(type(value), count=True):
             raise ValueError(f"tensor {key!r} must be an integer, got {value!r}")
     if order < 2:
         raise ValueError("tensor order must be at least 2")
@@ -248,6 +260,19 @@ def _as_vector(x, n: int, name: str | None = None) -> np.ndarray:
     if name is not None and not np.all(np.isfinite(v)):
         raise ValueError(f"{name} must be finite")
     return v
+
+
+def entries(T: Tensor) -> list[tuple]:
+    """The records (i1, ..., im, value), 1-based, that `from_entries` builds
+    T from: a COO tensor's stored entries, or a dense tensor's nonzeros in
+    C order, both in lexicographic index order."""
+    if isinstance(T, SparseTensor):
+        idx, vals = T.idx, T.vals
+    else:
+        nonzero = T.array != 0.0
+        idx, vals = np.argwhere(nonzero), T.array[nonzero]
+    # One tuple per entry, built column-wise.
+    return list(zip(*(idx + 1).T.tolist(), vals.tolist()))
 
 
 def stored_values(T: Tensor) -> np.ndarray:

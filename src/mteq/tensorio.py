@@ -9,19 +9,12 @@ from pathlib import Path
 import numpy as np
 
 from .problems import ProblemInstance
-from .tensor_core import SparseTensor, Tensor, cheaper_storage
+from .tensor_core import SparseTensor, Tensor, cheaper_storage, entries
 
 
 def write_tensor(path, T: Tensor) -> None:
-    """Write the stored entries of a COO tensor, or the nonzeros of a dense one."""
-    if isinstance(T, SparseTensor):
-        idx, vals = T.idx, T.vals
-    else:
-        nonzero = T.array != 0.0
-        idx, vals = np.argwhere(nonzero), T.array[nonzero]
-    # One tuple per entry, built column-wise (json writes tuples as arrays).
-    entries = list(zip(*(idx + 1).T.tolist(), vals.tolist()))
-    doc = {"order": T.order, "dim": T.dim, "entries": entries}
+    """Write T as JSON: its order, dim and `entries` records."""
+    doc = {"order": T.order, "dim": T.dim, "entries": entries(T)}
     Path(path).write_text(json.dumps(doc))
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -328,6 +329,20 @@ class TestAnalyze:
         assert code == 0 and "z_tensor: True" in out
         assert len(calls) == 1
 
+    def test_singular_majorization_reports_the_error(self, tmp_path, capsys):
+        # M = [[1, 1], [1, 1]] has no LU factors; the report goes on past it
+        records = [[1, 1, 1, 1.0], [1, 2, 2, 1.0], [2, 1, 1, 1.0], [2, 2, 2, 1.0]]
+        doc = {"order": 3, "dim": 2, "entries": records}
+        (tmp_path / "t.json").write_text(json.dumps(doc))
+        tensorio.write_vector(tmp_path / "b.txt", [1.0, 1.0])
+        code, out = run(["analyze", "--tensor", str(tmp_path / "t.json"), "--rhs", str(tmp_path / "b.txt")],
+                        capsys)
+        assert code == 0
+        lines = out.splitlines()
+        existence = next(i for i, line in enumerate(lines) if line.startswith("existence:"))
+        assert re.fullmatch(r"existence: error \(pivot .* below threshold\)", lines[existence])
+        assert lines[existence + 1].startswith("majorization_cond_estimate: ")
+
     def test_power_flag_adds_estimate(self, capsys):
         _, out = run(["analyze", "--problem", "2", "--n", "4", "--power"], capsys)
         assert "power_estimate:" in out
@@ -395,8 +410,22 @@ class TestBench:
                          "--csv", str(path)], capsys)
         assert code == 0
         with open(path) as fh:
-            assert [row["n"] for row in csv.DictReader(fh)] == ["2"]
+            rows = list(csv.DictReader(fh))
+        assert [row["n"] for row in rows] == ["2"]
         assert out.splitlines()[1].split()[0] == "2"
+        # a fixture takes no seed, so its row names none
+        assert [row["seed"] for row in rows] == [""]
+
+    @pytest.mark.parametrize("problem", ["1", "2", "3"])
+    def test_seed_is_the_one_the_system_was_built_from(self, problem, tmp_path, capsys):
+        # P1 is drawn from rep_seed, P2 always from seed 0, P3 from none
+        path = tmp_path / "s.csv"
+        run(["bench", "--problem", problem, "--n", "4", "--reps", "2", "--csv", str(path)], capsys)
+        with open(path) as fh:
+            seeds = [row["seed"] for row in csv.DictReader(fh)]
+        expected = {"1": [str(cli.rep_seed(0, "1", 4, rep)) for rep in range(2)],
+                    "2": ["0", "0"], "3": ["", ""]}
+        assert seeds == expected[problem]
 
     @pytest.mark.parametrize("reps", ["0", "-1"])
     def test_reps_below_one_is_parse_error(self, reps, capsys):

@@ -1,6 +1,9 @@
 import csv
 import gc
+import re
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,6 +71,40 @@ class TestSolveConfig:
 
     def test_alpha_two_admitted(self):
         assert SolveConfig(alpha=2.0).alpha == 2.0
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"eta": np.True_}, "eta"),
+            ({"alpha": np.True_}, "alpha"),
+            ({"method": "sor", "omega": np.True_}, "omega"),
+            ({"alpha": None}, "alpha"),
+            ({"alpha": "1"}, "alpha"),
+            ({"alpha": Decimal("0.5")}, "alpha"),
+        ],
+        ids=["eta-numpy-bool", "alpha-numpy-bool", "omega-numpy-bool", "alpha-None", "alpha-str",
+             "alpha-Decimal"],
+    )
+    def test_non_numbers_rejected_by_name(self, kwargs, field):
+        # numpy's bool is no bool subclass, and a Decimal passes a comparison
+        # with a float but not the step's arithmetic
+        value = kwargs[field]
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be a number, got {value!r}")):
+            SolveConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"alpha": np.float32(0.5)}, {"max_iter": np.int64(5)}, {"alpha": Fraction(1, 2)}],
+        ids=["alpha-float32", "max_iter-int64", "alpha-Fraction"],
+    )
+    def test_real_numbers_of_any_type_accepted(self, kwargs):
+        # each runs as the float or int of the same value does
+        cfg = SolveConfig(method="anewton", **kwargs)
+        plain = SolveConfig(method="anewton", alpha=float(cfg.alpha), max_iter=int(cfg.max_iter))
+        inst = gen_problem1(6, 2)
+        out, ref = solve(inst.tensor, inst.rhs, None, cfg), solve(inst.tensor, inst.rhs, None, plain)
+        assert (out.status, out.iterations) == (ref.status, ref.iterations)
+        assert out.x.tobytes() == ref.x.tobytes()
 
 
 class TestStepFunctions:

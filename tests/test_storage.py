@@ -31,6 +31,7 @@ from mteq.tensor_core import (
     _contract,
     cheaper_storage,
     diagonal,
+    entries,
     has_offmajor,
     identity_minus,
     magnitudes,
@@ -192,6 +193,9 @@ class TestFileRoundTrip:
         np.testing.assert_array_equal(dense_array(back), Td.array)
         tensorio.write_tensor(path_d, back)
         assert path_d.read_bytes() == path_c.read_bytes()
+        for T in (Tc, Td):  # the records are what from_entries reads back
+            again = SparseTensor.from_entries(T.order, T.dim, entries(T))
+            np.testing.assert_array_equal(dense_array(again), Td.array)
 
     def test_problem3_at_scale_never_densifies(self, tmp_path, monkeypatch):
         # dense, this tensor would take 2000^4 * 8 B = 128 TB
@@ -387,6 +391,10 @@ class TestSparseTensor:
         assert (T.order, T.dim) == (3, 2) and type(T.order) is int and type(T.dim) is int
         np.testing.assert_array_equal(T.vals, [2.0])
         assert SparseTensor(np.int64(3), np.int64(2), [[0, 0, 0]], [1.0]).order == 3
+
+    def test_order_must_be_at_least_two(self):
+        with pytest.raises(ValueError, match="tensor order must be at least 2"):
+            SparseTensor(1, 2, np.zeros((0, 1), dtype=int), np.zeros(0))
 
     @pytest.mark.parametrize("dim", [0, -1])
     def test_dimension_must_be_positive(self, dim):

@@ -1,6 +1,8 @@
 import math
 import sys
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from mteq.tensor_core import (
     BLOCK_BYTES,
     SparseTensor,
     _contract,
+    _is_number,
     _packing,
     has_offmajor,
     identity_minus,
@@ -572,6 +575,14 @@ class TestDenseTensor:
         with pytest.raises(ValueError, match="tensor dimension must be positive"):
             DenseTensor(np.zeros((0,) * m))
 
+    def test_unequal_modes_rejected(self):
+        with pytest.raises(ValueError, match="all tensor modes must have equal dimension"):
+            DenseTensor(np.zeros((2, 3, 2)))
+
+    def test_order_one_rejected(self):
+        with pytest.raises(ValueError, match="tensor order must be at least 2"):
+            DenseTensor(np.zeros(3))
+
     def test_immutable(self):
         T = identity_tensor(3, 2)
         with pytest.raises(ValueError):
@@ -614,3 +625,27 @@ class TestDenseTensor:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * built.array.nbytes
+
+
+class TestIsNumber:
+    """The package's one rule for a scalar: a real number, or an integer for
+    a count, never a bool."""
+
+    @pytest.mark.parametrize(
+        "value, real, count",
+        [
+            (1, True, True),
+            (0.5, True, False),
+            (np.int64(3), True, True),
+            (np.float32(0.5), True, False),
+            (Fraction(1, 2), True, False),
+            (True, False, False),
+            (np.True_, False, False),
+            (Decimal("0.5"), False, False),
+            ("1", False, False),
+            (None, False, False),
+        ],
+    )
+    def test_kinds(self, value, real, count):
+        assert _is_number(type(value)) is real
+        assert _is_number(type(value), count=True) is count
