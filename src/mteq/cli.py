@@ -29,9 +29,10 @@ BENCH_CSV_HEADER = "problem,n,seed,method,alpha,omega,iters,res2_scaled,ms,statu
 
 def rep_seed(seed: int, problem: str, n: int, rep: int) -> int:
     """Stable per-repetition seed, shared across methods and alpha values
-    so sweeps compare the same instances."""
+    so sweeps compare the same instances; keyed by the problem id as
+    `problems.generate` resolves it, so '1', 'p1' and 'P1' agree."""
     digest = hashlib.blake2b(
-        f"{seed}:{problem}:{n}:{rep}".encode(), digest_size=8
+        f"{seed}:{problems._problem_key(problem)}:{n}:{rep}".encode(), digest_size=8
     ).digest()
     return int.from_bytes(digest, "big") >> 1
 

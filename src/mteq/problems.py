@@ -151,17 +151,21 @@ def fixture(fixture_id: str) -> ProblemInstance:
                            known_solutions=tuple(map(np.array, known)))
 
 
-def generate(problem: str, n: int, seed: int = 0) -> ProblemInstance:
-    """Dispatch by problem id: '1'-'4' or a fixture name."""
+# Problem id -> generator of (n, seed); P2 and P3 take no seed.
+_GENERATORS = {"1": gen_problem1, "2": lambda n, seed: gen_problem2(n),
+               "3": lambda n, seed: gen_problem3(n), "4": gen_problem4}
+
+
+def _problem_key(problem: str) -> str:
+    """A problem id as one spelling: '1'-'4' for 'P1'-'P4', else a fixture name."""
     key = str(problem).lower()
-    if key in ("1", "p1"):
-        return gen_problem1(n, seed)
-    if key in ("2", "p2"):
-        return gen_problem2(n)
-    if key in ("3", "p3"):
-        return gen_problem3(n)
-    if key in ("4", "p4"):
-        return gen_problem4(n, seed)
-    if key in _FIXTURES:
-        return fixture(key)
-    raise ValueError(f"unknown problem id {problem!r}")
+    key = key[1:] if key[:1] == "p" and key[1:] in _GENERATORS else key
+    if key not in _GENERATORS and key not in _FIXTURES:
+        raise ValueError(f"unknown problem id {problem!r}")
+    return key
+
+
+def generate(problem: str, n: int, seed: int = 0) -> ProblemInstance:
+    """Dispatch by problem id: '1'-'4', 'P1'-'P4' or a fixture name."""
+    key = _problem_key(problem)
+    return fixture(key) if key in _FIXTURES else _GENERATORS[key](n, seed)

@@ -57,3 +57,15 @@ def identity_tensor(m, n):
 def dense_array(T):
     """The n^m array of a tensor in either storage."""
     return DenseTensor.from_sparse(T).array if isinstance(T, SparseTensor) else T.array
+
+
+def forbid_n_by_n_zeros(monkeypatch, n):
+    """Make np.zeros fail for any array of n^2 entries or more."""
+    zeros = np.zeros
+
+    def small_zeros(shape, *args, **kwargs):
+        if np.prod(shape) >= n**2:
+            raise AssertionError("an n x n array was built")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", small_zeros)

@@ -427,6 +427,22 @@ class TestBench:
                     "2": ["0", "0"], "3": ["", ""]}
         assert seeds == expected[problem]
 
+    def test_problem_spellings_draw_the_same_systems(self, tmp_path, capsys):
+        # '1', 'p1' and 'P1' name one problem; the problem column keeps what was typed
+        rows = {}
+        for problem in ("1", "p1", "P1"):
+            path = tmp_path / f"{problem}.csv"
+            run(["bench", "--problem", problem, "--n", "5", "--reps", "2", "--csv", str(path)], capsys)
+            with open(path) as fh:
+                rows[problem] = list(csv.DictReader(fh))
+        assert [row["problem"] for row in rows["P1"]] == ["P1", "P1"]
+
+        def solved(problem):
+            return [{k: v for k, v in row.items() if k not in ("problem", "ms")} for row in rows[problem]]
+
+        assert solved("1") == solved("p1") == solved("P1")
+        assert [row["seed"] for row in rows["P1"]] == [str(cli.rep_seed(0, "1", 5, rep)) for rep in range(2)]
+
     @pytest.mark.parametrize("reps", ["0", "-1"])
     def test_reps_below_one_is_parse_error(self, reps, capsys):
         code = cli.main(["bench", "--problem", "1", "--n", "6", "--reps", reps])

@@ -33,10 +33,13 @@ def summary(capsys):
 
 
 def test_four_counts_and_exit_on_status_change(capsys):
-    assert corpus.compare(BASE, NEW) == 1
+    # a run that stops at the cap moves x more than any Converged one
+    base = BASE + [record("capped", status="MaxIterReached", iterations=3000)]
+    new = NEW + [record("capped", status="MaxIterReached", iterations=3000, x=(1.0, 2.5))]
+    assert corpus.compare(base, new) == 1
     assert summary(capsys) == (
-        "1/5 bit-identical, 1 rounding only (largest relative move: x 4.55e-13, res2 9.09e-13), "
-        "2 iteration changes, 1 status changes")
+        "1/6 bit-identical, 2 rounding only (largest relative move: x 0.25, "
+        "x of Converged cases 4.55e-13, res2 9.09e-13), 2 iteration changes, 1 status changes")
 
 
 def test_no_status_change_exits_zero(capsys):

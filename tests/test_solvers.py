@@ -25,7 +25,13 @@ from mteq import (
 from mteq.problems import gen_problem1, gen_problem3, gen_problem4
 from mteq.solvers import AUDIT_TOL, METHODS, OMEGA_TOL, Stepper
 from mteq.tensor_core import scale_system, system_scale
-from reference import dense_array, dense_contract, identity_tensor, semi_symmetrize
+from reference import (
+    dense_array,
+    dense_contract,
+    forbid_n_by_n_zeros,
+    identity_tensor,
+    semi_symmetrize,
+)
 
 
 def started(method, T, b, x0, alpha=1.0, omega=1.0, scale=1.0):
@@ -39,6 +45,24 @@ def r_oracle(T, x):
     """r(x) = (T x^{m-1} - (m-1) M x^[m-1]) / (m-1), computed from its definition."""
     p = T.order - 1
     return (contract_full(T, x) - p * majorization(T) @ x**p) / p
+
+
+def assert_correction_is_its_definition(stepper, T, b, alpha, x_prev, x):
+    """The stepper's eps after the step x_prev -> x is
+    min(-alpha F(x), r_oracle(x) - r_oracle(x_prev)), to within 1e-14 of
+    the larger max |r|, as the oracle subtracts two r values."""
+    r_prev, r = r_oracle(T, x_prev), r_oracle(T, x)
+    expected = np.minimum(-alpha * residual(T, b, x), r - r_prev)
+    size = max(np.abs(r_prev).max(), np.abs(r).max())
+    np.testing.assert_allclose(stepper.eps, expected, rtol=0.0, atol=1e-14 * size)
+
+
+def in_storage(A, storage):
+    """The dense array A as a DenseTensor, or as a SparseTensor of its nonzeros."""
+    if storage == "dense":
+        return DenseTensor(A)
+    nonzero = A != 0.0
+    return SparseTensor(A.ndim, A.shape[0], np.argwhere(nonzero), A[nonzero])
 
 
 class TestSolveConfig:
@@ -146,33 +170,53 @@ class TestStepFunctions:
         assert solve(inst.tensor, inst.rhs, None, cfg).trace.eps_fallback == fallbacks
 
     def test_r_correction_on_ex21(self):
+        # from (0.8, 2), where r(x0) = (0.128/3, -16)
         inst = fixture("ex21")
-        stepper, _, _ = started("anewton", inst.tensor, inst.rhs, [0.8, 2.0])
-        np.testing.assert_allclose(stepper.r_prev, [0.128 / 3.0, -16.0], atol=1e-12)
+        T, b, x = inst.tensor, inst.rhs, np.array([0.8, 2.0])
+        np.testing.assert_allclose(r_oracle(T, x), [0.128 / 3.0, -16.0], atol=1e-12)
+        stepper, xpow, F = started("anewton", T, b, x)
+        for _ in range(25):
+            x_prev = x
+            x, xpow, F, _, _ = stepper.step(xpow, F)
+            assert_correction_is_its_definition(stepper, T, b, 1.0, x_prev, x)
+
+    @pytest.mark.parametrize("storage", ["dense", "coo"])
+    @pytest.mark.parametrize("alpha, k", [(0.5, 11), (1.0, 7)], ids=["0.5", "1.0"])
+    def test_correction_at_every_step_on_problem1(self, storage, alpha, k):
+        # the run of test_anewton_fallback_is_the_smeqm_step, to 4 steps past
+        # its first fallback at step k
+        inst = gen_problem1(6, 2)
+        scaled = scale_system(inst.tensor, inst.rhs)
+        T, b = in_storage(scaled.tensor.array, storage), scaled.rhs
+        x = np.zeros(6)
+        stepper, xpow, F = started("anewton", T, b, x, alpha)
+        fallbacks = []
+        for _ in range(k + 4):
+            x_prev = x
+            x, xpow, F, _, fallback = stepper.step(xpow, F)
+            fallbacks.append(fallback)
+            assert_correction_is_its_definition(stepper, T, b, alpha, x_prev, x)
+        assert fallbacks.index(True) == k - 1
 
     def test_epsilon_update_entrywise_min(self):
-        # eps_k = min(-alpha F(x_k), r(x_k) - r(x_{k-1})), entry by entry; a
-        # lowered r_prev on the even entries makes the min take either side
-        inst = gen_problem1(6, 2)
-        T, b = inst.tensor, inst.rhs
-        x0 = np.full(6, 0.01)
-        stepper, xpow, F = started("anewton", T, b, x0, 0.5)
-        r_prev = r_oracle(T, x0) - np.array([10.0, 0.0] * 3)
-        stepper.r_prev = r_prev
-        x1, *_ = stepper.step(xpow, F)
-        r1 = r_oracle(T, x1)
-        aF, dr = -0.5 * residual(T, b, x1), r1 - r_prev
-        assert np.all((aF < dr) == [True, False] * 3)
-        np.testing.assert_allclose(stepper.r_prev, r1, rtol=1e-12)
-        np.testing.assert_allclose(stepper.eps, np.minimum(aF, dr), rtol=1e-12)
+        # From (0.5, 2.5) on ex21 the first step lands on x_2 = 2 exactly, so
+        # there -alpha F = 0 lies below r(x1) - r(x0) = -16 + 31.25; on
+        # entry 1 the difference of r lies below -alpha F.
+        inst = fixture("ex21")
+        T, b, x0 = inst.tensor, inst.rhs, np.array([0.5, 2.5])
+        stepper, xpow, F = started("anewton", T, b, x0)
+        x1, _, _, _, fallback = stepper.step(xpow, F)
+        assert not fallback and x1[1] == 2.0
+        aF, dr = -residual(T, b, x1), r_oracle(T, x1) - r_oracle(T, x0)
+        np.testing.assert_allclose(aF, [0.265391, 0.0], atol=5e-7)
+        np.testing.assert_allclose(dr, [-3.505130, 15.25], atol=5e-7)
+        np.testing.assert_allclose(stepper.eps, [dr[0], aF[1]], rtol=0.0, atol=1e-14 * 31.25)
 
     @pytest.mark.parametrize("storage", ["dense", "coo"])
     @pytest.mark.parametrize("method", METHODS)
     def test_start_evaluates_x0(self, storage, method):
         # start(x0) returns x0, x0^[m-1], F(x0) and its largest entry bit for bit
-        A = gen_problem1(6, 2).tensor.array
-        nonzero = A != 0.0
-        T = DenseTensor(A) if storage == "dense" else SparseTensor(4, 6, np.argwhere(nonzero), A[nonzero])
+        T = in_storage(gen_problem1(6, 2).tensor.array, storage)
         b, x0 = np.linspace(1.0, 2.0, 6), np.linspace(0.0, 0.5, 6)
         stepper = Stepper(method, T, b, 0.5, 1.3)
         x, xpow, F, Fmax = stepper.start(x0)
@@ -180,8 +224,15 @@ class TestStepFunctions:
         assert x.tobytes() == x0.tobytes() and xpow.tobytes() == (x0 ** (T.order - 1)).tobytes()
         assert F.tobytes() == ref.tobytes() and Fmax == ref.max()
         if method == "anewton":
-            np.testing.assert_allclose(stepper.r_prev, r_oracle(T, x0), rtol=1e-12)
             assert np.all(stepper.eps == 0.0)
+
+    def test_jacobi_on_problem3_at_scale_builds_no_n_by_n_array(self, monkeypatch):
+        # jacobi divides by diag(M), which is diagonal(T), so it builds no M
+        inst = gen_problem3(2000)
+        assert isinstance(inst.tensor, SparseTensor)
+        forbid_n_by_n_zeros(monkeypatch, inst.n)
+        out = solve(inst.tensor, inst.rhs, None, SolveConfig(method="jacobi", max_iter=5))
+        assert out.status is Status.MAX_ITER and out.iterations == 5
 
     def test_jacobi_step_on_diagonal_tensor_is_exact_direction(self):
         # for the identity tensor the Jacobi step solves the system in one move

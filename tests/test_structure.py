@@ -23,7 +23,7 @@ from mteq import (
 )
 from mteq.dense_linalg import lu_factor, lu_solve
 from mteq.problems import gen_problem1, gen_problem2, gen_problem3, gen_problem4
-from reference import identity_tensor
+from reference import forbid_n_by_n_zeros, identity_tensor
 
 
 def random_structured_strong(rng, m, n):
@@ -192,17 +192,11 @@ class TestSolveStructured:
 
     def test_problem3_at_scale_builds_no_n_by_n_array(self, monkeypatch):
         inst = gen_problem3(2000)
-        zeros = np.zeros
-
-        def small_zeros(shape, *args, **kwargs):
-            if np.prod(shape) >= inst.n**2:
-                raise AssertionError("an n x n array was built")
-            return zeros(shape, *args, **kwargs)
 
         def densify(*args):
             raise AssertionError("a COO tensor was densified")
 
-        monkeypatch.setattr(np, "zeros", small_zeros)
+        forbid_n_by_n_zeros(monkeypatch, inst.n)
         monkeypatch.setattr(DenseTensor, "from_sparse", densify)
         with pytest.raises(NotStructured):
             solve_structured(inst.tensor, inst.rhs)

@@ -19,7 +19,8 @@ runs on any tree that has it.
 
 --against prints one line per changed case and then four counts:
 bit-identical cases, rounding-only ones (same status, iterations and
-fallbacks; with the largest relative moves of x and res2), iteration
+fallbacks; with the largest relative moves of x, over all of them and
+over the Converged ones, and of res2), iteration
 changes (same status; a changed fallback count counts as one), and status
 changes.  The exit status is 1 if any status changed, 2 if the two runs do
 not hold the same cases, else 0.
@@ -101,7 +102,7 @@ def compare(base: list[dict], new: list[dict]) -> int:
         print(f"case sets differ: base has {len(old)} cases, new has {len(new)}")
         return 2
     counts = {"identical": 0, "rounding": 0, "iterations": 0, "status": 0}
-    x_move = res2_move = 0.0
+    x_move = converged_x_move = res2_move = 0.0
     for r in new:
         b = old[r["case"]]
         if r["status"] != b["status"]:
@@ -115,12 +116,17 @@ def compare(base: list[dict], new: list[dict]) -> int:
             kind = "identical"
         else:
             kind = "rounding"
-            x_move = max(x_move, _relative_move(b["x"], r["x"]))
+            move = _relative_move(b["x"], r["x"])
+            x_move = max(x_move, move)
+            # the last iterate of a run that did not converge may lie anywhere
+            if r["status"] == "Converged":
+                converged_x_move = max(converged_x_move, move)
             res2_move = max(res2_move, _relative_move([b["res2"]], [r["res2"]]))
         counts[kind] += 1
     total = len(new)
     print(f"{counts['identical']}/{total} bit-identical, "
-          f"{counts['rounding']} rounding only (largest relative move: x {x_move:.3g}, res2 {res2_move:.3g}), "
+          f"{counts['rounding']} rounding only (largest relative move: x {x_move:.3g}, "
+          f"x of Converged cases {converged_x_move:.3g}, res2 {res2_move:.3g}), "
           f"{counts['iterations']} iteration changes, {counts['status']} status changes")
     return 1 if counts["status"] else 0
 
