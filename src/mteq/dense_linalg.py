@@ -1,8 +1,8 @@
 """Small dense linear-algebra kernel: LAPACK LU and triangular solves.
 
-The majorization matrix is factored once per solver run (`dgetrf`); every
-iteration then costs one `dgetrs` (or, for the Gauss-Seidel / SOR
-splitting, one `dtrtrs`) call, O(n^2).  The LAPACK routines are bound
+A majorization matrix that is not diagonal is factored once per run
+(`dgetrf`); each iteration then costs one `dgetrs` (or, for the
+Gauss-Seidel / SOR splitting, one `dtrtrs`) call, O(n^2).  The LAPACK routines are bound
 once at import and called without scipy's per-call argument validation,
 so the inputs are checked here: once when factoring, and for shape only
 when solving.  A non-finite right side is not rejected; it gives a

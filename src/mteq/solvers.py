@@ -32,6 +32,7 @@ from .tensor_core import (
     _as_vector,
     _contract,
     _is_number,
+    _majorization_is_diagonal,
     diagonal,
     elementwise_root,
     magnitudes,
@@ -171,15 +172,15 @@ class Stepper:
     majorization matrix of T.
 
     Every method updates x^[m-1] <- x^[m-1] - delta(F(x)), where delta solves
-    with a matrix that is fixed for the run, prepared here once: alpha M^{-1} F
-    (smeqm, anewton), alpha F / diag(M) (jacobi), or alpha omega P^{-1} F with
-    P the lower splitting part of M (gs, sor; gs is sor at omega = 1).
+    with a matrix fixed for the run, prepared once by `_prepared_solve`:
+    alpha M^{-1} F (smeqm, anewton), alpha F / diag(M) (jacobi, and every
+    method where M is diagonal), or alpha omega P^{-1} F with P the lower
+    splitting part of M (gs, sor; gs is sor at omega = 1).
     anewton first tries x^[m-1] + M^{-1}(-alpha F(x_k) - eps_k) and takes the
     plain update if that candidate has an F entry above AUDIT_TOL * scale,
     with scale solve()'s w.  anewton's state is eps_k = min(-alpha F(x_k),
     r(x_k) - r(x_{k-1})), in eps, the difference taken from the step as
-    (F_k - F_{k-1}) / (m-1) - M (x_k^[m-1] - x_{k-1}^[m-1]).  jacobi
-    builds no M: diag(M) is diagonal(T).
+    (F_k - F_{k-1}) / (m-1) - M (x_k^[m-1] - x_{k-1}^[m-1]).
     start(x0) evaluates the start, returns (x0, x0^[m-1], F(x0),
     F(x0).max()) and sets eps = 0.  step(xpow, F), with xpow = x^[m-1]
     and F = F(x), returns (x_new, xpow_new, F_new, F_new.max(), fallback)
@@ -195,26 +196,12 @@ class Stepper:
         # and odd m-1 the real signed root is taken, so a step that
         # overshoots makes the iteration oscillate instead of aborting.
         self.signed_root = alpha > 1.0 and self.p % 2 == 1
-        # Each delta closes over its own factors, never over self, so a
-        # finished Stepper is freed without waiting for the cycle collector.
-        if method in ("smeqm", "anewton"):
-            M = majorization(T)
-            # Looked up on the module at call time, as perfbench's traced
-            # run wraps it there.
-            lu = dense_linalg.lu_factor(M)
-            self.delta = lambda F: alpha * lu_solve(lu, F)
-            if self.newton:
-                self.lu, self.M = lu, M
-        else:
-            d = diagonal(T)
-            if np.any(d == 0.0):
-                raise SingularMatrix("majorization matrix has a zero diagonal entry")
-            if method == "jacobi":
-                self.delta = lambda F: alpha * F / d
-            else:
-                w = 1.0 if method == "gs" else omega
-                P, alpha_w = np.tril(majorization(T), -1) * w + np.diag(d), alpha * w
-                self.delta = lambda F: alpha_w * lower_tri_solve(P, F)
+        # No closure holds self, so a finished Stepper is freed at once.
+        self.solve, self.product = _prepared_solve(method, T, omega)
+        solve_with, c = self.solve, alpha * omega if method == "sor" else alpha
+        # jacobi divides alpha F, the others scale the solve: a diagonal M rounds as dgetrs and dtrtrs.
+        self.delta = ((lambda F: solve_with(alpha * F)) if method == "jacobi"
+                      else (lambda F: c * solve_with(F)))
 
     def start(self, x0: np.ndarray):
         """Evaluate the start x0, a float64 vector of length n: returns
@@ -226,12 +213,12 @@ class Stepper:
     def step(self, xpow: np.ndarray, F: np.ndarray):
         if not self.newton:
             return *self._advance(xpow - self.delta(F)), False
-        x_new, xpow_new, F_new, Fmax = self._advance(xpow + lu_solve(self.lu, -self.alpha * F - self.eps))
+        x_new, xpow_new, F_new, Fmax = self._advance(xpow + self.solve(-self.alpha * F - self.eps))
         fallback = bool(Fmax > self.accept_tol)
         if fallback:
             x_new, xpow_new, F_new, Fmax = self._advance(xpow - self.delta(F))
         # eps_k, with r(x_k) - r(x_{k-1}) from the change in F and in x^[m-1]
-        self.eps = np.minimum(-self.alpha * F_new, (F_new - F) / self.p - self.M @ (xpow_new - xpow))
+        self.eps = np.minimum(-self.alpha * F_new, (F_new - F) / self.p - self.product(xpow_new - xpow))
         return x_new, xpow_new, F_new, Fmax, fallback
 
     def backward_error(self, x: np.ndarray, F: np.ndarray) -> float:
@@ -259,6 +246,26 @@ class Stepper:
         n, so the contraction kernel runs unchecked."""
         F = _contract(self.T, x) - self.b
         return x, x**self.p, F, _max(F)
+
+
+def _prepared_solve(method, T: Tensor, omega=1.0):
+    """(solve, product), prepared once: solve(v) = A^{-1} v for the matrix A
+    that `method` solves with, and product(v) = M v.  jacobi, and every
+    method where M is diagonal, divide by d = diagonal(T), singular only at
+    a zero d_i, and build no n x n array.  Else smeqm and anewton LU-factor
+    M, and gs and sor solve with P = diag(d) + omega tril(M, -1), omega 1 for gs."""
+    d = diagonal(T)
+    diag = method == "jacobi" or _majorization_is_diagonal(T)
+    if (diag or method in ("gs", "sor")) and np.any(d == 0.0):
+        raise SingularMatrix("majorization matrix has a zero diagonal entry")
+    if diag:
+        return (lambda v: v / d), (lambda v: d * v)
+    M = majorization(T)
+    if method in ("gs", "sor"):
+        P = np.tril(M, -1) * (omega if method == "sor" else 1.0) + np.diag(d)
+        return (lambda v: lower_tri_solve(P, v)), None
+    lu = dense_linalg.lu_factor(M)  # looked up on the module, where perfbench wraps it
+    return (lambda v: lu_solve(lu, v)), (lambda v: M @ v)
 
 
 def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome:

@@ -14,9 +14,8 @@ from enum import Enum
 
 import numpy as np
 
-from . import dense_linalg
 from .errors import NoNonnegativeSolution, NotStructured, NotZTensor
-from .solvers import AUDIT_TOL
+from .solvers import AUDIT_TOL, _prepared_solve
 from .tensor_core import (
     Tensor,
     _as_vector,
@@ -26,7 +25,6 @@ from .tensor_core import (
     elementwise_root,
     has_offmajor,
     identity_minus,
-    majorization,
     offdiagonal_max,
     row_sums,
     stored_values,
@@ -159,10 +157,10 @@ def existence_sufficient(T: Tensor, b) -> Existence:
 
 def _solve_majorization(T: Tensor, b) -> tuple[np.ndarray, float]:
     """y = M^-1 b for the majorization matrix M of T, and the tolerance
-    AUDIT_TOL * max|y| that its signs are judged by, in the units of b.  b
-    is checked as solve() checks it: a wrong length raises
-    DimensionMismatch, and a non-finite b is rejected, since its y would
-    read as a sign pattern it does not have."""
+    AUDIT_TOL * max|y| that its signs are judged by, in the units of b; y
+    is smeqm's prepared solve, a division where M is diagonal.  A b of the
+    wrong length raises DimensionMismatch, and a non-finite b, whose y
+    would read as a sign pattern it does not have, is rejected."""
     b = _as_vector(b, T.dim, "b")
-    y = dense_linalg.lu_solve(dense_linalg.lu_factor(majorization(T)), b)
+    y = _prepared_solve("smeqm", T)[0](b)
     return y, AUDIT_TOL * float(np.abs(y).max())

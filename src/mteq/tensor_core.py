@@ -5,8 +5,9 @@ array of shape (n,) * m (`DenseTensor`), or in coordinate form, as the list
 of its nonzero entries (`SparseTensor`).  Every tensor built from entries
 is stored as `cheaper_storage` picks; every primitive here accepts both, a
 primitive that returns a tensor returns it in the storage of its input, and
-`majorization` returns a dense n x n array for either.  The one contraction
-is T x^{m-1}, with one kernel per storage.
+`majorization` returns a dense n x n array for either, which no solve
+builds for a COO tensor whose M is diagonal (`_majorization_is_diagonal`).
+The one contraction is T x^{m-1}, with one kernel per storage.
 Indices are 1-based in external formats and 0-based internally.  All
 operations here are pure functions over immutable inputs.
 
@@ -497,6 +498,15 @@ def majorization(T: Tensor) -> np.ndarray:
         M = np.ascontiguousarray(T.array[(slice(None),) + (j,) * (T.order - 1)])
     M.flags.writeable = False
     return M
+
+
+def _majorization_is_diagonal(T: Tensor) -> bool:
+    """Whether T has no nonzero (i, j, ..., j) entry with j != i, so that M
+    is diag(diagonal(T)); for a COO T read from its entries, with no M."""
+    if isinstance(T, SparseTensor):
+        return not np.any(T.vals[_major_mask(T) & (T.cols[0] != T.cols[1])])
+    M = majorization(T)
+    return bool(np.count_nonzero(M) == np.count_nonzero(M.diagonal()))
 
 
 def has_offmajor(T: Tensor) -> bool:

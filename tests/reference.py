@@ -48,9 +48,14 @@ def semi_symmetrize(T):
 
 def identity_tensor(m, n):
     """The tensor with ones on the main diagonal (i, i, ..., i) and zeros elsewhere."""
-    arr = np.zeros((n,) * m)
-    i = np.arange(n)
-    arr[(i,) * m] = 1.0
+    return diagonal_tensor(m, np.ones(n))
+
+
+def diagonal_tensor(m, d):
+    """The order-m tensor with d on the main diagonal (i, i, ..., i) and zeros elsewhere."""
+    arr = np.zeros((len(d),) * m)
+    i = np.arange(len(d))
+    arr[(i,) * m] = d
     return DenseTensor(arr)
 
 

@@ -8,7 +8,7 @@ import pytest
 from mteq import DenseTensor, SolveConfig, cli, fixture, solve, structure, tensorio
 from mteq.solvers import METHODS
 from mteq.problems import gen_problem1, gen_problem3
-from reference import dense_array
+from reference import dense_array, forbid_n_by_n_zeros
 
 
 def run(argv, capsys):
@@ -342,6 +342,15 @@ class TestAnalyze:
         existence = next(i for i, line in enumerate(lines) if line.startswith("existence:"))
         assert re.fullmatch(r"existence: error \(pivot .* below threshold\)", lines[existence])
         assert lines[existence + 1].startswith("majorization_cond_estimate: ")
+
+    def test_problem3_at_scale_builds_no_n_by_n_array(self, monkeypatch, capsys):
+        # P3's M is diagonal: the existence test divides by diagonal(T), and the
+        # condition number is max|d| / min|d|, the value an SVD of M printed
+        forbid_n_by_n_zeros(monkeypatch, 2000)
+        code, out = run(["analyze", "--problem", "3", "--n", "2000"], capsys)
+        assert code == 0
+        assert out == ("z_tensor: True\ns: 2\nrow_sum_bound: 2\nverdict: Unknown\n"
+                       "existence: NonnegativeExists\nmajorization_cond_estimate: 2\n")
 
     def test_power_flag_adds_estimate(self, capsys):
         _, out = run(["analyze", "--problem", "2", "--n", "4", "--power"], capsys)

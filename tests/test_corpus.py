@@ -82,3 +82,61 @@ def test_corpus_has_1420_distinct_cases(monkeypatch):
     monkeypatch.setattr(corpus, "gen_problem1", lambda n, seed: corpus.fixture("ex21"))
     ids = [case for case, *_ in corpus.cases()]
     assert len(ids) == len(set(ids)) == 1420
+
+
+def test_cross_judges_status_iterations_and_x(capsys):
+    pairs = [
+        (record("same"), record("same"), 1.0),
+        (record("rounded"), record("rounded", x=(1.0, 2.0 + 2**-40)), 2.0),
+        (record("slower"), record("slower", iterations=11), 0.5),
+        (record("fell-back"), record("fell-back", fallbacks=1), 1.9),
+        (record("moved"), record("moved", status="MaxIterReached", x=(1.0, 2.0 + 1e-11)), 1.0),
+        (record("capped", status="MaxIterReached"),
+         record("capped", status="MaxIterReached", x=(1.0, 2.5)), 1.9),
+    ]
+    assert corpus.judge_cross(pairs, 3) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:-1] == [
+        "changed slower: status, iterations, fallbacks ('Converged', 10, 0) -> ('Converged', 11, 0)",
+        "changed fell-back: status, iterations, fallbacks ('Converged', 10, 0) -> ('Converged', 10, 1)",
+        "changed moved: status, iterations, fallbacks ('Converged', 10, 0) -> ('MaxIterReached', 10, 0)",
+    ]
+    assert lines[-1] == (
+        "cross: 6 pairs, 3 failed, 3 bit-identical in x, largest judged x move 4.55e-13; "
+        "1 alpha > 1 runs not converged, not judged (largest x move 0.25); 3 skipped (dense copy too large)")
+
+
+@pytest.mark.parametrize("status, alpha, judged", [("Converged", 1.9, True), ("MaxIterReached", 1.0, True),
+                                                   ("NonFinite", 1.0, True), ("MaxIterReached", 1.9, False),
+                                                   ("NonFinite", 2.0, False)])
+def test_cross_judges_x_where_it_means_something(status, alpha, judged, capsys):
+    # x of a Converged run, or of any run at alpha <= 1, is judged at 1e-12
+    far = (record("far", status), record("far", status, x=(1.0, 2.0 + 1e-11)), alpha)
+    near = (record("near", status), record("near", status, x=(1.0, 2.0 + 1e-13)), alpha)
+    assert corpus.judge_cross([near], 0) == 0
+    assert corpus.judge_cross([far], 0) == int(judged)
+    out = capsys.readouterr().out
+    assert ("x far: relative move 5e-12" in out) is judged
+
+
+def test_cross_exits_zero_on_agreement(capsys):
+    assert corpus.judge_cross([(record("same"), record("same"), 1.0)], 0) == 0
+    assert summary(capsys).startswith("cross: 1 pairs, 0 failed, 1 bit-identical in x")
+
+
+def test_cross_takes_the_other_storage_of_each_tensor(monkeypatch):
+    dense = corpus.fixture("ex22").tensor
+    coo = corpus.other_storage(dense)
+    assert isinstance(coo, corpus.SparseTensor) and corpus.entries(coo) == corpus.entries(dense)
+    back = corpus.other_storage(coo)
+    assert isinstance(back, corpus.DenseTensor) and back.array.tobytes() == dense.array.tobytes()
+    monkeypatch.setattr(corpus, "DENSE_COPY_MAX_BYTES", dense.array.nbytes - 1)
+    corpus.other_storage.cache_clear()
+    assert corpus.other_storage(coo) is None
+
+
+def test_main_cross_runs_alone(monkeypatch):
+    monkeypatch.setattr(corpus, "run_cross", lambda: ([], 0))
+    assert corpus.main(["--cross"]) == 0
+    with pytest.raises(SystemExit):
+        corpus.main(["--cross", "--out", "x.jsonl"])

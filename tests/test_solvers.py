@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import re
 import warnings
 from decimal import Decimal
@@ -28,6 +29,7 @@ from mteq.tensor_core import scale_system, system_scale
 from reference import (
     dense_array,
     dense_contract,
+    diagonal_tensor,
     forbid_n_by_n_zeros,
     identity_tensor,
     semi_symmetrize,
@@ -226,12 +228,13 @@ class TestStepFunctions:
         if method == "anewton":
             assert np.all(stepper.eps == 0.0)
 
-    def test_jacobi_on_problem3_at_scale_builds_no_n_by_n_array(self, monkeypatch):
-        # jacobi divides by diag(M), which is diagonal(T), so it builds no M
+    @pytest.mark.parametrize("method", METHODS)
+    def test_problem3_at_scale_builds_no_n_by_n_array(self, monkeypatch, method):
+        # P3's M is diagonal, so every method divides by diagonal(T) and builds no M
         inst = gen_problem3(2000)
         assert isinstance(inst.tensor, SparseTensor)
         forbid_n_by_n_zeros(monkeypatch, inst.n)
-        out = solve(inst.tensor, inst.rhs, None, SolveConfig(method="jacobi", max_iter=5))
+        out = solve(inst.tensor, inst.rhs, None, SolveConfig(method=method, max_iter=5))
         assert out.status is Status.MAX_ITER and out.iterations == 5
 
     def test_jacobi_step_on_diagonal_tensor_is_exact_direction(self):
@@ -241,6 +244,63 @@ class TestStepFunctions:
         cfg = SolveConfig(method="jacobi", max_iter=1, scale=False)
         x1 = solve(T, b, np.zeros(2), cfg).x
         np.testing.assert_allclose(x1, [2.0, 3.0])
+
+
+def guard_system():
+    """A dense order-4, n = 6 system whose M is diagonal, with two entries
+    off the (i, j, ..., j) positions, and its right side."""
+    T = diagonal_tensor(4, np.linspace(1.3, 2.9, 6) + 1 / 7).array.copy()
+    T[0, 1, 2, 3], T[3, 4, 5, 0] = -0.37, -0.29
+    return DenseTensor(T), np.linspace(0.6, 1.4, 6) / 3
+
+
+class TestDiagonalMajorization:
+    """Where M is diagonal every method divides by diagonal(T), as jacobi
+    always did, and each keeps the order of operations of the LAPACK solve
+    it replaced: c (F / d) with c = alpha, or alpha omega for sor, and
+    jacobi's (alpha F) / d."""
+
+    @pytest.mark.parametrize("method", ["smeqm", "jacobi", "anewton"])
+    def test_tiny_diagonal_entry_is_data(self, method):
+        # diag(1, 1e-20): a division by 1e-20 is exact, and only an exact zero
+        # is singular; smeqm and anewton used to reject the LU pivot 1e-20
+        T = diagonal_tensor(3, [1.0, 1e-20])
+        out = solve(T, [1.0, 1e-20], None, SolveConfig(method=method))
+        assert out.status is Status.CONVERGED and out.iterations == 1
+        assert out.x.tolist() == [1.0, 1.0]
+
+    # sha256 of x, computed with the LU and triangular solves of M: a shared
+    # (c F) / d or c (F / d) for all five methods moves the alpha = 1.9 rows.
+    GUARD = {
+        ("smeqm", 1.0): ("Converged", 7,
+                          "f2aa22fd6350ae82f227f9ecb0c7b1fcdcd3d19e53c79d63e8322da41179087e"),
+        ("smeqm", 1.9): ("MaxIterReached", 3000,
+                          "86234f023b150581d700ccd52768d5df2338956449cd96c23ceaedef515e4df8"),
+        ("jacobi", 1.0): ("Converged", 7,
+                           "f2aa22fd6350ae82f227f9ecb0c7b1fcdcd3d19e53c79d63e8322da41179087e"),
+        ("jacobi", 1.9): ("MaxIterReached", 3000,
+                           "4873550a816e7977012b81d168fc6f82efe917210045bb7cd70276969dd329c2"),
+        ("gs", 1.0): ("Converged", 7,
+                       "f2aa22fd6350ae82f227f9ecb0c7b1fcdcd3d19e53c79d63e8322da41179087e"),
+        ("gs", 1.9): ("MaxIterReached", 3000,
+                       "86234f023b150581d700ccd52768d5df2338956449cd96c23ceaedef515e4df8"),
+        ("sor", 1.0): ("Converged", 16,
+                        "b40070dc1fed84bccce7134073fe4287c7be1b32c52614c55e9dcdc58cda7ce5"),
+        ("sor", 1.9): ("NonFinite", 1822,
+                        "c9a9f7b6352dac9aa44d95fcb13f76cd3abab08a064c689283c305a64cb61116"),
+        ("anewton", 1.0): ("Converged", 7,
+                            "f2aa22fd6350ae82f227f9ecb0c7b1fcdcd3d19e53c79d63e8322da41179087e"),
+        ("anewton", 1.9): ("MaxIterReached", 3000,
+                            "86234f023b150581d700ccd52768d5df2338956449cd96c23ceaedef515e4df8"),
+    }
+
+    @pytest.mark.parametrize("method, alpha", sorted(GUARD))
+    def test_each_method_keeps_its_order_of_operations(self, method, alpha):
+        T, b = guard_system()
+        out = solve(T, b, None, SolveConfig(method, alpha, omega=1.3))
+        status, iterations, digest = self.GUARD[method, alpha]
+        assert (out.status.value, out.iterations) == (status, iterations)
+        assert hashlib.sha256(out.x.tobytes()).hexdigest() == digest
 
 
 class TestStepWrappersRunSolvesCode:

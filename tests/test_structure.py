@@ -23,7 +23,7 @@ from mteq import (
 )
 from mteq.dense_linalg import lu_factor, lu_solve
 from mteq.problems import gen_problem1, gen_problem2, gen_problem3, gen_problem4
-from reference import forbid_n_by_n_zeros, identity_tensor
+from reference import diagonal_tensor, forbid_n_by_n_zeros, identity_tensor
 
 
 def random_structured_strong(rng, m, n):
@@ -233,6 +233,17 @@ class TestExistence:
         b = rng.random(4) + 0.1
         assert existence_sufficient(T, b) is Existence.POSITIVE
         assert np.all(solve_structured(T, b) > 0.0)
+
+    def test_problem3_at_scale_builds_no_n_by_n_array(self, monkeypatch):
+        # P3's M is diagonal: y = b / diagonal(T), with no M
+        inst = gen_problem3(2000)
+        forbid_n_by_n_zeros(monkeypatch, inst.n)
+        assert existence_sufficient(inst.tensor, inst.rhs) is Existence.NONNEGATIVE
+
+    def test_tiny_diagonal_entry_is_data(self):
+        # a diagonal M is singular only at an exact zero; LU rejected the pivot 1e-20
+        T = diagonal_tensor(3, [1.0, 1e-20])
+        assert existence_sufficient(T, [1.0, 1e-20]) is Existence.POSITIVE
 
     def test_majorization_solve_agrees_with_lu(self):
         inst = fixture("ex21")

@@ -29,6 +29,7 @@ from mteq.tensor_core import (
     SparseTensor,
     _contract,
     _is_number,
+    _majorization_is_diagonal,
     _packing,
     has_offmajor,
     identity_minus,
@@ -358,6 +359,25 @@ class TestHasOffmajor:
         expected = offmajor_by_copy(arr)
         assert has_offmajor(DenseTensor(arr)) is expected
         assert has_offmajor(coo(arr)) is expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=tensor_shapes, seed=st.integers(0, 2**31), major_only=st.booleans(),
+           density=st.floats(0.0, 1.0))
+    def test_diagonal_majorization_agrees_with_a_masked_copy(self, shape, seed, major_only, density):
+        # the draws of test_agrees_with_a_masked_copy; major_only ones keep
+        # only M's entries, so M is diagonal in some and not in others
+        m, n = shape
+        rng = np.random.default_rng(seed)
+        arr = rng.uniform(-1.0, 1.0, (n,) * m) * (rng.random((n,) * m) < density)
+        j = (slice(None),) + (np.arange(n),) * (m - 1)
+        if major_only:
+            major, arr = arr[j], np.zeros_like(arr)
+            arr[j] = major
+        off = arr[j]  # a copy of M
+        np.fill_diagonal(off, 0.0)
+        expected = not np.any(off)
+        assert _majorization_is_diagonal(DenseTensor(arr)) is expected
+        assert _majorization_is_diagonal(coo(arr)) is expected
 
 
 class TestIdentityTensor:

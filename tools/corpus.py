@@ -2,6 +2,7 @@
 solve, and compare a run with an earlier one.
 
     PYTHONPATH=src python tools/corpus.py --out NEW.jsonl [--against BASE.jsonl]
+    PYTHONPATH=src python tools/corpus.py --cross
 
 The 1420 cases are
   - the acceptance sweep: P1 n = 10 at the 100 seeds rep_seed(0, "1", 10,
@@ -14,8 +15,8 @@ The 1420 cases are
 Every solve starts from x0 = 0 with the default SolveConfig otherwise.  A
 record holds the case id, the status, the iteration count, the number of
 anewton fallbacks, and res2, omega and x as float.hex strings, so two runs
-compare bit for bit.  The runner uses only the public API of mteq, so it
-runs on any tree that has it.
+compare bit for bit.  The runner uses only the public API of mteq and, for
+--cross, `tensor_core.entries`, so it runs on any tree that has them.
 
 --against prints one line per changed case and then four counts:
 bit-identical cases, rounding-only ones (same status, iterations and
@@ -24,21 +25,36 @@ over the Converged ones, and of res2), iteration
 changes (same status; a changed fallback count counts as one), and status
 changes.  The exit status is 1 if any status changed, 2 if the two runs do
 not hold the same cases, else 0.
+
+--cross solves every case also in the other storage, in the same process:
+a dense tensor as the COO tensor of its nonzeros, a COO tensor as its dense
+copy, unless that copy would exceed DENSE_COPY_MAX_BYTES (P3 n = 100 would
+take 800 MB), in which case the case is skipped.  It prints one line per
+pair that fails and one summary line, and exits 1 if a pair differs in
+status, iterations or fallbacks, or in x by more than CROSS_X_TOL
+(relative) in a run that reached Converged or ran at alpha <= 1.  The
+alpha > 1 runs that do not converge oscillate, so their last iterates are
+reported, not judged.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 
-from mteq import SolveConfig, fixture, gen_problem1, gen_problem2, gen_problem3, gen_problem4, solve
+from mteq import (DenseTensor, SolveConfig, SparseTensor, fixture, gen_problem1, gen_problem2,
+                  gen_problem3, gen_problem4, solve)
 from mteq.cli import rep_seed
+from mteq.tensor_core import entries
 
 METHODS = ("smeqm", "jacobi", "gs", "sor", "anewton")
 ALPHAS = (0.5, 1.0, 1.9, 2.0)
 SWEEP = [(m, a) for m in METHODS for a in (0.5, 1.0)] + [("smeqm", 1.9), ("smeqm", 2.0)]
+DENSE_COPY_MAX_BYTES = 100 * 2**20
+CROSS_X_TOL = 1e-12
 
 
 def cases():
@@ -65,20 +81,70 @@ def cases():
                     yield f"{name}/{method}/a{alpha}/{label}", inst.tensor, inst.rhs, cfg
 
 
+def solve_record(case, T, b, cfg) -> dict:
+    out = solve(T, b, None, cfg)
+    return {
+        "case": case,
+        "status": out.status.value,
+        "iterations": out.iterations,
+        "fallbacks": sum(out.trace.eps_fallback),
+        "res2": float.hex(float(out.res2)),
+        "omega": float.hex(float(out.omega)),
+        "x": [float.hex(float(v)) for v in out.x],
+    }
+
+
 def run_corpus() -> list[dict]:
-    records = []
+    return [solve_record(*case) for case in cases()]
+
+
+@functools.lru_cache(maxsize=1)  # consecutive cases share a tensor
+def other_storage(T):
+    """T in the other storage, or None if its dense copy would exceed
+    DENSE_COPY_MAX_BYTES."""
+    if isinstance(T, DenseTensor):
+        return SparseTensor.from_entries(T.order, T.dim, entries(T))
+    return DenseTensor.from_sparse(T) if 8 * T.dim**T.order <= DENSE_COPY_MAX_BYTES else None
+
+
+def run_cross() -> tuple[list[tuple[dict, dict, float]], int]:
+    """(record, record of the other storage, alpha) for every case that has
+    both, and the number of cases skipped."""
+    pairs, skipped = [], 0
     for case, T, b, cfg in cases():
-        out = solve(T, b, None, cfg)
-        records.append({
-            "case": case,
-            "status": out.status.value,
-            "iterations": out.iterations,
-            "fallbacks": sum(out.trace.eps_fallback),
-            "res2": float.hex(float(out.res2)),
-            "omega": float.hex(float(out.omega)),
-            "x": [float.hex(float(v)) for v in out.x],
-        })
-    return records
+        other = other_storage(T)
+        if other is None:
+            skipped += 1
+        else:
+            pairs.append((solve_record(case, T, b, cfg), solve_record(case, other, b, cfg), cfg.alpha))
+    return pairs, skipped
+
+
+def judge_cross(pairs, skipped: int) -> int:
+    """Print the failing pairs and the summary line; the exit status (see
+    the module docstring)."""
+    failed = identical = not_judged = 0
+    judged_move = other_move = 0.0
+    for a, b, alpha in pairs:
+        move = _relative_move(a["x"], b["x"])
+        identical += a["x"] == b["x"]
+        run = (a["status"], a["iterations"], a["fallbacks"])
+        if run != (b["status"], b["iterations"], b["fallbacks"]):
+            failed += 1
+            print(f"changed {a['case']}: status, iterations, fallbacks {run} -> "
+                  f"{(b['status'], b['iterations'], b['fallbacks'])}")
+        elif a["status"] == "Converged" or alpha <= 1.0:
+            judged_move = max(judged_move, move)
+            if move > CROSS_X_TOL:
+                failed += 1
+                print(f"x {a['case']}: relative move {move:.3g}")
+        else:
+            not_judged += 1
+            other_move = max(other_move, move)
+    print(f"cross: {len(pairs)} pairs, {failed} failed, {identical} bit-identical in x, "
+          f"largest judged x move {judged_move:.3g}; {not_judged} alpha > 1 runs not converged, "
+          f"not judged (largest x move {other_move:.3g}); {skipped} skipped (dense copy too large)")
+    return 1 if failed else 0
 
 
 def _relative_move(base: list[str], new: list[str]) -> float:
@@ -140,9 +206,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="write the run's records to this JSON-lines file")
     parser.add_argument("--against", help="compare the run with this JSON-lines file")
+    parser.add_argument("--cross", action="store_true", help="compare dense with COO storage")
     args = parser.parse_args(argv)
+    if args.cross:
+        if args.out or args.against:
+            parser.error("--cross takes neither --out nor --against")
+        return judge_cross(*run_cross())
     if not (args.out or args.against):
-        parser.error("give --out, --against or both")
+        parser.error("give --out, --against or both, or --cross")
     base = read_records(args.against) if args.against else None
     records = run_corpus()
     if args.out:
