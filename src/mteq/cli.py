@@ -4,7 +4,6 @@ systems, and run seeded benchmark sweeps with CSV output."""
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 import time
 
@@ -31,6 +30,7 @@ def rep_seed(seed: int, problem: str, n: int, rep: int) -> int:
     """Stable per-repetition seed, shared across methods and alpha values
     so sweeps compare the same instances; keyed by the problem id as
     `problems.generate` resolves it, so '1', 'p1' and 'P1' agree."""
+    import hashlib  # here, not at module level: hashlib loads OpenSSL
     digest = hashlib.blake2b(
         f"{seed}:{problems._problem_key(problem)}:{n}:{rep}".encode(), digest_size=8
     ).digest()

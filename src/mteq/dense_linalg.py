@@ -2,22 +2,33 @@
 
 A majorization matrix that is not diagonal is factored once per run
 (`dgetrf`); each iteration then costs one `dgetrs` (or, for the
-Gauss-Seidel / SOR splitting, one `dtrtrs`) call, O(n^2).  The LAPACK routines are bound
-once at import and called without scipy's per-call argument validation,
-so the inputs are checked here: once when factoring, and for shape only
-when solving.  A non-finite right side is not rejected; it gives a
-non-finite solution, which the solver loop reports.
+Gauss-Seidel / SOR splitting, one `dtrtrs`) call, O(n^2).  The LAPACK
+routines are bound on first use: importing `scipy.linalg` costs about
+28 MB and 0.3 s, which only a run that factors or splits a dense M pays,
+so a run with a diagonal M never loads it.  They are called without
+scipy's per-call argument validation, so the inputs are checked here:
+once when factoring, and for shape only when solving.  A non-finite
+right side is not rejected; it gives a non-finite solution, which the
+solver loop reports.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs, dtrtrs
 
 from .errors import SingularMatrix
 
 # A pivot below this fraction of the matrix magnitude flags singularity.
 PIVOT_TOL = 1e-14
+
+
+@functools.cache
+def _lapack():
+    """scipy's LAPACK wrappers, imported once, on the first call."""
+    from scipy.linalg import lapack
+    return lapack
 
 
 def lu_factor(A) -> tuple[np.ndarray, np.ndarray]:
@@ -37,7 +48,7 @@ def lu_factor(A) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(A)):
         raise ValueError("lu_factor requires finite entries")
     threshold = PIVOT_TOL * max(np.abs(A).max(), 1e-300)
-    packed, ipiv, _ = dgetrf(A, overwrite_a=1)
+    packed, ipiv, _ = _lapack().dgetrf(A, overwrite_a=1)
     pivots = np.abs(np.diagonal(packed))
     small = np.flatnonzero(pivots < threshold)
     if small.size:
@@ -53,7 +64,7 @@ def lu_solve(lu, rhs) -> np.ndarray:
     n = packed.shape[0]
     if rhs.shape != (n,):
         raise ValueError(f"rhs length {rhs.shape} does not match dim {n}")
-    return dgetrs(packed, ipiv, rhs)[0]
+    return _lapack().dgetrs(packed, ipiv, rhs)[0]
 
 
 def lower_tri_solve(A, rhs) -> np.ndarray:
@@ -64,7 +75,7 @@ def lower_tri_solve(A, rhs) -> np.ndarray:
     a diagonal entry is exactly zero.
     """
     A = np.asarray(A, dtype=np.float64)
-    y, info = dtrtrs(A.T, np.asarray(rhs, dtype=np.float64), lower=0, trans=1)
+    y, info = _lapack().dtrtrs(A.T, np.asarray(rhs, dtype=np.float64), lower=0, trans=1)
     if info > 0:
         raise SingularMatrix("lower triangular solve with a zero diagonal entry")
     return y

@@ -29,6 +29,16 @@ class TestRepSeed:
     def test_nonnegative(self):
         assert all(cli.rep_seed(s, "4", 7, r) >= 0 for s in range(5) for r in range(5))
 
+    @pytest.mark.parametrize("args, value", [
+        ((0, "1", 10, 0), 4730650220223680962),
+        ((7, "1", 40, 0), 6164040071095750097),
+        ((0, "4", 7, 3), 1985760406903660698),
+        ((0, "ex22", 2, 1), 192583469245762436),
+    ])
+    def test_pinned_values(self, args, value):
+        # the systems `mteq bench` draws: a change of hash or key changes them all
+        assert cli.rep_seed(*args) == value
+
 
 class TestGen:
     def test_writes_instance_files(self, tmp_path, capsys):

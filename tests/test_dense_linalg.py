@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgetrf, dgetrs, dtrtrs
 
 from mteq import (
     SingularMatrix,
@@ -171,3 +172,22 @@ class TestLapackPath:
         np.testing.assert_array_equal(
             lower_tri_solve(P, F), solve_triangular(P, F, lower=True)
         )
+
+
+class TestLapackBinding:
+    """The kernel is scipy's LAPACK wrappers called as they are, not
+    `scipy.linalg.lu_factor` or `numpy.linalg`: each result equals the
+    direct `dgetrf` / `dgetrs` / `dtrtrs` call bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 51))
+    def test_bit_identical_to_direct_lapack_calls(self, n):
+        A = _mmatrix(n, seed=n, margin=0.05)
+        b = np.random.default_rng(n + 100).normal(size=n)
+        packed, ipiv, info = dgetrf(A)
+        assert info == 0
+        lu = lu_factor(A)
+        np.testing.assert_array_equal(lu[0], packed)
+        np.testing.assert_array_equal(lu[1], ipiv)
+        np.testing.assert_array_equal(lu_solve(lu, b), dgetrs(packed, ipiv, b)[0])
+        # the lower triangle solved through its transpose, as documented
+        np.testing.assert_array_equal(lower_tri_solve(A, b), dtrtrs(A.T, b, lower=0, trans=1)[0])
