@@ -17,8 +17,9 @@ class NegativePowerRHS(MteqError, ValueError):
 
 
 class SingularMatrix(MteqError, ArithmeticError):
-    """A pivot fell below the singularity threshold during factorization,
-    or a triangular or diagonal solve met a zero diagonal entry."""
+    """The majorization matrix M cannot be inverted, or its reciprocal
+    condition number is below solvers.RCOND_TOL; or a diagonal M, or the
+    lower splitting part of M, has a zero diagonal entry."""
 
 
 class NotZTensor(MteqError, ValueError):

@@ -7,7 +7,10 @@ Gauss-Seidel / SOR splittings (Li, Xie & Xu, Numer. Linear Algebra Appl.,
 correction built from r(x) = (T x^{m-1} - (m-1) M x^[m-1]) / (m-1).  Each
 method's math exists once, in `Stepper`, which solve() drives: it is the
 only code that evaluates anything on T during a run (the start, every
-step and the backward error).
+step and the backward error).  The matrix a method solves with does not
+change during a run, so `_prepared_solve` inverts it once and each
+iteration costs one matrix-vector product, or a division where M is
+diagonal.
 
 From a feasible start (x0 in S = {x >= 0 : F(x) <= 0}) with alpha in
 (0, 1], the iterates increase monotonically and stay in S; the driver
@@ -24,8 +27,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import dense_linalg
-from .dense_linalg import lower_tri_solve, lu_solve
 from .errors import NegativePowerRHS, SingularMatrix
 from .tensor_core import (
     Tensor,
@@ -52,6 +53,10 @@ AUDIT_TOL = 1e-12
 # alone is met by an x that resolves only the rows with the largest entries
 # of b.
 OMEGA_TOL = 1e-5
+
+# M is singular when its 1-norm reciprocal condition number
+# 1 / (||M||_1 ||M^-1||_1) is below RCOND_TOL, or when numpy cannot invert it.
+RCOND_TOL = 1e-14
 
 # ndarray.max/min wrap the ufunc reduction in Python code that costs about
 # as much as the reduction itself on the loop's length-n vectors.
@@ -91,6 +96,8 @@ class SolveConfig:
             value, count = getattr(self, name), name == "max_iter"
             if not _is_number(type(value), count):
                 raise ValueError(f"{name} must be {'an integer' if count else 'a number'}, got {value!r}")
+            # stored as a plain float or int: a Fraction or np.float32 would change the loop's dtype
+            object.__setattr__(self, name, int(value) if count else float(value))
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError("alpha must lie in (0, 2]")
         if self.method == "sor" and not 0.0 < self.omega < 2.0:
@@ -172,7 +179,7 @@ class Stepper:
     majorization matrix of T.
 
     Every method updates x^[m-1] <- x^[m-1] - delta(F(x)), where delta solves
-    with a matrix fixed for the run, prepared once by `_prepared_solve`:
+    with a matrix fixed for the run, inverted once by `_prepared_solve`:
     alpha M^{-1} F (smeqm, anewton), alpha F / diag(M) (jacobi, and every
     method where M is diagonal), or alpha omega P^{-1} F with P the lower
     splitting part of M (gs, sor; gs is sor at omega = 1).
@@ -199,7 +206,7 @@ class Stepper:
         # No closure holds self, so a finished Stepper is freed at once.
         self.solve, self.product = _prepared_solve(method, T, omega)
         solve_with, c = self.solve, alpha * omega if method == "sor" else alpha
-        # jacobi divides alpha F, the others scale the solve: a diagonal M rounds as dgetrs and dtrtrs.
+        # jacobi divides alpha F, the others scale the solve: each order keeps its method's rounding.
         self.delta = ((lambda F: solve_with(alpha * F)) if method == "jacobi"
                       else (lambda F: c * solve_with(F)))
 
@@ -252,8 +259,10 @@ def _prepared_solve(method, T: Tensor, omega=1.0):
     """(solve, product), prepared once: solve(v) = A^{-1} v for the matrix A
     that `method` solves with, and product(v) = M v.  jacobi, and every
     method where M is diagonal, divide by d = diagonal(T), singular only at
-    a zero d_i, and build no n x n array.  Else smeqm and anewton LU-factor
-    M, and gs and sor solve with P = diag(d) + omega tril(M, -1), omega 1 for gs."""
+    a zero d_i, and build no n x n array.  Else smeqm and anewton invert M,
+    a nonsingular M-matrix when T is a strong M-tensor, so M^{-1} >= 0, and
+    gs and sor invert P = diag(d) + omega tril(M, -1), omega 1 for gs, and
+    keep the lower triangle of the result; each step is then one product."""
     d = diagonal(T)
     diag = method == "jacobi" or _majorization_is_diagonal(T)
     if (diag or method in ("gs", "sor")) and np.any(d == 0.0):
@@ -263,9 +272,17 @@ def _prepared_solve(method, T: Tensor, omega=1.0):
     M = majorization(T)
     if method in ("gs", "sor"):
         P = np.tril(M, -1) * (omega if method == "sor" else 1.0) + np.diag(d)
-        return (lambda v: lower_tri_solve(P, v)), None
-    lu = dense_linalg.lu_factor(M)  # looked up on the module, where perfbench wraps it
-    return (lambda v: lu_solve(lu, v)), (lambda v: M @ v)
+        Pinv = np.tril(np.linalg.inv(P))
+        return (lambda v: Pinv @ v), None
+    with np.errstate(all="ignore"):  # a 1-norm that overflows gives rcond 0
+        try:
+            Minv = np.linalg.inv(M)
+        except np.linalg.LinAlgError:
+            raise SingularMatrix("majorization matrix is singular") from None
+        rcond = 1.0 / (np.linalg.norm(M, 1) * np.linalg.norm(Minv, 1))
+    if not rcond >= RCOND_TOL:
+        raise SingularMatrix(f"majorization matrix has reciprocal condition {rcond:.3e} below {RCOND_TOL:g}")
+    return (lambda v: Minv @ v), (lambda v: M @ v)
 
 
 def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome:
@@ -296,7 +313,7 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
 
     w = system_scale(T, b) if cfg.scale else 1.0
     trace = IterationTrace()
-    # One factorization (or splitting) per run, reused every iteration.
+    # One inverse of M (or of its splitting) per run, reused every iteration.
     try:
         stepper = Stepper(cfg.method, T, b, cfg.alpha, cfg.omega, w)
     except SingularMatrix:

@@ -472,14 +472,16 @@ def dense_identity_minus(A: np.ndarray, s: float, out: np.ndarray | None = None)
 def row_sums(T: Tensor) -> np.ndarray:
     """Entry i is the sum of T(i, i2, ..., im) over all trailing indices.
 
-    COO rows are summed with math.fsum (correctly rounded), so the result
-    does not depend on the order of the stored entries.
+    Each row is summed with math.fsum (correctly rounded), so the result
+    depends neither on the order of the entries nor on the storage.
     """
     if isinstance(T, SparseTensor):
         # Entries are sorted, so each row is one contiguous run.
         starts = np.searchsorted(T.idx[:, 0], np.arange(1, T.dim))
-        return np.array([math.fsum(row) for row in np.split(T.vals, starts)])
-    return contract_full(T, np.ones(T.dim))
+        rows = np.split(T.vals, starts)
+    else:
+        rows = T.array.reshape(T.dim, -1)
+    return np.array([math.fsum(row.tolist()) for row in rows])
 
 
 def majorization(T: Tensor) -> np.ndarray:

@@ -1,9 +1,10 @@
-"""What a run loads.  scipy.linalg (LAPACK) is imported only by a run that
-factors or splits a dense M, and hashlib (OpenSSL) only by `rep_seed`.
+"""What a run loads.  No gen, solve or analyze run imports scipy.linalg
+(LAPACK through scipy, about 28 MB) or scipy.sparse: a dense M is inverted
+by numpy.  hashlib (OpenSSL) is imported only by `rep_seed`.
 
-This test process has loaded both already, so each check runs a script in a
-fresh interpreter that imports the mteq under test and prints, as its last
-line, a JSON value.
+This test process has loaded all of them already, so each check runs a
+script in a fresh interpreter that imports the mteq under test and prints,
+as its last line, a JSON value.
 """
 
 import json
@@ -33,7 +34,7 @@ def loaded_after(body, cwd):
     needs and leaves its results in a list `codes`."""
     script = body + (
         "\nimport json, sys"
-        "\nprint(json.dumps([codes, [m for m in ('scipy.linalg', '_hashlib') if m in sys.modules]]))"
+        "\nprint(json.dumps([codes, [m for m in ('scipy.linalg', 'scipy.sparse', '_hashlib') if m in sys.modules]]))"
     )
     return run_fresh(script, cwd)
 
@@ -58,12 +59,27 @@ codes.append(cli.main(['analyze', *files]))
     assert loaded == []
 
 
-def test_dense_solve_loads_lapack(tmp_path):
-    # positive control: ex22's M is dense, so it is factored
-    body = "from mteq import cli\ncodes = [cli.main(['solve', '--problem', 'ex22', '--x0', '1.5,2'])]"
+def test_dense_gen_solve_analyze_load_neither(tmp_path):
+    # ex22 and P1 have a dense M: smeqm and anewton invert M, gs and sor its lower part
+    body = """
+from mteq import cli
+from mteq.solvers import METHODS
+p1 = ['--problem', '1', '--n', '12', '--seed', '3']
+codes = [cli.main(['solve', '--problem', 'ex22', '--x0', '1.5,2'])]
+codes += [cli.main(['solve', *p1, '--method', m]) for m in METHODS]
+codes.append(cli.main(['gen', '--problem', '1', '--n', '6', '--out', 'p1']))
+codes.append(cli.main(['analyze', '--tensor', 'p1.tensor.json', '--rhs', 'p1.rhs.txt', '--power']))
+"""
     codes, loaded = loaded_after(body, tmp_path)
-    assert codes == [0]
-    assert "scipy.linalg" in loaded
+    assert codes == [0] * (len(METHODS) + 3)
+    assert "scipy.linalg" not in loaded and "scipy.sparse" not in loaded  # P1's seeds go through rep_seed
+
+
+def test_scipy_import_is_seen(tmp_path):
+    # positive control for the scipy checks: a script that imports them itself
+    body = "import scipy.linalg, scipy.sparse\ncodes = []"
+    codes, loaded = loaded_after(body, tmp_path)
+    assert loaded[:2] == ["scipy.linalg", "scipy.sparse"]
 
 
 def test_rep_seed_loads_hashlib(tmp_path):
@@ -76,12 +92,13 @@ def test_rep_seed_loads_hashlib(tmp_path):
 @pytest.mark.parametrize("method, digest", [
     ("smeqm", "676b8cea4d330cb7d43eba11c85d183bdbc9735c879b9fd18ab1f80e01466bc6"),
     ("gs", "c6ef3d534803001b417f236224e46bafb3462224a678d57a5b4a113f4e00e872"),
-    ("anewton", "8d2d88afc850d440b5f19bdc4b7d0a1d41134c72490969f2f770c67fd81e468b"),
+    ("anewton", "55a3bcb86b865c9717a93fe3856ec66027967f4e70d819f15ab39694c02bf687"),
 ])
 def test_first_use_lapack_gives_pinned_solution(tmp_path, method, digest):
-    # P1 has a dense M, so this solve is where a fresh process loads LAPACK.
-    # The digests are of x as LAPACK bound at import gave it (OpenBLAS,
-    # numpy 2.4, scipy 1.17).
+    # P1 has a dense M, so this solve is a fresh process's first use of
+    # LAPACK, through numpy.linalg.inv.  The digests are of x as numpy 2.4
+    # with its OpenBLAS gives it; anewton's moved in the last bits when its
+    # LU solve gave way to the inverse, smeqm's and gs's did not.
     script = f"""
 import hashlib, json
 from mteq import SolveConfig, gen_problem1, solve

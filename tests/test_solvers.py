@@ -132,6 +132,13 @@ class TestSolveConfig:
         assert (out.status, out.iterations) == (ref.status, ref.iterations)
         assert out.x.tobytes() == ref.x.tobytes()
 
+    def test_numbers_are_stored_as_float_or_int(self):
+        # a Fraction alpha would otherwise make every array of the loop dtype=object
+        cfg = SolveConfig(method="sor", alpha=Fraction(1, 2), omega=np.float32(1.5),
+                          eta=Fraction(1, 10**8), max_iter=np.int64(5))
+        assert [type(v) for v in (cfg.alpha, cfg.omega, cfg.eta, cfg.max_iter)] == [float, float, float, int]
+        assert (cfg.alpha, cfg.omega, cfg.eta, cfg.max_iter) == (0.5, 1.5, 1e-8, 5)
+
 
 class TestStepFunctions:
     def test_smeqm_first_step_on_ex21(self):
@@ -462,7 +469,7 @@ class TestSolveBehaviour:
         assert np.isnan(out.res2) and np.isnan(out.omega)
 
     # M = T has a zero diagonal entry but is nonsingular: the splittings
-    # cannot divide by it, while smeqm factors M and runs.
+    # cannot divide by it, while smeqm inverts M and runs.
     ZERO_DIAGONAL = DenseTensor(np.array([[0.0, -1.0], [-1.0, 2.0]]))
 
     @pytest.mark.parametrize("method", ["jacobi", "gs", "sor"])

@@ -110,6 +110,17 @@ class TestPrimitivesAgree:
         assert cc.row_sum_bound == pytest.approx(cd.row_sum_bound, rel=RTOL, abs=RTOL)
         assert cc.verdict is cd.verdict
 
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(3, 4), n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_row_sums_do_not_depend_on_the_storage(self, m, n, seed):
+        # a unit diagonal and off-diagonal entries -U(0, 1) / 3: both storages
+        # sum each row correctly rounded, so the bound, and a tie with s, agree
+        arr = -np.random.default_rng(seed).random((n,) * m) / 3.0
+        arr[(np.arange(n),) * m] = 1.0
+        Td, Tc = both_storages(arr)
+        np.testing.assert_array_equal(row_sums(Tc), row_sums(Td))
+        assert mtensor_certificate(Tc).row_sum_bound == mtensor_certificate(Td).row_sum_bound
+
     @pytest.mark.parametrize("fill, expected", [(0.0, 0.0), (-1.0, -1.0)])
     def test_offdiagonal_max_counts_unlisted_zeros(self, fill, expected):
         # one listed off-diagonal entry, -1; the others are `fill`, and
