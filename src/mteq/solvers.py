@@ -77,9 +77,10 @@ class SolveConfig:
 
     alpha in (0, 1] is covered by the monotone convergence theory; values
     in (1, 2] are admitted as experimental and flagged in the outcome.
-    omega is the SOR relaxation factor (ignored elsewhere); eta is the
-    stopping tolerance on the 2-norm of F / w, with w the system's largest
-    absolute entry (1 when scale is False).
+    omega is the SOR relaxation factor; every other method steps at
+    omega = 1, so gs is sor at omega = 1.  eta is the stopping tolerance on
+    the 2-norm of F / w, with w the system's largest absolute entry (1 when
+    scale is False).
     """
 
     method: str = "smeqm"
@@ -178,13 +179,14 @@ class Stepper:
     """One method's iteration on a fixed system T x^{m-1} = b, with M the
     majorization matrix of T.
 
-    Every method updates x^[m-1] <- x^[m-1] - delta(F(x)), where delta solves
-    with a matrix fixed for the run, inverted once by `_prepared_solve`:
-    alpha M^{-1} F (smeqm, anewton), alpha F / diag(M) (jacobi, and every
-    method where M is diagonal), or alpha omega P^{-1} F with P the lower
-    splitting part of M (gs, sor; gs is sor at omega = 1).
-    anewton first tries x^[m-1] + M^{-1}(-alpha F(x_k) - eps_k) and takes the
-    plain update if that candidate has an F entry above AUDIT_TOL * scale,
+    Every method takes the plain step x^[m-1] <- x^[m-1] - c A^{-1} F(x),
+    with c = alpha omega and A fixed for the run, inverted once by
+    `_prepared_solve`: A = M (smeqm, anewton), diag(M) (jacobi, and every
+    method where M is diagonal), or P, the lower splitting part of M (gs,
+    sor).  omega is 1 for every method but sor, so gs is sor at omega = 1,
+    and where M is diagonal smeqm, jacobi and gs take the same step.
+    anewton first tries x^[m-1] - M^{-1}(alpha F(x_k) + eps_k) and takes the
+    plain step if that candidate has an F entry above AUDIT_TOL * scale,
     with scale solve()'s w.  anewton's state is eps_k = min(-alpha F(x_k),
     r(x_k) - r(x_{k-1})), in eps, the difference taken from the step as
     (F_k - F_{k-1}) / (m-1) - M (x_k^[m-1] - x_{k-1}^[m-1]).
@@ -203,12 +205,9 @@ class Stepper:
         # and odd m-1 the real signed root is taken, so a step that
         # overshoots makes the iteration oscillate instead of aborting.
         self.signed_root = alpha > 1.0 and self.p % 2 == 1
-        # No closure holds self, so a finished Stepper is freed at once.
+        omega = omega if method == "sor" else 1.0  # gs is sor at omega = 1
         self.solve, self.product = _prepared_solve(method, T, omega)
-        solve_with, c = self.solve, alpha * omega if method == "sor" else alpha
-        # jacobi divides alpha F, the others scale the solve: each order keeps its method's rounding.
-        self.delta = ((lambda F: solve_with(alpha * F)) if method == "jacobi"
-                      else (lambda F: c * solve_with(F)))
+        self.c = alpha * omega
 
     def start(self, x0: np.ndarray):
         """Evaluate the start x0, a float64 vector of length n: returns
@@ -219,11 +218,11 @@ class Stepper:
 
     def step(self, xpow: np.ndarray, F: np.ndarray):
         if not self.newton:
-            return *self._advance(xpow - self.delta(F)), False
-        x_new, xpow_new, F_new, Fmax = self._advance(xpow + self.solve(-self.alpha * F - self.eps))
+            return *self._advance(xpow - self.c * self.solve(F)), False
+        x_new, xpow_new, F_new, Fmax = self._advance(xpow - self.solve(self.alpha * F + self.eps))
         fallback = bool(Fmax > self.accept_tol)
         if fallback:
-            x_new, xpow_new, F_new, Fmax = self._advance(xpow - self.delta(F))
+            x_new, xpow_new, F_new, Fmax = self._advance(xpow - self.c * self.solve(F))
         # eps_k, with r(x_k) - r(x_{k-1}) from the change in F and in x^[m-1]
         self.eps = np.minimum(-self.alpha * F_new, (F_new - F) / self.p - self.product(xpow_new - xpow))
         return x_new, xpow_new, F_new, Fmax, fallback
@@ -271,7 +270,7 @@ def _prepared_solve(method, T: Tensor, omega=1.0):
         return (lambda v: v / d), (lambda v: d * v)
     M = majorization(T)
     if method in ("gs", "sor"):
-        P = np.tril(M, -1) * (omega if method == "sor" else 1.0) + np.diag(d)
+        P = np.tril(M, -1) * omega + np.diag(d)
         Pinv = np.tril(np.linalg.inv(P))
         return (lambda v: Pinv @ v), None
     with np.errstate(all="ignore"):  # a 1-norm that overflows gives rcond 0

@@ -42,6 +42,16 @@ def test_four_counts_and_exit_on_status_change(capsys):
         "x of Converged cases 4.55e-13, res2 9.09e-13), 2 iteration changes, 1 status changes")
 
 
+def test_every_changed_case_is_named(capsys):
+    corpus.compare(BASE, NEW)
+    assert capsys.readouterr().out.splitlines()[:-1] == [
+        "rounding rounded: x 4.55e-13",
+        "iterations slower: 10 -> 11, fallbacks 0 -> 0",
+        "status failed: Converged -> MaxIterReached",
+        "iterations fell-back: 10 -> 10, fallbacks 0 -> 1",
+    ]
+
+
 def test_no_status_change_exits_zero(capsys):
     assert corpus.compare(BASE[:3], NEW[:3]) == 0
     assert summary(capsys).endswith("1 iteration changes, 0 status changes")

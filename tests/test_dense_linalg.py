@@ -7,9 +7,13 @@ or its 1-norm reciprocal condition number is below RCOND_TOL, and P when
 it has a zero diagonal entry.
 
 The classes keep the names of the LU and triangular-solve kernel that this
-rule replaced: each covers the behaviour of that kernel that still exists.
-scipy's LU and triangular solves are the reference.  Every matrix here is
-the M of an order-2 tensor, whose M is the tensor itself.
+rule replaced; each covers the behaviour of that kernel that still exists:
+TestLuFactor the inverse of M, TestLuSolve one step's product with it,
+TestLowerTriSolve gs's and sor's lower part P, TestLapackPath when M counts
+as singular and agreement with scipy, and TestLapackBinding the bits of
+numpy's inverse.  scipy's LU and triangular solves are the reference.
+Every matrix here is the M of an order-2 tensor, whose M is the tensor
+itself.
 """
 
 import numpy as np
@@ -30,7 +34,6 @@ from mteq import (
     solve,
 )
 from mteq.solvers import RCOND_TOL, _prepared_solve
-from mteq.tensor_core import scale_system
 
 EPS = np.finfo(np.float64).eps
 
@@ -186,8 +189,7 @@ class TestLapackPath:
     def test_diagonal_matrix_bit_identical_to_triangular_solves(self):
         # The diagonal M of P3 is solved by a division, which rounds as the
         # unit-lower then upper triangular solves of its LU factors.
-        inst = gen_problem3(50)
-        T = scale_system(inst.tensor, inst.rhs).tensor
+        T = gen_problem3(50).tensor
         M = majorization(T)
         assert np.count_nonzero(M - np.diag(np.diag(M))) == 0
         solve_with = _prepared_solve("smeqm", T)[0]
@@ -200,15 +202,14 @@ class TestLapackPath:
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("omega", [1.0, 1.3])
     def test_lower_tri_solve_bit_identical_on_gs_sor_matrix(self, seed, omega):
-        # P and F of the first gs / sor step on a scaled P1 instance: the
-        # prepared solve is tril(inv(P)) @ F bit for bit, and agrees with a
-        # forward substitution
+        # P and F of the first gs / sor step on a P1 instance, as solve()
+        # runs it: the prepared solve is tril(inv(P)) @ F bit for bit, and
+        # agrees with a forward substitution
         inst = gen_problem1(10, seed)
-        scaled = scale_system(inst.tensor, inst.rhs)
-        M = majorization(scaled.tensor)
-        F = residual(scaled.tensor, scaled.rhs, np.zeros(10))
+        M = majorization(inst.tensor)
+        F = residual(inst.tensor, inst.rhs, np.zeros(10))
         P = np.tril(M, -1) * omega + np.diag(np.diag(M))
-        y = _prepared_solve("sor" if omega != 1.0 else "gs", scaled.tensor, omega)[0](F)
+        y = _prepared_solve("sor" if omega != 1.0 else "gs", inst.tensor, omega)[0](F)
         np.testing.assert_array_equal(y, np.tril(np.linalg.inv(P)) @ F)
         assert_rounding_close(y, solve_triangular(P, F, lower=True), P)
 

@@ -18,7 +18,8 @@ anewton fallbacks, and res2, omega and x as float.hex strings, so two runs
 compare bit for bit.  The runner uses only the public API of mteq and, for
 --cross, `tensor_core.entries`, so it runs on any tree that has them.
 
---against prints one line per changed case and then four counts:
+--against prints one line per changed case, each named with its kind and
+the rounding-only ones with their relative move of x, and then four counts:
 bit-identical cases, rounding-only ones (same status, iterations and
 fallbacks; with the largest relative moves of x, over all of them and
 over the Converged ones, and of res2), iteration
@@ -183,6 +184,7 @@ def compare(base: list[dict], new: list[dict]) -> int:
         else:
             kind = "rounding"
             move = _relative_move(b["x"], r["x"])
+            print(f"rounding {r['case']}: x {move:.3g}")
             x_move = max(x_move, move)
             # the last iterate of a run that did not converge may lie anywhere
             if r["status"] == "Converged":
