@@ -170,10 +170,6 @@ class SolveOutcome:
     # if no residual was computed (SingularMatrix).
     omega: float = math.nan
 
-    @property
-    def converged(self) -> bool:
-        return self.status is Status.CONVERGED
-
 
 class Stepper:
     """One method's iteration on a fixed system T x^{m-1} = b, with M the

@@ -25,7 +25,6 @@ from .tensor_core import (
     elementwise_root,
     has_offmajor,
     identity_minus,
-    offdiagonal_max,
     row_sums,
     stored_values,
     system_scale,
@@ -63,8 +62,9 @@ class FeasibilityReport:
 
 
 def is_z_tensor(T: Tensor) -> bool:
-    """True iff every off-diagonal entry is <= 0."""
-    return offdiagonal_max(T) <= 0.0
+    """True iff every off-diagonal entry is <= 0, that is, iff every
+    positive stored entry is a diagonal one (unlisted COO entries are 0)."""
+    return bool(np.count_nonzero(stored_values(T) > 0) == np.count_nonzero(diagonal(T) > 0))
 
 
 def mtensor_certificate(T: Tensor, use_power_method: bool = False) -> MTensorCertificate:
@@ -72,15 +72,17 @@ def mtensor_certificate(T: Tensor, use_power_method: bool = False) -> MTensorCer
 
     Decomposes T = s*I - B with s the largest diagonal entry, the choice
     that minimizes the row-sum bound among decompositions with B >= 0.
+    Row i of B sums to s minus row i of T, so the bound is read from T's
+    own correctly rounded row sums; B is built only for the power
+    estimate.  The verdict compares s with the rounded bound, not the row
+    sums with 0: P3's interior rows sum to 2^-53, and 2 - 2^-53 rounds to
+    its s = 2, so P3 stays Unknown.
     """
     if not is_z_tensor(T):
         raise NotZTensor("tensor has a positive off-diagonal entry")
     s = float(diagonal(T).max())
-    B = identity_minus(T, s)
-    row_sum_bound = float(row_sums(B).max())
-    estimate = None
-    if use_power_method:
-        estimate = spectral_radius_estimate(B)
+    row_sum_bound = s - float(row_sums(T).min())
+    estimate = spectral_radius_estimate(identity_minus(T, s)) if use_power_method else None
     verdict = Verdict.STRONG_BY_ROW_SUM if s > row_sum_bound else Verdict.UNKNOWN
     return MTensorCertificate(s, row_sum_bound, estimate, verdict)
 

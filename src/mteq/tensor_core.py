@@ -432,22 +432,6 @@ def diagonal(T: Tensor) -> np.ndarray:
     return T.array[(i,) * T.order]
 
 
-def offdiagonal_max(T: Tensor) -> float:
-    """Largest entry outside the main diagonal (i, i, ..., i); -inf if none."""
-    if isinstance(T, SparseTensor):
-        off = T.vals[~_diagonal_mask(T)]
-        # Off-diagonal positions that are not listed hold zeros.
-        unlisted_zero = T.dim**T.order - T.dim > off.size
-        return float(off.max(initial=0.0 if unlisted_zero else -np.inf))
-    n = T.dim
-    if n < 2:
-        return -np.inf
-    # Diagonal entry i sits at flat position i*s, so row i of this view
-    # holds the s - 1 off-diagonal entries that follow it.
-    s = (n**T.order - 1) // (n - 1)
-    return float(T.array.ravel()[:-1].reshape(n - 1, s)[:, 1:].max())
-
-
 def identity_minus(T: Tensor, s: float) -> Tensor:
     """s*I - T, in the storage of T.  The dense result is 0.0 - T with s
     added on the diagonal, so a zero entry of T gives +0.0."""

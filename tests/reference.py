@@ -46,6 +46,12 @@ def semi_symmetrize(T):
     return DenseTensor(reference_permutation_mean(dense_array(T), 1))
 
 
+def jacobian(T, x):
+    """The Jacobian of T x^{m-1} at x, (m-1) sym(T) x^{m-2}, where sym
+    averages T over its trailing indices (`semi_symmetrize`)."""
+    return (T.order - 1) * dense_contract(semi_symmetrize(T).array, x, 2)
+
+
 def identity_tensor(m, n):
     """The tensor with ones on the main diagonal (i, i, ..., i) and zeros elsewhere."""
     return diagonal_tensor(m, np.ones(n))
@@ -57,6 +63,12 @@ def diagonal_tensor(m, d):
     i = np.arange(len(d))
     arr[(i,) * m] = d
     return DenseTensor(arr)
+
+
+def coo(arr):
+    """The dense array arr as a SparseTensor of its nonzeros."""
+    nonzero = arr != 0.0
+    return SparseTensor(arr.ndim, arr.shape[0], np.argwhere(nonzero), arr[nonzero])
 
 
 def dense_array(T):

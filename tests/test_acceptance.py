@@ -17,6 +17,7 @@ from mteq import (
     Existence,
     NotZTensor,
     SolveConfig,
+    Status,
     Verdict,
     contract_full,
     existence_sufficient,
@@ -99,7 +100,7 @@ def test_criterion_01_ex21_both_methods():
     for method in ("smeqm", "anewton"):
         cfg = SolveConfig(method=method, alpha=1.0, scale=False)
         out = solve(inst.tensor, inst.rhs, [0.8, 2.0], cfg)
-        assert out.converged and out.iterations <= 3000
+        assert out.status is Status.CONVERGED and out.iterations <= 3000
         assert np.abs(out.x - np.array([1.0, 2.0])).max() <= 1e-6
         assert out.trace.max_violation() <= 1e-12
     assert time.perf_counter() - t0 < 1.0
@@ -110,7 +111,7 @@ def test_criterion_02_ex22_solution_and_feasibility():
     inst = fixture("ex22")
     t0 = time.perf_counter()
     out = solve(inst.tensor, inst.rhs, [1.5, 2.0], SolveConfig(alpha=1.0))
-    assert out.converged
+    assert out.status is Status.CONVERGED
     assert np.abs(out.x - np.array([2.0, 2.0])).max() <= 1e-6
     assert not is_feasible_S(inst.tensor, inst.rhs, [0.0, 2.0]).in_S
     assert is_feasible_S(inst.tensor, inst.rhs, [1.5, 2.0]).in_S
@@ -141,7 +142,7 @@ def test_criterion_04_monotone_suite(bench_suite):
     for method in ("smeqm", "jacobi", "gs", "sor", "anewton"):
         for alpha in (0.5, 1.0):
             for out in bench_suite[(method, alpha)]:
-                assert out.converged and out.iterations <= 3000, (method, alpha)
+                assert out.status is Status.CONVERGED and out.iterations <= 3000, (method, alpha)
                 assert not out.infeasible_start
                 assert out.trace.max_violation() <= 1e-12, (method, alpha)
                 assert out.trace.max_feas_violation() <= 1e-12, (method, alpha)
@@ -176,7 +177,7 @@ def test_criterion_07_problem3_boundary_values():
         t0 = time.perf_counter()
         out = solve(inst.tensor, inst.rhs, None, SolveConfig(method=method))
         elapsed = time.perf_counter() - t0
-        assert out.converged, (n, method)
+        assert out.status is Status.CONVERGED, (n, method)
         assert out.trace.res2[-1] <= 1e-8
         assert np.all(out.x > 0.0)
         assert abs(out.x[0] - 6.37e6) <= 1e-6 * 6.37e6
@@ -200,7 +201,7 @@ def test_criterion_08_structured_solve_oracle():
         x_ref = solve_structured(T, b)
         for method in ("smeqm", "jacobi", "gs", "sor", "anewton"):
             out = solve(T, b, None, SolveConfig(method=method))
-            assert out.converged, (trial, method)
+            assert out.status is Status.CONVERGED, (trial, method)
             assert np.abs(out.x - x_ref).max() <= 1e-6, (trial, method)
 
 

@@ -331,10 +331,10 @@ class TestAnalyze:
         assert "verdict" not in out
 
     def test_z_tensor_question_asked_once(self, capsys, monkeypatch):
-        # each offdiagonal_max reads all n^m entries of a dense tensor
+        # each is_z_tensor reads all n^m entries of a dense tensor
         calls = []
-        offdiagonal_max = structure.offdiagonal_max
-        monkeypatch.setattr(structure, "offdiagonal_max", lambda T: calls.append(T) or offdiagonal_max(T))
+        is_z_tensor = structure.is_z_tensor
+        monkeypatch.setattr(structure, "is_z_tensor", lambda T: calls.append(T) or is_z_tensor(T))
         code, out = run(["analyze", "--problem", "1", "--n", "4"], capsys)
         assert code == 0 and "z_tensor: True" in out
         assert len(calls) == 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,21 @@ class TestCertificate:
         cert = mtensor_certificate(gen_problem3(10).tensor)
         assert cert.s == cert.row_sum_bound == 2.0
         assert cert.verdict is Verdict.UNKNOWN
+
+    @pytest.mark.parametrize("build", [lambda n: gen_problem1(n, 0), gen_problem2, lambda n: gen_problem4(n, 0)],
+                             ids=["P1", "P2", "P4"])
+    def test_dense_certificate_builds_no_copy_of_the_tensor(self, build):
+        # the bound is read from T's own row sums, not from s*I - T; what
+        # is left is the Z-test's n^m booleans and one row as Python floats
+        T = build(20).tensor
+        assert isinstance(T, DenseTensor)
+        tracemalloc.start()
+        try:
+            mtensor_certificate(T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * T.array.nbytes
 
     def test_power_estimate_requested(self):
         cert = mtensor_certificate(gen_problem1(5, 0).tensor, use_power_method=True)

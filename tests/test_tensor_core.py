@@ -13,9 +13,11 @@ from mteq import (
     DenseTensor,
     NegativePowerRHS,
     SolveConfig,
+    Status,
     contract_full,
     elementwise_root,
     fixture,
+    is_z_tensor,
     majorization,
     residual,
     solve,
@@ -34,14 +36,15 @@ from mteq.tensor_core import (
     has_offmajor,
     identity_minus,
     magnitudes,
-    offdiagonal_max,
     permutation_mean,
     scale_system,
 )
 from reference import (
+    coo,
     dense_contract,
     gathered_products,
     identity_tensor,
+    jacobian,
     reference_permutation_mean,
     semi_symmetrize,
 )
@@ -163,19 +166,19 @@ class TestPackedContraction:
         # the first step, and the tensor keeps the packing for the next run
         inst = gen_problem1(6, 0)
         out = solve(inst.tensor, inst.rhs, None, SolveConfig(method=first))
-        assert out.converged and out.iterations > 1
+        assert out.status is Status.CONVERGED and out.iterations > 1
         packs = [T for kind, T in events if kind == "pack"]
         assert len(packs) == 1 and packs[0] is inst.tensor and events[0][0] == "pack"
         P = inst.tensor.packed
         events.clear()
-        assert solve(inst.tensor, inst.rhs, None, SolveConfig(method=second)).converged
+        assert solve(inst.tensor, inst.rhs, None, SolveConfig(method=second)).status is Status.CONVERGED
         assert all(kind == "step" for kind, _ in events)
         assert inst.tensor.packed is P
 
     def test_solve_uses_the_packing_a_tensor_holds(self, events):
         inst = gen_problem1(6, 0)
         P = inst.tensor.packed
-        assert solve(inst.tensor, inst.rhs, None, SolveConfig(method="anewton")).converged
+        assert solve(inst.tensor, inst.rhs, None, SolveConfig(method="anewton")).status is Status.CONVERGED
         assert [kind for kind, _ in events if kind == "pack"] == ["pack"]
         assert inst.tensor.packed is P
 
@@ -187,7 +190,7 @@ class TestPackedContraction:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.converged
+        assert out.status is Status.CONVERGED
         assert peak < inst.tensor.array.nbytes
 
     def test_repeat_solve_reads_only_the_packing_and_majorization(self):
@@ -219,7 +222,7 @@ class TestPackedContraction:
     def test_coo_solve_never_packs(self, events):
         inst = gen_problem3(10)
         assert isinstance(inst.tensor, SparseTensor)
-        assert solve(inst.tensor, inst.rhs, None, SolveConfig(method="anewton")).converged
+        assert solve(inst.tensor, inst.rhs, None, SolveConfig(method="anewton")).status is Status.CONVERGED
         assert all(kind == "step" for kind, _ in events)
 
     def test_order_two_packs_the_array_itself(self):
@@ -318,11 +321,6 @@ def offmajor_by_copy(arr) -> bool:
     off = arr.copy()
     off[(slice(None),) + (np.arange(arr.shape[0]),) * (arr.ndim - 1)] = 0.0
     return bool(np.any(off != 0.0))
-
-
-def coo(arr) -> SparseTensor:
-    nonzero = arr != 0.0
-    return SparseTensor(arr.ndim, arr.shape[0], np.argwhere(nonzero), arr[nonzero])
 
 
 class TestHasOffmajor:
@@ -460,16 +458,24 @@ class TestPermutationMean:
 
 
 class TestOffdiagonalMax:
+    """is_z_tensor against its definition: the largest off-diagonal entry,
+    read from a copy with the diagonal masked, is <= 0."""
+
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
     def test_equals_masked_copy(self, m, n):
+        # each array as drawn, a Z-tensor only at n = 1, and with every
+        # off-diagonal entry made -|A|, a Z-tensor
         rng = np.random.default_rng([m, n])
-        A = rng.uniform(-1.0, 1.0, size=(n,) * m)
+        drawn = rng.uniform(-1.0, 1.0, size=(n,) * m)
         i = np.arange(n)
-        A[(i,) * m] = 2.0  # above every off-diagonal entry
-        ref = A.copy()
-        ref[(i,) * m] = -np.inf
-        assert offdiagonal_max(DenseTensor(A)) == ref.max()
+        for A in (drawn, -np.abs(drawn)):
+            A[(i,) * m] = 2.0  # above every off-diagonal entry
+            ref = A.copy()
+            ref[(i,) * m] = -np.inf
+            expected = bool(ref.max() <= 0.0)
+            assert is_z_tensor(DenseTensor(A)) is is_z_tensor(coo(A)) is expected
+            assert expected is (n == 1 or A is not drawn)
 
 
 class TestSemiSymmetrize:
@@ -494,9 +500,9 @@ class TestSemiSymmetrize:
 
     def test_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(11)
-        T = semi_symmetrize(random_tensor(rng, 4, 4))
+        T = random_tensor(rng, 4, 4)
         x = rng.uniform(0.5, 1.5, 4)
-        jac = (T.order - 1) * dense_contract(T.array, x, 2)
+        jac = jacobian(T, x)
         fd = np.empty_like(jac)
         for i in range(4):
             h = 1e-6 * (1.0 + abs(x[i]))
