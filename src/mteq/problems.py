@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_core import DenseTensor, SparseTensor, Tensor, cheaper_storage, dense_identity_minus, permutation_mean
+from .tensor_core import DenseTensor, SparseTensor, Tensor, cheaper_storage, permutation_mean
 
 GRAVITATIONAL_CONSTANT = 6.67e-11
 EARTH_MASS = 5.98e24
@@ -39,13 +39,19 @@ def _rng(problem: str, n: int, seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([code, n, seed])))
 
 
-def _shifted_identity_minus(B: np.ndarray) -> DenseTensor:
-    """s*I - B with s = 1.01 * max row sum of B; a strong M-tensor.
+def _identity_minus(B: np.ndarray, s: float) -> DenseTensor:
+    """The dense tensor s*I - B, as 0.0 - B with s added on the diagonal.
 
     Built in place: B is a fresh array of the caller's and is overwritten.
     """
-    s = 1.01 * B.reshape(B.shape[0], -1).sum(axis=1).max()
-    return dense_identity_minus(B, s, out=B)
+    np.subtract(0.0, B, out=B)
+    B[(np.arange(B.shape[0]),) * B.ndim] += s
+    return DenseTensor(B)
+
+
+def _shifted_identity_minus(B: np.ndarray) -> DenseTensor:
+    """s*I - B with s = 1.01 * max row sum of B; a strong M-tensor."""
+    return _identity_minus(B, 1.01 * B.reshape(B.shape[0], -1).sum(axis=1).max())
 
 
 def gen_problem1(n: int, seed: int) -> ProblemInstance:
@@ -79,7 +85,7 @@ def gen_problem2(n: int) -> ProblemInstance:
     )
     np.sin(B, out=B)
     np.abs(B, out=B)
-    tensor = dense_identity_minus(B, float(n) ** 3, out=B)
+    tensor = _identity_minus(B, float(n) ** 3)
     rhs = _rng("P2", n, 0).random(n)
     return ProblemInstance(tensor, rhs, "P2", n, seed=0)
 

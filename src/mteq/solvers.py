@@ -290,14 +290,13 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
     ||F(x_k)||_2 / w <= eta and its componentwise backward error
     omega(x_k) <= OMEGA_TOL; omega is computed only once the first test
     holds, and the outcome reports it for the returned x.  A dense T is
-    packed on the run's first contraction, and T keeps the packing, as
-    after any contraction.  An infeasible start is reported in the
-    outcome but iteration proceeds with the monotonicity audit disabled.
-    A step that yields an inf or NaN ends the run with Status.NON_FINITE;
-    x and the iteration count are then those of the last finite iterate.
-    A residual whose entries are finite but whose 2-norm overflows keeps
-    iterating.  Overflow on the way there is reported by the status, not
-    by numpy warnings.
+    contracted through the packed matrix it holds.  An infeasible start is
+    reported in the outcome but iteration proceeds with the monotonicity
+    audit disabled.  A step that yields an inf or NaN ends the run with
+    Status.NON_FINITE; x and the iteration count are then those of the
+    last finite iterate.  A residual whose entries are finite but whose
+    2-norm overflows keeps iterating.  Overflow on the way there is
+    reported by the status, not by numpy warnings.
     """
     cfg = cfg or SolveConfig()
     n = T.dim

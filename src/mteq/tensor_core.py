@@ -1,10 +1,10 @@
 """Tensor storage and the contraction primitives used by every solver.
 
-A tensor of order m and dimension n is stored either densely, as a numpy
-array of shape (n,) * m (`DenseTensor`), or in coordinate form, as the list
-of its nonzero entries (`SparseTensor`).  Every tensor built from entries
-is stored as `cheaper_storage` picks; every primitive here accepts both, a
-primitive that returns a tensor returns it in the storage of its input, and
+A tensor of order m and dimension n is stored either densely, as its packed
+matrix (`DenseTensor`), or in coordinate form, as the list of its nonzero
+entries (`SparseTensor`).  Every tensor built from entries is stored as
+`cheaper_storage` picks; every primitive here accepts both, a primitive
+that returns a tensor returns it in the storage of its input, and
 `majorization` returns a dense n x n array for either, which no solve
 builds for a COO tensor whose M is diagonal (`_majorization_is_diagonal`).
 The one contraction is T x^{m-1}, with one kernel per storage.
@@ -12,15 +12,14 @@ Indices are 1-based in external formats and 0-based internally.  All
 operations here are pure functions over immutable inputs.
 
 T x^{m-1} depends on T only through the sums of T(i, ...) over the
-orderings of each trailing multi-index.  A dense tensor therefore computes
-it from its packed matrix `DenseTensor.packed`: n x C(n+m-2, m-1), one
-column per sorted trailing multi-index holding those sums, about (m-1)!
-times fewer entries than n^m.  It is built on the first such contraction
-and kept by the tensor, as a COO tensor keeps its index columns.  This is
-the packed symmetric storage of Schatz, Low, van de Geijn & Kolda,
-"Exploiting symmetry in tensors for high performance" (SIAM J. Sci.
-Comput., 2014), applied to the trailing modes; it holds for every tensor,
-symmetric or not.
+orderings of each trailing multi-index.  A dense tensor is therefore kept
+as its packed matrix `DenseTensor.packed`: n x C(n+m-2, m-1), one column
+per sorted trailing multi-index holding those sums, about (m-1)! times
+fewer entries than n^m, and no n^m array.  This is the packed symmetric
+storage of Schatz, Low, van de Geijn & Kolda, "Exploiting symmetry in
+tensors for high performance" (SIAM J. Sci. Comput., 2014), applied to
+the trailing modes; it holds for every tensor, symmetric or not.  The
+structure tests read the packed sums in either storage (`packed_sums`).
 
 Each input is checked once, where it enters, and a tensor and a number
 only here: `_is_number` is the package's one rule for a scalar (also for
@@ -41,6 +40,7 @@ import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,62 +51,62 @@ from .errors import DimensionMismatch, NegativePowerRHS
 ROOT_CLAMP_TOL = 1e-14
 
 
-# Bytes of leading rows that permutation_mean symmetrizes, and _pack
-# packs, per block, so that a block and its buffers stay in a core's L2
-# cache.  Measured on a 2-core x86-64 VM (2 MiB L2 per core): n = 40,
-# m = 4, one 512 KB row per block, takes 88 ms against 181 ms for
-# whole-array passes; 64-512 KiB are within noise of each other for
-# m = 2..5 and n = 10..300, while 16 KiB pays per-block overhead (3x at
-# m = 2, n = 1000) and 2 MiB loses 25 % at n = 40.  Packing is within
-# noise from 32 KiB to 1 MiB, and 30-40 % faster than unblocked at n = 40,
-# m = 4 and n = 200, m = 3.  permutation_mean's blocks run on worker
-# threads, each worker with its own buffers.
+# Bytes of leading rows that permutation_mean symmetrizes per block, so
+# that a block and its buffers stay in a core's L2 cache.  Measured on a
+# 2-core x86-64 VM (2 MiB L2 per core): n = 40, m = 4, one 512 KB row per
+# block, takes 88 ms against 181 ms for whole-array passes; 64-512 KiB are
+# within noise of each other for m = 2..5 and n = 10..300, while 16 KiB
+# pays per-block overhead (3x at m = 2, n = 1000) and 2 MiB loses 25 % at
+# n = 40.  The blocks run on worker threads, each worker with its own
+# buffers.
 BLOCK_BYTES = 256 * 1024
 
 
-@dataclass(frozen=True, eq=False)
 class DenseTensor:
-    """Order-m, dimension-n real tensor with dense storage, read-only: the
-    input array is copied, so no other holder can change the tensor.
-    `max_abs` is its largest |entry|."""
+    """Order-m, dimension-n real tensor with dense storage, read-only.
 
-    array: np.ndarray
+    `DenseTensor(array)` checks the n^m array, packs it into `packed` (see
+    `_packing`) and keeps no reference to it; `max_abs` is the array's
+    largest |entry|.  One built from a packed matrix alone
+    (`identity_minus`) is the tensor of its packed records (`entries`), and
+    its `max_abs` is the largest |packed entry|.
+    """
 
-    def __post_init__(self):
-        self._hold(np.array(self.array, dtype=np.float64, order="C"))
+    __slots__ = ("order", "dim", "packed", "max_abs")
 
-    def _hold(self, arr: np.ndarray) -> None:
-        """Check arr and keep it, read-only, as self.array, with its largest
-        |entry| as self.max_abs."""
+    def __init__(self, array):
+        arr = np.asarray(array, dtype=np.float64)
         n = arr.shape[0] if arr.ndim else 0
         if any(s != n for s in arr.shape):
             raise ValueError("all tensor modes must have equal dimension")
-        _order_and_dim(arr.ndim, n)
+        order, dim = _order_and_dim(arr.ndim, n)
         max_abs = _max_abs(arr)
-        arr.flags.writeable = False
-        object.__setattr__(self, "array", arr)
-        object.__setattr__(self, "max_abs", max_abs)
+        layout = _packing(dim, order)
+        packed = np.empty((dim, layout.size))
+        for i in range(dim):  # one row at a time, so no n^m temporary is built
+            packed[i] = np.bincount(layout.column, weights=arr[i].reshape(-1), minlength=layout.size)
+        self._keep(order, packed, max_abs)
 
-    @property
-    def order(self) -> int:
-        return self.array.ndim
+    def _keep(self, order: int, packed: np.ndarray, max_abs: float) -> None:
+        packed.flags.writeable = False
+        for name, value in (("order", order), ("dim", packed.shape[0]), ("packed", packed), ("max_abs", max_abs)):
+            object.__setattr__(self, name, value)
 
-    @property
-    def dim(self) -> int:
-        return self.array.shape[0]
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a DenseTensor is read-only")
+
+    def __reduce__(self):
+        return _of_packed, (self.order, self.packed, self.max_abs)
 
     @classmethod
     def from_sparse(cls, T: "SparseTensor") -> "DenseTensor":
-        """The dense copy of a COO tensor, with n^m entries."""
-        arr = np.zeros((T.dim,) * T.order)
-        arr[tuple(T.idx.T)] = T.vals
-        return _adopt(arr)
-
-    @functools.cached_property
-    def packed(self) -> np.ndarray:
-        """The n x C(n+m-2, m-1) packed matrix that T x^{m-1} is computed
-        from (see `_pack`), built on first use and kept."""
-        return _pack(self)
+        """The dense copy of a COO tensor, packed from its entries with no
+        n^m array: each entry is binned at row * K + its packed column."""
+        layout = _packing(T.dim, T.order)
+        index = layout.column[np.ravel_multi_index(T.cols[1:], (T.dim,) * (T.order - 1))]
+        index += T.cols[0] * layout.size
+        packed = np.bincount(index, weights=T.vals, minlength=T.dim * layout.size)
+        return _of_packed(T.order, packed.reshape(T.dim, layout.size), T.max_abs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,30 +180,30 @@ class SparseTensor:
 Tensor = DenseTensor | SparseTensor
 
 
-def _adopt(arr: np.ndarray) -> DenseTensor:
-    """The DenseTensor of a new float64 C-order array that nothing else
-    holds, without the constructor's copy; the checks are the same."""
+def _of_packed(order: int, packed: np.ndarray, max_abs: float) -> DenseTensor:
+    """The DenseTensor of a new packed matrix that nothing else holds."""
     T = object.__new__(DenseTensor)
-    T._hold(arr)
+    T._keep(order, packed, max_abs)
     return T
 
 
-# COO is kept while COO_ENTRY_COST * nnz < n^m.  A COO contraction (numpy
-# gathers and a bincount) costs about as much per stored entry as the packed
-# dense one (one BLAS pass over n C(n+m-2, m-1) entries) does for 20-35 of
-# the n^m entries at m = 2, 55-80 at m = 3, 95-130 at m = 4 and 300-1000 at
-# m = 5, 6; per packed entry that is 10-40 throughout (2-core x86-64 VM,
-# OpenBLAS).  32 fits m = 2.  For m >= 3 it keeps COO also where dense would
-# contract up to that ratio / 32 times faster, since COO then stores at
-# least 32 / (m + 1) times fewer bytes; a value fitted to m = 4 would move
-# small P3 files (n = 6..8) to dense storage.
-COO_ENTRY_COST = 32
+# COO is kept while COO_ENTRY_COST * (nonzero packed sums) < n C(n+m-2, m-1).
+# A COO contraction (numpy gathers and a bincount) costs about as much per
+# stored entry as the packed dense one (one BLAS pass over P) does for 10-40
+# entries of P, for m = 2..6 (2-core x86-64 VM, OpenBLAS).  Both sides count
+# packed entries, so a tensor reads back from its file of packed records in
+# the storage it was written from.  Any value in [15.9, 24) keeps P3 dense
+# for n <= 5 and COO from n = 6 (11 and 14 sums against 175 and 336).
+COO_ENTRY_COST = 20
 
 
 def cheaper_storage(T: SparseTensor) -> Tensor:
     """T itself when a contraction over its stored entries costs less than
-    one over all n^m entries, else its dense copy."""
-    if COO_ENTRY_COST * T.vals.size < T.dim**T.order:
+    one over the packed matrix, else its dense copy.  No more packed sums
+    than stored entries are nonzero, so the entries are grouped into their
+    sums (`packed_sums`) only when the stored count cannot decide."""
+    size = T.dim * math.comb(T.dim + T.order - 2, T.order - 1)
+    if COO_ENTRY_COST * T.vals.size < size or COO_ENTRY_COST * np.count_nonzero(packed_sums(T)[0]) < size:
         return T
     return DenseTensor.from_sparse(T)
 
@@ -265,80 +265,78 @@ def _as_vector(x, n: int, name: str | None = None) -> np.ndarray:
 
 def entries(T: Tensor) -> list[tuple]:
     """The records (i1, ..., im, value), 1-based, that `from_entries` builds
-    T from: a COO tensor's stored entries, or a dense tensor's nonzeros in
-    C order, both in lexicographic index order."""
+    T from, in lexicographic index order: a COO tensor's stored entries, or
+    a dense tensor's packed records, one per nonzero packed sum P[i, u], at
+    (i, the sorted trailing multi-index of u).  Read back, the packed
+    records give T's packed matrix bit for bit, each sum being one entry."""
     if isinstance(T, SparseTensor):
         idx, vals = T.idx, T.vals
     else:
-        nonzero = T.array != 0.0
-        idx, vals = np.argwhere(nonzero), T.array[nonzero]
+        cols = _packing(T.dim, T.order).cols
+        lex = np.lexsort(cols[::-1])  # the columns in lexicographic order of their index
+        P = T.packed[:, lex]
+        row, k = np.nonzero(P)
+        idx, vals = np.column_stack((row, *(c[lex[k]] for c in cols))), P[row, k]
     # One tuple per entry, built column-wise.
     return list(zip(*(idx + 1).T.tolist(), vals.tolist()))
 
 
-def stored_values(T: Tensor) -> np.ndarray:
-    """The explicitly stored entries: all n^m of a dense tensor, the listed
-    ones of a COO tensor (whose unlisted entries are zero)."""
-    return T.vals if isinstance(T, SparseTensor) else T.array
+def packed_sums(T: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """T's packed sums as (vals, major, starts) in either storage: vals row
+    by row, row i from vals[starts[i]], and major marks the sums at
+    (i, j, ..., j).  A dense T gives its packed matrix, zeros included; a
+    COO T groups its entries by (row, sorted trailing multi-index) and bins
+    each group in increasing index from 0.0, as packing does, so both give
+    the same nonzero sums in every row."""
+    if isinstance(T, DenseTensor):
+        major = np.zeros(T.packed.shape[1], dtype=bool)
+        major[_packing(T.dim, T.order).major] = True
+        return T.packed.ravel(), np.tile(major, T.dim), np.arange(T.dim) * major.size
+    keys, vals = np.column_stack((T.cols[0], np.sort(T.idx[:, 1:], axis=1))), T.vals
+    if not np.array_equal(keys, T.idx):  # else each entry is its own sum, as in packed records
+        order = np.lexsort(keys.T[::-1])  # stable, so each group stays in increasing index
+        keys = keys[order]
+        first = np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)]
+        keys, vals = keys[first], np.bincount(np.cumsum(first) - 1, weights=vals[order])
+    return vals, keys[:, 1] == keys[:, -1], np.searchsorted(keys[:, 0], np.arange(T.dim))
+
+
+class _Layout(NamedTuple):
+    """The packed layout of an order-m, dimension-n tensor (`_packing`)."""
+
+    cols: tuple[np.ndarray, ...]
+    column: np.ndarray
+    major: np.ndarray
+    pairs: np.ndarray | None
+    size: int
 
 
 @functools.lru_cache(maxsize=16)
-def _packing(n: int, m: int) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """The packed layout of a dense order-m, dimension-n tensor, m >= 3:
-    (pairs, rest, gathers).
-
-    Packed column u stands for the sorted trailing multi-index
-    c0[u] <= ... <= c_{m-2}[u].  pairs[u] = c0[u] * n + c1[u] is the
-    position of x_{c0} x_{c1} in the flattened outer product x x^T, and
-    rest = (c2, ..., c_{m-2}).  Every trailing multi-index j (a column of
-    T.reshape(n, -1)) is one ordering of exactly one u; gathers[k][u] is
-    the k-th ordering of u in increasing j, so gathers[0] is u itself.
-    Columns are ordered by their number of orderings, most first, so the
-    columns that have a k-th ordering are the first len(gathers[k]).
-    """
+def _packing(n: int, m: int) -> _Layout:
+    """The packed layout of an order-m, dimension-n tensor: its `size`
+    columns stand for the sorted trailing multi-indices
+    cols[0][u] <= ... <= cols[m-2][u], most orderings first, then by index.
+    Packing adds the entry at trailing multi-index j (a column of the
+    n x n^{m-1} reshape) into column[j], in increasing j from 0.0, with one
+    np.bincount, the same bits from an array or from COO entries.  major[j]
+    is the column of (j, ..., j), so the diagonal and M are entries of P;
+    pairs[u] = cols[0][u] * n + cols[1][u] (m >= 3) indexes the flattened
+    x x^T.  column stays writeable: np.bincount copies a read-only index."""
     shape = (n,) * (m - 1)
     # The position j of each trailing multi-index's sorted copy.
     key = np.ravel_multi_index(np.sort(np.indices(shape, np.int32).reshape(m - 1, -1), axis=0), shape)
-    order = np.argsort(key, kind="stable")  # j grouped by u, increasing within a group
-    key = key[order]
-    start = np.flatnonzero(np.diff(key, prepend=-1))
-    count = np.diff(start, append=key.size)
+    key, column, count = np.unique(key, return_inverse=True, return_counts=True)
     by_count = np.argsort(-count, kind="stable")
-    start, count = start[by_count], count[by_count]
-    c0, c1, *rest = np.unravel_index(key[start], shape)
-    pairs, rest = c0 * n + c1, tuple(np.ascontiguousarray(c) for c in rest)
-    gathers = tuple(order[start[count > k] + k] for k in range(count.max(initial=0)))
-    for a in (pairs, *rest, *gathers):
-        a.flags.writeable = False
-    return pairs, rest, gathers
-
-
-def _pack(T: DenseTensor) -> np.ndarray:
-    """The packed matrix P of T, with P[:, u] the sum of T(:, j) over the
-    distinct orderings j of the sorted trailing multi-index u, so that
-    T x^{m-1} = P z with z_u the product of x over u.  For m = 2 P is
-    T.array itself.
-
-    P is filled a block of BLOCK_BYTES of rows at a time: the block's
-    first orderings are gathered into it, and each further ordering rank
-    is gathered into one small reused buffer and added in place.
-    """
-    if T.order == 2:
-        return T.array
-    A = T.array.reshape(T.dim, -1)
-    first, *rest = _packing(T.dim, T.order)[2]
-    P = np.empty((T.dim, first.size))
-    rows = max(1, BLOCK_BYTES // P[:1].nbytes)
-    buf = np.empty(min(rows, T.dim) * first.size)
-    for r in range(0, T.dim, rows):
-        block, src = P[r : r + rows], A[r : r + rows]
-        np.take(src, first, axis=1, out=block, mode="clip")
-        for j in rest:
-            part = buf[: len(block) * j.size].reshape(-1, j.size)
-            np.take(src, j, axis=1, out=part, mode="clip")
-            block[:, : j.size] += part
-    P.flags.writeable = False
-    return P
+    rank = np.empty_like(by_count)
+    rank[by_count] = np.arange(by_count.size)
+    cols = tuple(np.ascontiguousarray(c) for c in np.unravel_index(key[by_count], shape))
+    column = rank[column.reshape(-1)]
+    layout = _Layout(cols, column, column.reshape(shape)[(np.arange(n),) * (m - 1)],
+                     cols[0] * n + cols[1] if m > 2 else None, key.size)
+    for a in (*cols, layout.major, layout.pairs):
+        if a is not None:
+            a.flags.writeable = False
+    return layout
 
 
 def magnitudes(T: Tensor) -> np.ndarray:
@@ -375,9 +373,9 @@ def _contract(T: Tensor, x: np.ndarray, values: np.ndarray | None = None) -> np.
         return np.bincount(first, weights=w, minlength=T.dim)
     z = x
     if T.order > 2:
-        pairs, rest, _ = _packing(T.dim, T.order)
-        z = np.outer(x, x).ravel()[pairs]
-        for c in rest:
+        layout = _packing(T.dim, T.order)
+        z = np.outer(x, x).ravel()[layout.pairs]
+        for c in layout.cols[2:]:
             z = z * x[c]
     return (T.packed if values is None else values) @ z
 
@@ -428,60 +426,46 @@ def diagonal(T: Tensor) -> np.ndarray:
         d = np.zeros(T.dim)
         d[T.idx[on, 0]] = T.vals[on]
         return d
-    i = np.arange(T.dim)
-    return T.array[(i,) * T.order]
+    return T.packed[np.arange(T.dim), _packing(T.dim, T.order).major]
 
 
 def identity_minus(T: Tensor, s: float) -> Tensor:
-    """s*I - T, in the storage of T.  The dense result is 0.0 - T with s
-    added on the diagonal, so a zero entry of T gives +0.0."""
+    """s*I - T, in the storage of T.  The dense result is 0.0 - T.packed
+    with s added on the diagonal, so a zero entry of T gives +0.0; negation
+    is exact, so it is the packed matrix of s*I - T bit for bit."""
     if isinstance(T, SparseTensor):
         off = ~_diagonal_mask(T)
         diag = np.repeat(np.arange(T.dim)[:, None], T.order, axis=1)
         idx = np.concatenate([T.idx[off], diag])
         return SparseTensor(T.order, T.dim, idx, np.concatenate([-T.vals[off], s - diagonal(T)]))
-    return dense_identity_minus(T.array, s)
-
-
-def dense_identity_minus(A: np.ndarray, s: float, out: np.ndarray | None = None) -> DenseTensor:
-    """s*I - A for a dense array A of equal modes, validated once: 0.0 - A
-    with s added on the diagonal.  Written into `out`, which may be A
-    itself, or into a new array when `out` is None."""
-    arr = np.subtract(0.0, A, out=out)
-    i = np.arange(A.shape[0])
-    arr[(i,) * A.ndim] += s
-    return _adopt(arr)
+    packed = np.subtract(0.0, T.packed)
+    packed[np.arange(T.dim), _packing(T.dim, T.order).major] += s
+    return _of_packed(T.order, packed, _max_abs(packed))
 
 
 def row_sums(T: Tensor) -> np.ndarray:
     """Entry i is the sum of T(i, i2, ..., im) over all trailing indices.
 
-    Each row is summed with math.fsum (correctly rounded), so the result
-    depends neither on the order of the entries nor on the storage.
+    Each row of packed sums is summed with math.fsum (correctly rounded),
+    so the result depends neither on the order of the entries nor on the
+    storage.
     """
-    if isinstance(T, SparseTensor):
-        # Entries are sorted, so each row is one contiguous run.
-        starts = np.searchsorted(T.idx[:, 0], np.arange(1, T.dim))
-        rows = np.split(T.vals, starts)
-    else:
-        rows = T.array.reshape(T.dim, -1)
-    return np.array([math.fsum(row.tolist()) for row in rows])
+    vals, _, starts = packed_sums(T)
+    return np.array([math.fsum(row.tolist()) for row in np.split(vals, starts[1:])])
 
 
 def majorization(T: Tensor) -> np.ndarray:
     """The majorization matrix M with M[i, j] = T(i, j, j, ..., j), as a
-    read-only C-contiguous float64 n x n array.
-
-    The dense gather yields a Fortran-ordered array; it is copied to C
-    order, since M @ x rounds differently in the two layouts.
+    read-only C-contiguous float64 n x n array: M @ x rounds differently
+    in Fortran order.  For a dense T it is the columns of (j, ..., j) of
+    its packed matrix.
     """
     if isinstance(T, SparseTensor):
         major = _major_mask(T)
         M = np.zeros((T.dim, T.dim))
         M[T.idx[major, 0], T.idx[major, 1]] = T.vals[major]
     else:
-        j = np.arange(T.dim)
-        M = np.ascontiguousarray(T.array[(slice(None),) + (j,) * (T.order - 1)])
+        M = np.take(T.packed, _packing(T.dim, T.order).major, axis=1)
     M.flags.writeable = False
     return M
 
@@ -496,12 +480,10 @@ def _majorization_is_diagonal(T: Tensor) -> bool:
 
 
 def has_offmajor(T: Tensor) -> bool:
-    """Whether T has a nonzero entry outside the (i, j, ..., j) positions,
-    without a copy of T: a dense T has more nonzeros than M, whose entries
-    are those positions."""
-    if isinstance(T, SparseTensor):
-        return bool(np.any(T.vals[~_major_mask(T)]))
-    return bool(np.count_nonzero(T.array) != np.count_nonzero(majorization(T)))
+    """Whether T has a nonzero packed sum outside the (i, j, ..., j)
+    positions (`packed_sums`), without a copy of T."""
+    vals, major, _ = packed_sums(T)
+    return bool(np.count_nonzero(vals) != np.count_nonzero(vals[major]))
 
 
 def _usable_cpus() -> int:
@@ -582,5 +564,6 @@ def scale_system(T: Tensor, b) -> ScaledSystem:
     """The system divided through by w = system_scale(T, b), a copy: the
     reference that solve()'s residuals F / w are checked against."""
     w = system_scale(T, b)
-    scaled = SparseTensor(T.order, T.dim, T.idx, T.vals / w) if isinstance(T, SparseTensor) else _adopt(T.array / w)
+    scaled = (SparseTensor(T.order, T.dim, T.idx, T.vals / w) if isinstance(T, SparseTensor)
+              else _of_packed(T.order, T.packed / w, T.max_abs / w))
     return ScaledSystem(scaled, _as_vector(b, T.dim) / w, w)

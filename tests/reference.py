@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 
 from mteq import DenseTensor, SparseTensor
+from mteq.tensor_core import entries
 
 
 def dense_contract(A, x, keep=1):
@@ -39,17 +40,16 @@ def reference_permutation_mean(A, fixed):
     return acc / len(perms)
 
 
-def semi_symmetrize(T):
-    """T, in either storage, averaged over all permutations of its trailing
-    m-1 indices, as a dense tensor: the same T x^{m-1} for every x, and
-    idempotent."""
-    return DenseTensor(reference_permutation_mean(dense_array(T), 1))
+def semi_symmetrize(A):
+    """The n^m array A averaged over all permutations of its trailing m-1
+    indices: the same T x^{m-1} for every x, and idempotent."""
+    return reference_permutation_mean(A, 1)
 
 
 def jacobian(T, x):
     """The Jacobian of T x^{m-1} at x, (m-1) sym(T) x^{m-2}, where sym
     averages T over its trailing indices (`semi_symmetrize`)."""
-    return (T.order - 1) * dense_contract(semi_symmetrize(T).array, x, 2)
+    return (T.order - 1) * dense_contract(semi_symmetrize(dense_array(T)), x, 2)
 
 
 def identity_tensor(m, n):
@@ -59,10 +59,14 @@ def identity_tensor(m, n):
 
 def diagonal_tensor(m, d):
     """The order-m tensor with d on the main diagonal (i, i, ..., i) and zeros elsewhere."""
+    return DenseTensor(diagonal_array(m, d))
+
+
+def diagonal_array(m, d):
+    """The n^m array of `diagonal_tensor`."""
     arr = np.zeros((len(d),) * m)
-    i = np.arange(len(d))
-    arr[(i,) * m] = d
-    return DenseTensor(arr)
+    arr[(np.arange(len(d)),) * m] = d
+    return arr
 
 
 def coo(arr):
@@ -72,8 +76,15 @@ def coo(arr):
 
 
 def dense_array(T):
-    """The n^m array of a tensor in either storage."""
-    return DenseTensor.from_sparse(T).array if isinstance(T, SparseTensor) else T.array
+    """The n^m array of T's records (`entries`): a COO tensor's own
+    entries, or a dense tensor's packed records, each packed sum at its
+    sorted trailing multi-index.  It has T's packed matrix, and so T's
+    T x^{m-1}; a dense tensor keeps no array of its own."""
+    if isinstance(T, DenseTensor):
+        T = SparseTensor.from_entries(T.order, T.dim, entries(T))
+    arr = np.zeros((T.dim,) * T.order)
+    arr[tuple(T.idx.T)] = T.vals
+    return arr
 
 
 def forbid_n_by_n_zeros(monkeypatch, n):

@@ -210,14 +210,14 @@ def test_criterion_09_jacobian_finite_differences():
     rng = np.random.default_rng(77)
     m, n = 4, 5
     for _ in range(20):
-        B = semi_symmetrize(DenseTensor(rng.random((n,) * m))).array
+        B = semi_symmetrize(rng.random((n,) * m))
         arr = -B
         i = np.arange(n)
         arr[(i,) * m] += 1.01 * B.reshape(n, -1).sum(axis=1)
         T = DenseTensor(arr)
         assert mtensor_certificate(T).verdict is Verdict.STRONG_BY_ROW_SUM
         x = rng.uniform(0.5, 2.0, n)
-        jac = (m - 1) * dense_contract(T.array, x, 2)
+        jac = (m - 1) * dense_contract(arr, x, 2)
         fd = np.empty((n, n))
         for j in range(n):
             h = 1e-6 * (1.0 + x[j])

@@ -139,8 +139,8 @@ def test_cross_takes_the_other_storage_of_each_tensor(monkeypatch):
     coo = corpus.other_storage(dense)
     assert isinstance(coo, corpus.SparseTensor) and corpus.entries(coo) == corpus.entries(dense)
     back = corpus.other_storage(coo)
-    assert isinstance(back, corpus.DenseTensor) and back.array.tobytes() == dense.array.tobytes()
-    monkeypatch.setattr(corpus, "DENSE_COPY_MAX_BYTES", dense.array.nbytes - 1)
+    assert isinstance(back, corpus.DenseTensor) and back.packed.tobytes() == dense.packed.tobytes()
+    monkeypatch.setattr(corpus, "DENSE_COPY_MAX_BYTES", 8 * dense.dim**dense.order - 1)
     corpus.other_storage.cache_clear()
     assert corpus.other_storage(coo) is None
 

@@ -30,6 +30,7 @@ from reference import (
     coo,
     dense_array,
     dense_contract,
+    diagonal_array,
     diagonal_tensor,
     forbid_n_by_n_zeros,
     identity_tensor,
@@ -192,7 +193,7 @@ class TestStepFunctions:
         # the run of test_anewton_fallback_is_the_smeqm_step, to 4 steps past
         # its first fallback at step k
         inst = gen_problem1(6, 2)
-        T, b = in_storage(inst.tensor.array, storage), inst.rhs
+        T, b = in_storage(dense_array(inst.tensor), storage), inst.rhs
         x = np.zeros(6)
         stepper, xpow, F = started("anewton", T, b, x, alpha, scale=system_scale(T, b))
         fallbacks = []
@@ -221,7 +222,7 @@ class TestStepFunctions:
     @pytest.mark.parametrize("method", METHODS)
     def test_start_evaluates_x0(self, storage, method):
         # start(x0) returns x0, x0^[m-1], F(x0) and its largest entry bit for bit
-        T = in_storage(gen_problem1(6, 2).tensor.array, storage)
+        T = in_storage(dense_array(gen_problem1(6, 2).tensor), storage)
         b, x0 = np.linspace(1.0, 2.0, 6), np.linspace(0.0, 0.5, 6)
         stepper = Stepper(method, T, b, 0.5, 1.3)
         x, xpow, F, Fmax = stepper.start(x0)
@@ -252,7 +253,7 @@ class TestStepFunctions:
 def guard_system():
     """A dense order-4, n = 6 system whose M is diagonal, with two entries
     off the (i, j, ..., j) positions, and its right side."""
-    T = diagonal_tensor(4, np.linspace(1.3, 2.9, 6) + 1 / 7).array.copy()
+    T = diagonal_array(4, np.linspace(1.3, 2.9, 6) + 1 / 7)
     T[0, 1, 2, 3], T[3, 4, 5, 0] = -0.37, -0.29
     return DenseTensor(T), np.linspace(0.6, 1.4, 6) / 3
 
@@ -385,7 +386,7 @@ class TestSolveFixtures:
 class TestSolveBehaviour:
     def test_scale_invariance(self):
         inst = gen_problem1(6, 7)
-        big = DenseTensor(inst.tensor.array * 1e9)
+        big = DenseTensor(dense_array(inst.tensor) * 1e9)
         out = solve(inst.tensor, inst.rhs, None, SolveConfig())
         out_big = solve(big, inst.rhs * 1e9, None, SolveConfig())
         assert out_big.status is Status.CONVERGED
@@ -398,7 +399,7 @@ class TestSolveBehaviour:
         # overflow; the residual in units of the scale stays in range
         inst = gen_problem1(6, 7)
         out = solve(inst.tensor, inst.rhs, None, SolveConfig())
-        far = solve(DenseTensor(np.ldexp(inst.tensor.array, k)), np.ldexp(inst.rhs, k), None,
+        far = solve(DenseTensor(np.ldexp(dense_array(inst.tensor), k)), np.ldexp(inst.rhs, k), None,
                     SolveConfig())
         assert far.iterations == out.iterations > 0
         assert far.x.tobytes() == out.x.tobytes()
@@ -652,7 +653,7 @@ def strong_m_systems(draw, huge_b=False):
 def times_power_of_two(T, k):
     if isinstance(T, SparseTensor):
         return SparseTensor(T.order, T.dim, T.idx, np.ldexp(T.vals, k))
-    return DenseTensor(np.ldexp(T.array, k))
+    return DenseTensor(np.ldexp(dense_array(T), k))
 
 
 def inverse_jacobian_magnitude(T, x):

@@ -26,6 +26,7 @@ from mteq import (
     solve,
     tensorio,
 )
+from mteq import tensor_core
 from mteq.tensor_core import (
     COO_ENTRY_COST,
     _contract,
@@ -38,7 +39,7 @@ from mteq.tensor_core import (
     row_sums,
     scale_system,
 )
-from reference import coo, dense_array, dense_contract
+from reference import coo, dense_array, dense_contract, semi_symmetrize
 
 METHODS = ("smeqm", "jacobi", "gs", "sor", "anewton")
 RTOL = 1e-12
@@ -47,6 +48,11 @@ RTOL = 1e-12
 def both_storages(arr):
     """The same tensor as a DenseTensor and as a SparseTensor of its nonzeros."""
     return DenseTensor(arr), coo(arr)
+
+
+def packed(T):
+    """The packed matrix of T in either storage."""
+    return (DenseTensor.from_sparse(T) if isinstance(T, SparseTensor) else T).packed
 
 
 @st.composite
@@ -89,13 +95,16 @@ class TestPrimitivesAgree:
         assert has_offmajor(Tc) == has_offmajor(Td)
         sc, sd = scale_system(Tc, b), scale_system(Td, b)
         assert isinstance(sc.tensor, SparseTensor)
-        assert sc.scale == sd.scale
+        assert sc.scale == sd.scale and sc.tensor.max_abs == sd.tensor.max_abs
         np.testing.assert_array_equal(sc.rhs, sd.rhs)
-        np.testing.assert_array_equal(dense_array(sc.tensor), sd.tensor.array)
+        # each storage divides what it holds: the entries, or the packed sums
+        np.testing.assert_array_equal(sc.tensor.vals, Tc.vals / sc.scale)
+        np.testing.assert_array_equal(sd.tensor.packed, Td.packed / sd.scale)
+        close(packed(sc.tensor), sd.tensor.packed)
         assert not sc.tensor.vals.flags.writeable and not sc.tensor.idx.flags.writeable
         np.testing.assert_array_equal(diagonal(Tc), diagonal(Td))
         s = 1.0 + diagonal(Td).max(initial=0.0)
-        np.testing.assert_array_equal(dense_array(identity_minus(Tc, s)), identity_minus(Td, s).array)
+        np.testing.assert_array_equal(packed(identity_minus(Tc, s)), identity_minus(Td, s).packed)
         close(row_sums(Tc), row_sums(Td))
         assert is_z_tensor(Tc) == is_z_tensor(Td)
         if not is_z_tensor(Td):
@@ -131,6 +140,18 @@ class TestPrimitivesAgree:
     def test_one_by_one_has_no_offdiagonal(self):
         Td, Tc = both_storages(np.full((1, 1, 1), 3.0))
         assert is_z_tensor(Tc) and is_z_tensor(Td)
+
+    @pytest.mark.parametrize("other, z, offmajor", [(-2.0, True, True), (-1.0, True, False), (-0.5, False, True)])
+    def test_structure_is_that_of_the_semi_symmetrization(self, other, z, offmajor):
+        # T(1, 1, 2) = 1 is positive, but the orderings of (1, 2) sum to
+        # 1 + other, as they do in the semi-symmetrization, which has the
+        # same T x^{m-1}; both storages read those sums
+        arr = np.zeros((2, 2, 2))
+        arr[0, 0, 0] = arr[1, 1, 1] = 3.0
+        arr[0, 0, 1], arr[0, 1, 0] = 1.0, other
+        sym = DenseTensor(semi_symmetrize(arr))
+        for T in (*both_storages(arr), sym):
+            assert is_z_tensor(T) is z and has_offmajor(T) is offmajor
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_magnitudes_contract_the_absolute_z_tensor(self, m):
@@ -177,7 +198,7 @@ class TestSolvesAgree:
     @pytest.mark.parametrize("method", METHODS)
     def test_fixtures_match_dense(self, fid, x0, method):
         inst = fixture(fid)
-        Td, Tc = both_storages(inst.tensor.array)
+        Td, Tc = both_storages(dense_array(inst.tensor))
         cfg = SolveConfig(method=method)
         od, oc = solve(Td, inst.rhs, x0, cfg), solve(Tc, inst.rhs, x0, cfg)
         assert oc.status is od.status
@@ -189,21 +210,36 @@ class TestFileRoundTrip:
     @settings(max_examples=40, deadline=None)
     @given(system=st.one_of(sparse_systems(), sparse_systems(signed=True)))
     def test_exact(self, system, tmp_path_factory):
+        # the COO tensor writes its entries and the dense one its packed
+        # records, so the files differ, but both read back to the same
+        # packed sums, in the storage cheaper_storage picks for either
         Td, Tc, _ = system
         path_c = tmp_path_factory.mktemp("coo") / "t.json"
         path_d = tmp_path_factory.mktemp("dense") / "t.json"
         tensorio.write_tensor(path_c, Tc)
         tensorio.write_tensor(path_d, Td)
-        assert path_c.read_bytes() == path_d.read_bytes()
-        back = tensorio.read_tensor(path_c)
-        assert type(back) is type(cheaper_storage(Tc))
-        assert (back.order, back.dim) == (Tc.order, Tc.dim)
-        np.testing.assert_array_equal(dense_array(back), Td.array)
-        tensorio.write_tensor(path_d, back)
-        assert path_d.read_bytes() == path_c.read_bytes()
+        back_c, back_d = tensorio.read_tensor(path_c), tensorio.read_tensor(path_d)
+        assert type(back_c) is type(back_d) is type(cheaper_storage(Tc))
+        for back in (back_c, back_d):
+            assert (back.order, back.dim) == (Tc.order, Tc.dim)
+            assert packed(back).tobytes() == Td.packed.tobytes()
+        written = path_d.read_bytes()
+        tensorio.write_tensor(path_d, back_d)
+        assert path_d.read_bytes() == written
         for T in (Tc, Td):  # the records are what from_entries reads back
             again = SparseTensor.from_entries(T.order, T.dim, entries(T))
-            np.testing.assert_array_equal(dense_array(again), Td.array)
+            assert packed(again).tobytes() == Td.packed.tobytes()
+
+    def test_full_records_read_back_to_the_same_packing(self, tmp_path):
+        # a file of every nonzero entry, as tensors were once written
+        rng = np.random.default_rng(7)
+        arr = -rng.random((6,) * 4)
+        arr[(np.arange(6),) * 4] = 200.0
+        records = [[*(int(i) + 1 for i in idx), float(arr[tuple(idx)])] for idx in np.argwhere(arr)]
+        (tmp_path / "t.json").write_text(json.dumps({"order": 4, "dim": 6, "entries": records}))
+        back = tensorio.read_tensor(tmp_path / "t.json")
+        assert isinstance(back, DenseTensor) and back.max_abs == 200.0
+        assert back.packed.tobytes() == DenseTensor(arr).packed.tobytes()
 
     def test_problem3_at_scale_never_densifies(self, tmp_path, monkeypatch):
         # dense, this tensor would take 2000^4 * 8 B = 128 TB
@@ -254,7 +290,8 @@ class TestGeneratedMatchesFile:
         paths = tensorio.write_instance(tmp_path / "inst", inst)
         back = tensorio.read_tensor(paths["tensor"])
         assert type(back) is type(inst.tensor)
-        np.testing.assert_array_equal(dense_array(back), dense_array(inst.tensor))
+        assert packed(back).tobytes() == packed(inst.tensor).tobytes()
+        assert back.max_abs == inst.tensor.max_abs
         x0 = STARTS.get(problem)
         for method in METHODS:
             cfg = SolveConfig(method=method)
@@ -307,16 +344,50 @@ class TestStorageChoice:
         assert isinstance(gen_problem1(4, 0).tensor, DenseTensor)
         assert isinstance(fixture("ex22").tensor, DenseTensor)
 
+    @staticmethod
+    def entries_in_sums(nnz, sums):
+        """An order-3, n = 8 array of nnz entries -1 in `sums` packed sums,
+        each at (i, j, k) with j < k, and in nnz - sums of them also at
+        (i, k, j)."""
+        rng = np.random.default_rng([nnz, sums])
+        i, j, k = np.unravel_index(rng.choice(512, 512, replace=False), (8, 8, 8))
+        keep = np.flatnonzero(j < k)[:sums]
+        arr = np.zeros((8, 8, 8))
+        arr[i[keep], j[keep], k[keep]] = -1.0
+        pairs = keep[: nnz - sums]
+        arr[i[pairs], k[pairs], j[pairs]] = -1.0
+        assert np.count_nonzero(arr) == nnz
+        return arr
+
     @pytest.mark.parametrize("nnz, storage", [(15, SparseTensor), (16, DenseTensor)])
     def test_cheaper_storage_boundary(self, nnz, storage):
-        # 8^3 = 512 = 16 * COO_ENTRY_COST positions
-        assert COO_ENTRY_COST == 32
-        arr = np.zeros(512)
-        arr[np.random.default_rng(nnz).choice(512, nnz, replace=False)] = -1.0
-        Td, Tc = both_storages(arr.reshape(8, 8, 8))
+        # the packed matrix has 8 * C(9, 2) = 288 entries, 14.4 times
+        # COO_ENTRY_COST: COO holds 14 packed sums, not 15.  Two of the nnz
+        # entries share a sum, so the stored count, 15 or 16, cannot decide
+        assert COO_ENTRY_COST == 20
+        Td, Tc = both_storages(self.entries_in_sums(nnz, nnz - 1))
         chosen = cheaper_storage(Tc)
         assert type(chosen) is storage
-        np.testing.assert_array_equal(dense_array(chosen), Td.array)
+        assert packed(chosen).tobytes() == Td.packed.tobytes()
+
+    @pytest.fixture
+    def no_grouping(self, monkeypatch):
+        def group(*args):
+            raise AssertionError("the entries were grouped into packed sums")
+
+        monkeypatch.setattr(tensor_core, "packed_sums", group)
+
+    def test_stored_count_decides_alone(self, no_grouping):
+        # 14 entries, 14 * COO_ENTRY_COST < 288: no more sums are nonzero
+        Tc = coo(self.entries_in_sums(14, 14))
+        assert cheaper_storage(Tc) is Tc
+
+    @pytest.mark.parametrize("n", [10, 50, 2000])
+    def test_problem3_file_is_read_without_grouping(self, n, tmp_path, no_grouping):
+        # from n = 8, P3's 7n - 12 entries decide alone, as at the n = 10
+        # and n = 50 that the benchmark reads
+        paths = tensorio.write_instance(tmp_path / "p3", gen_problem3(n))
+        assert isinstance(tensorio.read_tensor(paths["tensor"]), SparseTensor)
 
     @pytest.mark.parametrize(
         "inst, storage",

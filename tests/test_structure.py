@@ -26,7 +26,7 @@ from mteq import (
 )
 from mteq.problems import gen_problem1, gen_problem2, gen_problem3, gen_problem4
 from mteq.structure import _solve_majorization
-from reference import diagonal_tensor, forbid_n_by_n_zeros, identity_tensor
+from reference import dense_array, diagonal_array, diagonal_tensor, forbid_n_by_n_zeros, identity_tensor
 
 
 def random_structured_strong(rng, m, n):
@@ -95,7 +95,8 @@ class TestCertificate:
                              ids=["P1", "P2", "P4"])
     def test_dense_certificate_builds_no_copy_of_the_tensor(self, build):
         # the bound is read from T's own row sums, not from s*I - T; what
-        # is left is the Z-test's n^m booleans and one row as Python floats
+        # is left is the Z-test's booleans over the packed matrix P and one
+        # row of P as Python floats
         T = build(20).tensor
         assert isinstance(T, DenseTensor)
         tracemalloc.start()
@@ -104,7 +105,7 @@ class TestCertificate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.5 * T.array.nbytes
+        assert peak < 0.5 * T.packed.nbytes
 
     def test_power_estimate_requested(self):
         cert = mtensor_certificate(gen_problem1(5, 0).tensor, use_power_method=True)
@@ -115,7 +116,7 @@ class TestCertificate:
 class TestSpectralRadiusEstimate:
     def test_ex21_offpart_estimates_zero(self):
         T = fixture("ex21").tensor
-        B = DenseTensor(3.0 * identity_tensor(4, 2).array - T.array)
+        B = DenseTensor(3.0 * diagonal_array(4, np.ones(2)) - dense_array(T))
         assert spectral_radius_estimate(B) == 0.0
 
     def test_diagonal_tensor(self):
@@ -127,9 +128,9 @@ class TestSpectralRadiusEstimate:
     def test_bounded_by_row_sums(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            B = DenseTensor(rng.random((4, 4, 4)))
-            bound = B.array.reshape(4, -1).sum(axis=1).max()
-            assert spectral_radius_estimate(B) <= bound + 1e-9
+            A = rng.random((4, 4, 4))
+            bound = A.reshape(4, -1).sum(axis=1).max()
+            assert spectral_radius_estimate(DenseTensor(A)) <= bound + 1e-9
 
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
@@ -166,7 +167,7 @@ class TestFeasibility:
         inst = fixture("ex22")
         x = [2.0, 2.0 + 1e-9]
         for k in (0, -40):
-            T = DenseTensor(np.ldexp(inst.tensor.array, k))
+            T = DenseTensor(np.ldexp(dense_array(inst.tensor), k))
             assert not is_feasible_S(T, np.ldexp(inst.rhs, k), x).in_S
 
     def test_identically_zero_system_is_in_S(self):
@@ -300,7 +301,7 @@ class TestScaleInvariance:
     @given(system=near_boundary_systems(), k=st.integers(-60, 60))
     def test_verdicts_do_not_change_under_powers_of_two(self, system, k):
         T, b, x = system
-        Tk, bk = DenseTensor(np.ldexp(T.array, k)), np.ldexp(b, k)
+        Tk, bk = DenseTensor(np.ldexp(dense_array(T), k)), np.ldexp(b, k)
         assert is_feasible_S(Tk, bk, x).in_S == is_feasible_S(T, b, x).in_S
         assert existence_sufficient(T, bk) is existence_sufficient(T, b)
         assert raises_no_solution(T, bk) == raises_no_solution(T, b)

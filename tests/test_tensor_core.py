@@ -1,4 +1,5 @@
 import math
+import pickle
 import sys
 import tracemalloc
 from decimal import Decimal
@@ -29,6 +30,7 @@ from mteq.tensor_core import (
     ROOT_CLAMP_TOL,
     BLOCK_BYTES,
     SparseTensor,
+    diagonal,
     _contract,
     _is_number,
     _majorization_is_diagonal,
@@ -41,7 +43,9 @@ from mteq.tensor_core import (
 )
 from reference import (
     coo,
+    dense_array,
     dense_contract,
+    diagonal_array,
     gathered_products,
     identity_tensor,
     jacobian,
@@ -123,56 +127,54 @@ class TestPackedContraction:
         # z from the outer product x x^T is the gathered z bit for bit, for
         # T x^{m-1} and for |T| |x|^{m-1}
         A, x = case
-        T, n = DenseTensor(A), A.shape[0]
-        if A.ndim == 2:
-            cols = (np.arange(n),)
-        else:
-            pairs, rest, _ = _packing(n, A.ndim)
-            cols = (*np.divmod(pairs, n), *rest)
+        T = DenseTensor(A)
+        cols = _packing(A.shape[0], A.ndim).cols
         for v, values in ((x, T.packed), (np.abs(x), magnitudes(T))):
             expected = values @ gathered_products(v, cols)
             assert _contract(T, v, values).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("m, n", [(3, 90), (4, 37)])
-    def test_packs_several_uneven_row_blocks(self, m, n):
-        rows = BLOCK_BYTES // (8 * math.comb(n + m - 2, m - 1))
-        assert rows >= 1 and n // rows >= 3 and n % rows != 0
+    def test_array_and_entries_pack_the_same_bits(self, m, n):
+        # the constructor bins each row of the array, from_sparse all the
+        # entries at once; both add each sum's orderings in the same order
         rng = np.random.default_rng([m, n])
         A, x = rng.uniform(-1.0, 1.0, size=(n,) * m), rng.uniform(-1.0, 1.0, n)
+        A[rng.random(A.shape) < 0.5] = 0.0
+        T = DenseTensor(A)
+        assert DenseTensor.from_sparse(coo(A)).packed.tobytes() == T.packed.tobytes()
         scale = dense_contract(np.abs(A), np.abs(x)).max()
-        np.testing.assert_allclose(contract_full(DenseTensor(A), x), dense_contract(A, x),
-                                   rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(contract_full(T, x), dense_contract(A, x), rtol=1e-12, atol=1e-12 * scale)
 
     @pytest.fixture
     def events(self, monkeypatch):
-        """Each packing, as ("pack", tensor), and each solver step, in order."""
-        log, pack, step = [], tensor_core._pack, solvers.Stepper.step
+        """Each dense tensor built from an array, as ("pack", tensor), and
+        each solver step, in order."""
+        log, construct, step = [], DenseTensor.__init__, solvers.Stepper.step
 
-        def packing(T):
+        def packing(T, array):
             log.append(("pack", T))
-            return pack(T)
+            return construct(T, array)
 
         def stepping(self, xpow, F):
             log.append(("step", None))
             return step(self, xpow, F)
 
-        monkeypatch.setattr(tensor_core, "_pack", packing)
+        monkeypatch.setattr(DenseTensor, "__init__", packing)
         monkeypatch.setattr(solvers.Stepper, "step", stepping)
         return log
 
     @pytest.mark.parametrize("first, second", [("smeqm", "anewton"), ("anewton", "smeqm")])
-    def test_solve_packs_the_tensor_it_is_given_once(self, events, first, second):
-        # the run packs the caller's tensor on its first contraction, before
-        # the first step, and the tensor keeps the packing for the next run
+    def test_the_constructor_packs_once(self, events, first, second):
+        # the generator's tensor is packed by its constructor, and no run
+        # packs it again
         inst = gen_problem1(6, 0)
-        out = solve(inst.tensor, inst.rhs, None, SolveConfig(method=first))
-        assert out.status is Status.CONVERGED and out.iterations > 1
-        packs = [T for kind, T in events if kind == "pack"]
-        assert len(packs) == 1 and packs[0] is inst.tensor and events[0][0] == "pack"
+        assert events == [("pack", inst.tensor)]
         P = inst.tensor.packed
         events.clear()
-        assert solve(inst.tensor, inst.rhs, None, SolveConfig(method=second)).status is Status.CONVERGED
-        assert all(kind == "step" for kind, _ in events)
+        for method in (first, second):
+            out = solve(inst.tensor, inst.rhs, None, SolveConfig(method=method))
+            assert out.status is Status.CONVERGED and out.iterations > 1
+        assert events and all(kind == "step" for kind, _ in events)
         assert inst.tensor.packed is P
 
     def test_solve_uses_the_packing_a_tensor_holds(self, events):
@@ -183,6 +185,7 @@ class TestPackedContraction:
         assert inst.tensor.packed is P
 
     def test_solve_holds_less_than_a_tensor_copy(self):
+        # the one copy a run makes is |P| for the backward error (`magnitudes`)
         inst = gen_problem1(20, 0)
         tracemalloc.start()
         try:
@@ -191,31 +194,12 @@ class TestPackedContraction:
         finally:
             tracemalloc.stop()
         assert out.status is Status.CONVERGED
-        assert peak < inst.tensor.array.nbytes
-
-    def test_repeat_solve_reads_only_the_packing_and_majorization(self):
-        # after a first solve, a solve of the same tensor reads none of the
-        # n^m entries but the (i, j, ..., j) ones that M is gathered from
-        inst = gen_problem1(7, 3)
-        T, n, m = inst.tensor, inst.tensor.dim, inst.tensor.order
-        cfgs = [SolveConfig(method=method) for method in ("smeqm", "anewton", "gs")]
-        first = [solve(T, inst.rhs, None, cfg) for cfg in cfgs]
-        j = np.arange(n)[None, :]
-        major = (np.arange(n)[:, None],) + (j,) * (m - 1)
-        poisoned = np.full_like(T.array, np.nan)
-        poisoned[major] = T.array[major]
-        poisoned.flags.writeable = False
-        object.__setattr__(T, "array", poisoned)
-        for cfg, before in zip(cfgs, first):
-            after = solve(T, inst.rhs, None, cfg)
-            assert after.status is before.status and after.iterations == before.iterations
-            assert after.x.tobytes() == before.x.tobytes()
-            assert (after.res2, after.omega) == (before.res2, before.omega)
+        assert peak < 1.5 * inst.tensor.packed.nbytes
 
     def test_tensor_keeps_its_packing(self, events):
         T = gen_problem1(5, 0).tensor
-        contract_full(T, np.ones(5))
         P = T.packed
+        contract_full(T, np.ones(5))
         contract_full(T, np.arange(5.0))
         assert events == [("pack", T)] and T.packed is P
 
@@ -227,9 +211,10 @@ class TestPackedContraction:
 
     def test_order_two_packs_the_array_itself(self):
         rng = np.random.default_rng(3)
-        T, x = DenseTensor(rng.uniform(-1.0, 1.0, (7, 7))), rng.uniform(-1.0, 1.0, 7)
-        assert np.shares_memory(T.packed, T.array)
-        assert contract_full(T, x).tobytes() == (T.array @ x).tobytes()
+        A, x = rng.uniform(-1.0, 1.0, (7, 7)), rng.uniform(-1.0, 1.0, 7)
+        T = DenseTensor(A)
+        assert T.packed.tobytes() == A.tobytes()
+        assert contract_full(T, x).tobytes() == (A @ x).tobytes()
 
 
 class TestResidual:
@@ -326,13 +311,13 @@ def offmajor_by_copy(arr) -> bool:
 class TestHasOffmajor:
     def test_structured_tensor_has_no_offmajor(self):
         T = fixture("ex11").tensor  # only (i, j, j) entries
-        assert not has_offmajor(T) and not has_offmajor(coo(T.array))
+        assert not has_offmajor(T) and not has_offmajor(coo(dense_array(T)))
 
     def test_ex22_single_offmajor_entry(self):
         T = fixture("ex22").tensor
-        assert T.array[0, 0, 1] == -1.5
-        assert has_offmajor(T) and has_offmajor(coo(T.array))
-        arr = T.array.copy()
+        arr = dense_array(T)
+        assert arr[0, 0, 1] == -1.5
+        assert has_offmajor(T) and has_offmajor(coo(arr))
         arr[0, 0, 1] = 0.0
         assert not has_offmajor(coo(arr)) and not has_offmajor(DenseTensor(arr))
 
@@ -381,8 +366,8 @@ class TestHasOffmajor:
 class TestIdentityTensor:
     def test_entries(self):
         T = identity_tensor(3, 2)
-        assert T.array[0, 0, 0] == 1.0 and T.array[1, 1, 1] == 1.0
-        assert np.count_nonzero(T.array) == 2
+        np.testing.assert_array_equal(diagonal(T), [1.0, 1.0])
+        assert np.count_nonzero(T.packed) == 2
 
     def test_contract_is_elementwise_power(self):
         x = np.array([1.5, -0.5, 2.0])
@@ -400,9 +385,9 @@ class TestIdentityMinus:
         rng = np.random.default_rng(m)
         A = rng.uniform(-1.0, 1.0, size=(3,) * m)
         A[A > 0.3] = 0.0
-        got = identity_minus(DenseTensor(A), s).array
-        assert got.tobytes() == (s * identity_tensor(m, 3).array - A).tobytes()
-        assert not np.signbit(got[A == 0.0]).any()
+        got = identity_minus(DenseTensor(A), s).packed
+        assert got.tobytes() == DenseTensor(s * diagonal_array(m, np.ones(3)) - A).packed.tobytes()
+        assert not np.signbit(got[got == 0.0]).any()
 
 
 # Per order, the largest n drawn: it spans several blocks of
@@ -480,23 +465,23 @@ class TestOffdiagonalMax:
 
 class TestSemiSymmetrize:
     def test_ex22_averaging(self):
-        sym = semi_symmetrize(fixture("ex22").tensor)
-        assert sym.array[0, 0, 1] == pytest.approx(-0.75)
-        assert sym.array[0, 1, 0] == pytest.approx(-0.75)
-        assert sym.array[0, 1, 1] == pytest.approx(-1.0)
+        sym = semi_symmetrize(dense_array(fixture("ex22").tensor))
+        assert sym[0, 0, 1] == pytest.approx(-0.75)
+        assert sym[0, 1, 0] == pytest.approx(-0.75)
+        assert sym[0, 1, 1] == pytest.approx(-1.0)
 
     @settings(max_examples=30, deadline=None)
     @given(shape=tensor_shapes, seed=st.integers(0, 2**31))
     def test_preserves_contraction_and_idempotent(self, shape, seed):
         m, n = shape
         rng = np.random.default_rng(seed)
-        T = random_tensor(rng, m, n)
+        A = rng.uniform(-1.0, 1.0, size=(n,) * m)
         x = rng.uniform(-1.0, 1.0, n)
-        sym = semi_symmetrize(T)
+        sym = semi_symmetrize(A)
         np.testing.assert_allclose(
-            contract_full(sym, x), contract_full(T, x), rtol=1e-12, atol=1e-12
+            contract_full(DenseTensor(sym), x), contract_full(DenseTensor(A), x), rtol=1e-12, atol=1e-12
         )
-        np.testing.assert_allclose(semi_symmetrize(sym).array, sym.array, rtol=1e-12)
+        np.testing.assert_allclose(semi_symmetrize(sym), sym, rtol=1e-12)
 
     def test_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -519,13 +504,13 @@ class TestScaleSystem:
         scaled = scale_system(inst.tensor, inst.rhs)
         assert scaled.scale == 24.0
         np.testing.assert_allclose(scaled.rhs, [-7 / 24, 1.0])
-        assert np.abs(scaled.tensor.array).max() <= 1.0
+        assert scaled.tensor.max_abs <= 1.0 and np.abs(scaled.tensor.packed).max() <= 1.0
 
     def test_already_scaled_unchanged(self):
         T = identity_tensor(3, 2)
         scaled = scale_system(T, [1.0, 1.0])
         assert scaled.scale == 1.0
-        np.testing.assert_allclose(scaled.tensor.array, T.array)
+        np.testing.assert_allclose(scaled.tensor.packed, T.packed)
 
     def test_problem3_scale_is_boundary_cube(self):
         inst = gen_problem3(10)
@@ -558,12 +543,14 @@ class TestScaleSystem:
         arr[1, 2, 3] = tensor_max
         b = rng.uniform(-0.4, 0.4, 4)
         b[2] = b_max
-        scaled = scale_system(DenseTensor(arr), b)
+        T = DenseTensor(arr)
+        scaled = scale_system(T, b)
         w = max(np.abs(arr).max(), np.abs(b).max())
         assert scaled.scale == w
-        assert scaled.tensor.array.tobytes() == (arr / w).tobytes()
+        assert scaled.tensor.packed.tobytes() == (T.packed / w).tobytes()
+        assert scaled.tensor.max_abs == np.abs(arr / w).max()
         assert scaled.rhs.tobytes() == (b / w).tobytes()
-        assert not scaled.tensor.array.flags.writeable
+        assert not scaled.tensor.packed.flags.writeable
         assert isinstance(scaled.tensor, DenseTensor)
 
 
@@ -612,17 +599,20 @@ class TestDenseTensor:
     def test_immutable(self):
         T = identity_tensor(3, 2)
         with pytest.raises(ValueError):
-            T.array[0, 0, 0] = 5.0
+            T.packed[0, 0] = 5.0
+        with pytest.raises(AttributeError):
+            T.max_abs = 5.0
 
     def test_caller_array_stays_writeable(self):
         a = np.zeros((2, 2, 2))
         T = DenseTensor(a)
-        assert a.flags.writeable and not T.array.flags.writeable
+        assert a.flags.writeable and not T.packed.flags.writeable
         a[0, 0, 0] = 5.0
-        assert T.array[0, 0, 0] == 0.0
+        assert diagonal(T)[0] == 0.0
 
     def test_read_only_view_is_copied(self):
-        # the owner of a read-only view's base can still write it
+        # the owner of a read-only view's base can still write it, and the
+        # tensor, which holds its own packed copy, does not change
         a = np.zeros((2, 2, 2))
         a[0, 0, 0] = a[1, 1, 1] = 1.0
         v = a.view()
@@ -630,15 +620,24 @@ class TestDenseTensor:
         T = DenseTensor(v)
         contract_full(T, [1.0, 2.0])
         a[0, 0, 0] = 5.0
-        assert T.array[0, 0, 0] == 1.0
+        assert diagonal(T)[0] == 1.0
         np.testing.assert_array_equal(contract_full(T, [1.0, 2.0]), [1.0, 4.0])
 
-    @pytest.mark.parametrize("build", ["from_sparse", "identity_minus", "scale_system"])
-    def test_builders_make_no_second_array(self, build):
-        # a builder hands its new array over read-only, and the constructor
-        # takes it without a copy
+    def test_pickle_keeps_the_packing(self):
+        T = gen_problem1(5, 0).tensor
+        back = pickle.loads(pickle.dumps(T))
+        assert back.packed.tobytes() == T.packed.tobytes() and not back.packed.flags.writeable
+        assert (back.order, back.dim, back.max_abs) == (T.order, T.dim, T.max_abs)
+
+    @pytest.mark.parametrize("build, limit", [("from_sparse", 3.5), ("identity_minus", 1.5), ("scale_system", 1.5)],
+                             ids=["from_sparse", "identity_minus", "scale_system"])
+    def test_builders_make_no_second_array(self, build, limit):
+        # a builder hands its new packed matrix over read-only, with no copy
+        # and no n^m array; from_sparse also bins its entries through one
+        # index per entry, and np.bincount copies their read-only values,
+        # here as many as P has entries
         T = gen_problem1(20, 0).tensor
-        S = coo(T.array)
+        S = coo(dense_array(T))
         builders = {
             "from_sparse": lambda: DenseTensor.from_sparse(S),
             "identity_minus": lambda: identity_minus(T, 1.0),
@@ -650,7 +649,8 @@ class TestDenseTensor:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * built.array.nbytes
+        assert S.vals.size == built.packed.size
+        assert peak < limit * built.packed.nbytes
 
 
 class TestIsNumber:

@@ -28,9 +28,11 @@ changes.  The exit status is 1 if any status changed, 2 if the two runs do
 not hold the same cases, else 0.
 
 --cross solves every case also in the other storage, in the same process:
-a dense tensor as the COO tensor of its nonzeros, a COO tensor as its dense
-copy, unless that copy would exceed DENSE_COPY_MAX_BYTES (P3 n = 100 would
-take 800 MB), in which case the case is skipped.  It prints one line per
+a dense tensor as the COO tensor of its packed records (`entries`: one
+entry per nonzero packed sum, at its sorted trailing index), a COO tensor
+as its dense copy, unless its n^m entries would take more than
+DENSE_COPY_MAX_BYTES as an array (P3 n = 100 would take 800 MB), in which
+case the case is skipped.  It prints one line per
 pair that fails and one summary line, and exits 1 if a pair differs in
 status, iterations or fallbacks, or in x by more than CROSS_X_TOL
 (relative) in a run that reached Converged or ran at alpha <= 1.  The
@@ -101,8 +103,8 @@ def run_corpus() -> list[dict]:
 
 @functools.lru_cache(maxsize=1)  # consecutive cases share a tensor
 def other_storage(T):
-    """T in the other storage, or None if its dense copy would exceed
-    DENSE_COPY_MAX_BYTES."""
+    """T in the other storage, or None if its n^m entries would take more
+    than DENSE_COPY_MAX_BYTES as an array."""
     if isinstance(T, DenseTensor):
         return SparseTensor.from_entries(T.order, T.dim, entries(T))
     return DenseTensor.from_sparse(T) if 8 * T.dim**T.order <= DENSE_COPY_MAX_BYTES else None
