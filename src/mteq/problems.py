@@ -3,9 +3,9 @@
 Randomness uses the counter-based Philox generator keyed by
 (problem code, n, seed); entries are drawn in a fixed documented order
 (tensor values first, then the right side), so repeated calls agree
-bit-for-bit.  The symmetrization of P1 may run on worker threads; no
-thread is left running when a generator returns, and the result is the
-same on any number of CPUs.
+bit-for-bit.  A dense generator packs its one n^4 array, its draw or its
+formula, and drops it; P1's symmetrization and s*I - B are computed on
+packed matrices (`tensor_core.symmetrize`, `identity_minus`).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_core import DenseTensor, SparseTensor, Tensor, cheaper_storage, permutation_mean
+from .tensor_core import DenseTensor, SparseTensor, Tensor, cheaper_storage, identity_minus, symmetrize
 
 GRAVITATIONAL_CONSTANT = 6.67e-11
 EARTH_MASS = 5.98e24
@@ -39,21 +39,6 @@ def _rng(problem: str, n: int, seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([code, n, seed])))
 
 
-def _identity_minus(B: np.ndarray, s: float) -> DenseTensor:
-    """The dense tensor s*I - B, as 0.0 - B with s added on the diagonal.
-
-    Built in place: B is a fresh array of the caller's and is overwritten.
-    """
-    np.subtract(0.0, B, out=B)
-    B[(np.arange(B.shape[0]),) * B.ndim] += s
-    return DenseTensor(B)
-
-
-def _shifted_identity_minus(B: np.ndarray) -> DenseTensor:
-    """s*I - B with s = 1.01 * max row sum of B; a strong M-tensor."""
-    return _identity_minus(B, 1.01 * B.reshape(B.shape[0], -1).sum(axis=1).max())
-
-
 def gen_problem1(n: int, seed: int) -> ProblemInstance:
     """Fourth-order symmetric strong M-tensor with uniform(0,1) entries."""
     if n < 2:
@@ -62,9 +47,9 @@ def gen_problem1(n: int, seed: int) -> ProblemInstance:
     # i.i.d. uniform(0,1) draws averaged over all index permutations.
     # Averaging concentrates the row sums, which is what makes these
     # instances hard at alpha = 1 and makes over-relaxation pay off.
-    B = permutation_mean(rng.random((n,) * 4))
+    B = symmetrize(DenseTensor(rng.random((n,) * 4)))
     rhs = rng.random(n)
-    return ProblemInstance(_shifted_identity_minus(B), rhs, "P1", n, seed)
+    return ProblemInstance(identity_minus(B, 1.01 * B.packed.sum(axis=1).max()), rhs, "P1", n, seed)
 
 
 def gen_problem2(n: int) -> ProblemInstance:
@@ -85,7 +70,8 @@ def gen_problem2(n: int) -> ProblemInstance:
     )
     np.sin(B, out=B)
     np.abs(B, out=B)
-    tensor = _identity_minus(B, float(n) ** 3)
+    B = DenseTensor(B)  # the array is dropped before identity_minus copies P
+    tensor = identity_minus(B, float(n) ** 3)
     rhs = _rng("P2", n, 0).random(n)
     return ProblemInstance(tensor, rhs, "P2", n, seed=0)
 
@@ -122,7 +108,9 @@ def gen_problem4(n: int, seed: int) -> ProblemInstance:
     rng = _rng("P4", n, seed)
     B = rng.random((n,) * 4)
     rhs = rng.random(n)
-    return ProblemInstance(_shifted_identity_minus(B), rhs, "P4", n, seed)
+    s = 1.01 * B.reshape(n, -1).sum(axis=1).max()  # the max row sum of the array, as drawn
+    B = DenseTensor(B)  # the array is dropped before identity_minus copies P
+    return ProblemInstance(identity_minus(B, s), rhs, "P4", n, seed)
 
 
 # The exact fixture systems: id -> (order, dim, entries [i1, ..., im, value]

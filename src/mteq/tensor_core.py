@@ -19,7 +19,8 @@ fewer entries than n^m, and no n^m array.  This is the packed symmetric
 storage of Schatz, Low, van de Geijn & Kolda, "Exploiting symmetry in
 tensors for high performance" (SIAM J. Sci. Comput., 2014), applied to
 the trailing modes; it holds for every tensor, symmetric or not.  The
-structure tests read the packed sums in either storage (`packed_sums`).
+structure tests read the packed sums in either storage (`packed_sums`),
+and `symmetrize` averages a tensor over all orders of its indices on P.
 
 Each input is checked once, where it enters, and a tensor and a number
 only here: `_is_number` is the package's one rule for a scalar (also for
@@ -37,8 +38,6 @@ import functools
 import itertools
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,25 +50,14 @@ from .errors import DimensionMismatch, NegativePowerRHS
 ROOT_CLAMP_TOL = 1e-14
 
 
-# Bytes of leading rows that permutation_mean symmetrizes per block, so
-# that a block and its buffers stay in a core's L2 cache.  Measured on a
-# 2-core x86-64 VM (2 MiB L2 per core): n = 40, m = 4, one 512 KB row per
-# block, takes 88 ms against 181 ms for whole-array passes; 64-512 KiB are
-# within noise of each other for m = 2..5 and n = 10..300, while 16 KiB
-# pays per-block overhead (3x at m = 2, n = 1000) and 2 MiB loses 25 % at
-# n = 40.  The blocks run on worker threads, each worker with its own
-# buffers.
-BLOCK_BYTES = 256 * 1024
-
-
 class DenseTensor:
     """Order-m, dimension-n real tensor with dense storage, read-only.
 
     `DenseTensor(array)` checks the n^m array, packs it into `packed` (see
     `_packing`) and keeps no reference to it; `max_abs` is the array's
     largest |entry|.  One built from a packed matrix alone
-    (`identity_minus`) is the tensor of its packed records (`entries`), and
-    its `max_abs` is the largest |packed entry|.
+    (`identity_minus`, `symmetrize`) is the tensor of its packed records
+    (`entries`), and its `max_abs` is the largest |packed entry|.
     """
 
     __slots__ = ("order", "dim", "packed", "max_abs")
@@ -306,6 +294,7 @@ class _Layout(NamedTuple):
 
     cols: tuple[np.ndarray, ...]
     column: np.ndarray
+    count: np.ndarray
     major: np.ndarray
     pairs: np.ndarray | None
     size: int
@@ -318,10 +307,11 @@ def _packing(n: int, m: int) -> _Layout:
     cols[0][u] <= ... <= cols[m-2][u], most orderings first, then by index.
     Packing adds the entry at trailing multi-index j (a column of the
     n x n^{m-1} reshape) into column[j], in increasing j from 0.0, with one
-    np.bincount, the same bits from an array or from COO entries.  major[j]
-    is the column of (j, ..., j), so the diagonal and M are entries of P;
-    pairs[u] = cols[0][u] * n + cols[1][u] (m >= 3) indexes the flattened
-    x x^T.  column stays writeable: np.bincount copies a read-only index."""
+    np.bincount, the same bits from an array or from COO entries.  count[u]
+    is the number of orderings of column u.  major[j] is the column of
+    (j, ..., j), so the diagonal and M are entries of P; pairs[u] =
+    cols[0][u] * n + cols[1][u] (m >= 3) indexes the flattened x x^T.
+    column stays writeable: np.bincount copies a read-only index."""
     shape = (n,) * (m - 1)
     # The position j of each trailing multi-index's sorted copy.
     key = np.ravel_multi_index(np.sort(np.indices(shape, np.int32).reshape(m - 1, -1), axis=0), shape)
@@ -331,9 +321,9 @@ def _packing(n: int, m: int) -> _Layout:
     rank[by_count] = np.arange(by_count.size)
     cols = tuple(np.ascontiguousarray(c) for c in np.unravel_index(key[by_count], shape))
     column = rank[column.reshape(-1)]
-    layout = _Layout(cols, column, column.reshape(shape)[(np.arange(n),) * (m - 1)],
+    layout = _Layout(cols, column, count[by_count], column.reshape(shape)[(np.arange(n),) * (m - 1)],
                      cols[0] * n + cols[1] if m > 2 else None, key.size)
-    for a in (*cols, layout.major, layout.pairs):
+    for a in (*cols, layout.count, layout.major, layout.pairs):
         if a is not None:
             a.flags.writeable = False
     return layout
@@ -443,6 +433,41 @@ def identity_minus(T: Tensor, s: float) -> Tensor:
     return _of_packed(T.order, packed, _max_abs(packed))
 
 
+def symmetrize(T: DenseTensor) -> DenseTensor:
+    """The mean of T over all m! orders of its m indices, computed from
+    T's packed matrix P at its n * C(n+m-2, m-1) positions alone.
+
+    Let R = P / count (`_packing`), the mean of T(i, ...) over the
+    orderings of each column's trailing index, and write w = (i, u_1, ...,
+    u_{m-1}) for row i and the sorted trailing index of column u.  Then
+    the packed matrix of the mean is
+
+        P_sym[i, u] = (count[u] / m) * sum_{q=0}^{m-1} R[w_q, col(w without w_q)],
+
+    where col is the packed column of an unsorted trailing index; the q = 0
+    term is R[i, u].  Proof: group the m! orders of w by the position q
+    they put first.  The (m-1)! orders of the other m-1 positions give
+    each distinct ordering of their indices (m-1)!/count[c] times, c being
+    the column of w without w_q, so the group sums to (m-1)! R[w_q, c] and
+    the mean at w is the sum over q divided by m.  Every ordering of (i, u)
+    has that mean, and P_sym[i, u] sums count[u] of them.  The terms are
+    added in increasing q and then scaled, so the result is P_sym up to a
+    few roundings per entry, not the bits of a sum over n^m arrays.
+    """
+    n, m = T.dim, T.order
+    layout = _packing(n, m)
+    R = T.packed / layout.count
+    acc = R.copy()
+    for q in range(m - 1):  # w_{q+1}, the trailing index u_{q+1}, put first
+        flat = np.arange(n)[:, None]  # becomes (i, u without u_{q+1}) of each (i, u), flattened
+        for k, c in enumerate(layout.cols):
+            if k != q:
+                flat = flat * n + c
+        acc += R[layout.cols[q], layout.column[flat]]
+    acc *= layout.count / m
+    return _of_packed(m, acc, _max_abs(acc))
+
+
 def row_sums(T: Tensor) -> np.ndarray:
     """Entry i is the sum of T(i, i2, ..., im) over all trailing indices.
 
@@ -484,70 +509,6 @@ def has_offmajor(T: Tensor) -> bool:
     positions (`packed_sums`), without a copy of T."""
     vals, major, _ = packed_sums(T)
     return bool(np.count_nonzero(vals) != np.count_nonzero(vals[major]))
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _run_blocks(fn, starts: range, max_workers: int) -> None:
-    """Call fn(start) for every start, on at most `max_workers` worker
-    threads and no more than there are usable CPUs or blocks.  The blocks
-    must be independent.  The threads are made for this call and joined
-    before it returns, so none is left running; with one block or one
-    usable CPU fn runs inline and no thread is started."""
-    workers = min(max_workers, _usable_cpus(), len(starts))
-    if workers <= 1:
-        for start in starts:
-            fn(start)
-        return
-    with ThreadPoolExecutor(workers) as pool:
-        for _ in pool.map(fn, starts):
-            pass
-
-
-def permutation_mean(A: np.ndarray) -> np.ndarray:
-    """The mean of A over all permutations of its axes, summed in
-    itertools.permutations order.
-
-    The result is built a block of leading rows (axis 0) at a time, the
-    blocks on worker threads.  Each axis `a` that a permutation puts first
-    is sliced to the block's rows and copied with `a` moved to the front
-    into a contiguous buffer of the worker's own; the permuted views of
-    those buffers are added into the block in permutation order.  Every
-    entry thus sums the same terms in the same order as
-    `zeros + transpose(A, p)` over whole arrays would, bit for bit, on any
-    number of workers, while the strided reads stay within a cache-sized
-    buffer.
-    """
-    m = A.ndim
-    perms = list(itertools.permutations(range(m)))
-    # The axes of A in the order the buffer of each leading axis holds them.
-    order = {p[0]: (p[0],) + tuple(k for k in range(m) if k != p[0]) for p in perms}
-    views = [(p[0], tuple(order[p[0]].index(k) for k in p)) for p in perms]
-    acc = np.empty_like(A)
-    rows = max(1, BLOCK_BYTES // max(A[:1].nbytes, 1))
-
-    def symmetrize(r):
-        cut = slice(r, r + rows)
-        bufs = {a: np.ascontiguousarray(np.moveaxis(A[(slice(None),) * a + (cut,)], a, 0))
-                for a in order}
-        block = acc[cut]
-        block[...] = 0.0
-        for a, axes in views:
-            block += bufs[a].transpose(axes)
-        block /= len(perms)
-
-    # The workers' buffers together hold at most a fifth of A's bytes.  P1's
-    # draw and its mean take twice the tensor's bytes, so generating P1
-    # then peaks below 2.25 times them on any number of CPUs.
-    worker_bytes = len(order) * rows * max(A[:1].nbytes, 1)
-    _run_blocks(symmetrize, range(0, A.shape[0], rows), A.nbytes // (5 * worker_bytes))
-    return acc
 
 
 def system_scale(T: Tensor, b) -> float:

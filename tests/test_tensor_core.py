@@ -1,6 +1,5 @@
 import math
 import pickle
-import sys
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -23,12 +22,11 @@ from mteq import (
     residual,
     solve,
 )
-from mteq import solvers, tensor_core
+from mteq import solvers
 from mteq.errors import DimensionMismatch
 from mteq.problems import gen_problem1, gen_problem3
 from mteq.tensor_core import (
     ROOT_CLAMP_TOL,
-    BLOCK_BYTES,
     SparseTensor,
     diagonal,
     _contract,
@@ -38,8 +36,8 @@ from mteq.tensor_core import (
     has_offmajor,
     identity_minus,
     magnitudes,
-    permutation_mean,
     scale_system,
+    symmetrize,
 )
 from reference import (
     coo,
@@ -165,10 +163,10 @@ class TestPackedContraction:
 
     @pytest.mark.parametrize("first, second", [("smeqm", "anewton"), ("anewton", "smeqm")])
     def test_the_constructor_packs_once(self, events, first, second):
-        # the generator's tensor is packed by its constructor, and no run
-        # packs it again
+        # the generator packs its draw once, builds its tensor from that
+        # packed matrix, and no run packs again
         inst = gen_problem1(6, 0)
-        assert events == [("pack", inst.tensor)]
+        assert [kind for kind, _ in events] == ["pack"] and events[0][1] is not inst.tensor
         P = inst.tensor.packed
         events.clear()
         for method in (first, second):
@@ -197,11 +195,12 @@ class TestPackedContraction:
         assert peak < 1.5 * inst.tensor.packed.nbytes
 
     def test_tensor_keeps_its_packing(self, events):
+        # the one packing is of the generator's draw; contractions add none
         T = gen_problem1(5, 0).tensor
         P = T.packed
         contract_full(T, np.ones(5))
         contract_full(T, np.arange(5.0))
-        assert events == [("pack", T)] and T.packed is P
+        assert [kind for kind, _ in events] == ["pack"] and T.packed is P
 
     def test_coo_solve_never_packs(self, events):
         inst = gen_problem3(10)
@@ -390,56 +389,43 @@ class TestIdentityMinus:
         assert not np.signbit(got[got == 0.0]).any()
 
 
-# Per order, the largest n drawn: it spans several blocks of
-# BLOCK_BYTES leading rows, the last one partial.
-BLOCKED_N = {2: 400, 3: 60, 4: 22, 5: 10}
+# Per order, the largest n drawn.
+LARGEST_N = {2: 60, 3: 20, 4: 9, 5: 6}
 
 
 @st.composite
-def permutation_cases(draw):
-    """(m, n) for every order and size up to BLOCKED_N."""
+def symmetrize_cases(draw):
+    """(m, n) for every order and size up to LARGEST_N."""
     m = draw(st.integers(2, 5))
-    return m, draw(st.integers(1, BLOCKED_N[m]))
+    return m, draw(st.integers(1, LARGEST_N[m]))
 
 
-class TestPermutationMean:
-    @pytest.mark.parametrize("m", sorted(BLOCKED_N))
-    def test_largest_sizes_span_uneven_blocks(self, m):
-        n = BLOCKED_N[m]
-        rows = BLOCK_BYTES // (8 * n ** (m - 1))
-        assert rows >= 1 and n // rows >= 3 and n % rows != 0
-
+class TestSymmetrize:
     @settings(max_examples=40, deadline=None)
-    @given(case=permutation_cases())
-    @example(case=(2, 400))
-    @example(case=(3, 60))
-    @example(case=(4, 22))
-    @example(case=(5, 10))
-    def test_bytes_equal_whole_array_sum(self, case):
+    @given(case=symmetrize_cases())
+    @example(case=(2, 60))
+    @example(case=(3, 20))
+    @example(case=(4, 9))
+    @example(case=(5, 6))
+    def test_packed_mean_is_the_whole_array_mean(self, case):
+        # The reference sums m! terms and packs up to (m-1)! of the sums;
+        # symmetrize packs up to (m-1)! entries, divides, adds m terms and
+        # scales.  To first order each is within that many unit roundoffs
+        # u of the same sums over |A|, so they differ by at most
+        # (m! + 2 (m-1)! + m) u times the packed mean of |A|, entry by entry.
         m, n = case
         rng = np.random.default_rng(case)
         A = rng.uniform(-1.0, 1.0, size=(n,) * m)
-        A.flat[0] = -0.0
-        assert permutation_mean(A).tobytes() == reference_permutation_mean(A, 0).tobytes()
+        got = symmetrize(DenseTensor(A))
+        want = DenseTensor(reference_permutation_mean(A, 0)).packed
+        scale = DenseTensor(reference_permutation_mean(np.abs(A), 0)).packed
+        ulps = math.factorial(m) + 2 * math.factorial(m - 1) + m
+        assert np.all(np.abs(got.packed - want) <= ulps * (np.finfo(float).eps / 2) * scale)
+        assert got.order == m and got.max_abs == np.abs(got.packed).max()
 
-    @pytest.mark.parametrize("workers", [1, 2, 64])
-    @pytest.mark.parametrize("m", sorted(BLOCKED_N))
-    def test_any_worker_count_keeps_bytes(self, monkeypatch, m, workers):
-        # The worker count is forced past the buffer budget, which keeps
-        # tensors this small on one worker.
-        run_blocks = tensor_core._run_blocks
-        monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: workers)
-        monkeypatch.setattr(tensor_core, "_run_blocks", lambda fn, starts, _: run_blocks(fn, starts, workers))
-        A = np.random.default_rng([m, workers]).uniform(-1.0, 1.0, size=(BLOCKED_N[m],) * m)
-        # Threads switch often, so a worker that wrote outside its own rows
-        # or shared another's buffers would show.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = permutation_mean(A)
-        finally:
-            sys.setswitchinterval(interval)
-        assert got.tobytes() == reference_permutation_mean(A, 0).tobytes()
+    def test_order_two_is_the_mean_with_the_transpose(self):
+        A = np.random.default_rng(2).uniform(-1.0, 1.0, (7, 7))
+        assert symmetrize(DenseTensor(A)).packed.tobytes() == ((A + A.T) * 0.5).tobytes()
 
 
 class TestOffdiagonalMax:
