@@ -3,9 +3,11 @@
 Randomness uses the counter-based Philox generator keyed by
 (problem code, n, seed); entries are drawn in a fixed documented order
 (tensor values first, then the right side), so repeated calls agree
-bit-for-bit.  A dense generator packs its one n^4 array, its draw or its
-formula, and drops it; P1's symmetrization and s*I - B are computed on
-packed matrices (`tensor_core.symmetrize`, `identity_minus`).
+bit-for-bit.  A dense generator makes its tensor one row slab
+B(i, ...) of n^3 entries at a time, drawn or from its formula, and packs
+each as it comes (`tensor_core._of_rows`), so no n^4 array is ever built;
+P1's symmetrization and s*I - B are computed on packed matrices
+(`tensor_core.symmetrize`, `identity_minus`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_core import DenseTensor, SparseTensor, Tensor, cheaper_storage, identity_minus, symmetrize
+from .tensor_core import SparseTensor, Tensor, _of_rows, cheaper_storage, identity_minus, symmetrize
 
 GRAVITATIONAL_CONSTANT = 6.67e-11
 EARTH_MASS = 5.98e24
@@ -39,6 +41,14 @@ def _rng(problem: str, n: int, seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([code, n, seed])))
 
 
+def _draws(rng: np.random.Generator, n: int):
+    """The rows B(i, ...) of an n^4 uniform(0,1) draw, one n^3 draw each.
+    The generator fills doubles in sequence, so they are the rows of
+    rng.random((n,) * 4) bit for bit, and the draws after them match too."""
+    for _ in range(n):
+        yield rng.random((n,) * 3)
+
+
 def gen_problem1(n: int, seed: int) -> ProblemInstance:
     """Fourth-order symmetric strong M-tensor with uniform(0,1) entries."""
     if n < 2:
@@ -47,7 +57,7 @@ def gen_problem1(n: int, seed: int) -> ProblemInstance:
     # i.i.d. uniform(0,1) draws averaged over all index permutations.
     # Averaging concentrates the row sums, which is what makes these
     # instances hard at alpha = 1 and makes over-relaxation pay off.
-    B = symmetrize(DenseTensor(rng.random((n,) * 4)))
+    B = symmetrize(_of_rows(4, n, _draws(rng, n)))
     rhs = rng.random(n)
     return ProblemInstance(identity_minus(B, 1.01 * B.packed.sum(axis=1).max()), rhs, "P1", n, seed)
 
@@ -59,18 +69,11 @@ def gen_problem2(n: int) -> ProblemInstance:
     """
     if n < 2:
         raise ValueError("problem 2 requires n >= 2")
-    # The index sums are integers below 2^53, exact in float64, so sin and
-    # abs can work in place on the one n^4 array.
+    # The index sums are integers below 2^53, exact in float64, in any
+    # order: row i1 is i1 plus the sums of the trailing indices.
     i = np.arange(1, n + 1, dtype=np.float64)
-    B = (
-        i[:, None, None, None]
-        + i[None, :, None, None]
-        + i[None, None, :, None]
-        + i[None, None, None, :]
-    )
-    np.sin(B, out=B)
-    np.abs(B, out=B)
-    B = DenseTensor(B)  # the array is dropped before identity_minus copies P
+    trailing = i[:, None, None] + i[:, None] + i
+    B = _of_rows(4, n, (np.abs(np.sin(i1 + trailing)) for i1 in i))
     tensor = identity_minus(B, float(n) ** 3)
     rhs = _rng("P2", n, 0).random(n)
     return ProblemInstance(tensor, rhs, "P2", n, seed=0)
@@ -106,11 +109,16 @@ def gen_problem4(n: int, seed: int) -> ProblemInstance:
     if n < 2:
         raise ValueError("problem 4 requires n >= 2")
     rng = _rng("P4", n, seed)
-    B = rng.random((n,) * 4)
+    sums = []  # each row's sum as drawn, the bits of B.reshape(n, -1).sum(axis=1)
+
+    def rows():
+        for row in _draws(rng, n):
+            sums.append(row.sum())
+            yield row
+
+    B = _of_rows(4, n, rows())
     rhs = rng.random(n)
-    s = 1.01 * B.reshape(n, -1).sum(axis=1).max()  # the max row sum of the array, as drawn
-    B = DenseTensor(B)  # the array is dropped before identity_minus copies P
-    return ProblemInstance(identity_minus(B, s), rhs, "P4", n, seed)
+    return ProblemInstance(identity_minus(B, 1.01 * max(sums)), rhs, "P4", n, seed)
 
 
 # The exact fixture systems: id -> (order, dim, entries [i1, ..., im, value]

@@ -26,8 +26,8 @@ Each input is checked once, where it enters, and a tensor and a number
 only here: `_is_number` is the package's one rule for a scalar (also for
 `SolveConfig`), `_order_and_dim` checks the order and dimension,
 `from_entries` the entry fields, and a constructor's one max/min pass
-rejects an inf or NaN and keeps the largest |entry| as `max_abs`, so no
-solve reads n^m entries for its scale.  `_as_vector` checks a vector's
+(row by row for a dense one) rejects an inf or NaN and keeps the largest
+|entry| as `max_abs`, so no solve reads n^m entries for its scale.  `_as_vector` checks a vector's
 length and, if named, finiteness.  A tensor record is read by
 `from_entries` and written by its inverse, `entries`.
 """
@@ -53,11 +53,14 @@ ROOT_CLAMP_TOL = 1e-14
 class DenseTensor:
     """Order-m, dimension-n real tensor with dense storage, read-only.
 
-    `DenseTensor(array)` checks the n^m array, packs it into `packed` (see
-    `_packing`) and keeps no reference to it; `max_abs` is the array's
-    largest |entry|.  One built from a packed matrix alone
-    (`identity_minus`, `symmetrize`) is the tensor of its packed records
-    (`entries`), and its `max_abs` is the largest |packed entry|.
+    `DenseTensor(array)` checks the n^m array, packs it row by row into
+    `packed` (`_pack`, see `_packing`) and keeps no reference to it;
+    `max_abs` is the array's largest |entry|.  A generator hands `_pack`
+    its rows as it makes them (`_of_rows`), so it never holds an n^m
+    array: packing holds P and one row of n^{m-1} entries.  One built
+    from a packed matrix alone (`identity_minus`, `symmetrize`) is the
+    tensor of its packed records (`entries`), and its `max_abs` is the
+    largest |packed entry|.
     """
 
     __slots__ = ("order", "dim", "packed", "max_abs")
@@ -67,13 +70,20 @@ class DenseTensor:
         n = arr.shape[0] if arr.ndim else 0
         if any(s != n for s in arr.shape):
             raise ValueError("all tensor modes must have equal dimension")
-        order, dim = _order_and_dim(arr.ndim, n)
-        max_abs = _max_abs(arr)
+        self._pack(*_order_and_dim(arr.ndim, n), arr)
+
+    def _pack(self, order: int, dim: int, rows) -> "DenseTensor":
+        """Pack `rows`, the dim row slabs T(i, ...) of shape (dim,)^(order-1)
+        in order of i, into self and return self: the one packer.  Each row
+        is checked finite (`_max_abs`) and binned into its row of P, so only
+        one row is held at a time; `max_abs` is the largest row's."""
         layout = _packing(dim, order)
-        packed = np.empty((dim, layout.size))
-        for i in range(dim):  # one row at a time, so no n^m temporary is built
-            packed[i] = np.bincount(layout.column, weights=arr[i].reshape(-1), minlength=layout.size)
+        packed, max_abs = np.empty((dim, layout.size)), 0.0
+        for i, row in enumerate(rows):
+            max_abs = max(max_abs, _max_abs(row))
+            packed[i] = np.bincount(layout.column, weights=row.reshape(-1), minlength=layout.size)
         self._keep(order, packed, max_abs)
+        return self
 
     def _keep(self, order: int, packed: np.ndarray, max_abs: float) -> None:
         packed.flags.writeable = False
@@ -105,7 +115,10 @@ class SparseTensor:
     unlisted positions are zero.  Entries are kept in lexicographic index
     order.  `idx` is stored column-major, and `cols[k]` is its k-th column,
     the contiguous index array of mode k that the contraction gathers
-    through; `max_abs` is the largest |entry|.  The layout follows Bader &
+    through; `max_abs` is the largest |entry|.  idx, cols and vals are
+    read-only; `_rows` is cols[0] as a writeable view of the same memory,
+    which the contraction bins by and nothing writes: np.bincount copies a
+    read-only index on every call.  The layout follows Bader &
     Kolda, "Efficient MATLAB computations with sparse and factored tensors"
     (SIAM J. Sci. Comput., 2007).
     """
@@ -136,10 +149,11 @@ class SparseTensor:
         repeated = np.all(idx[1:] == idx[:-1], axis=1)
         if np.any(repeated):
             raise ValueError(f"duplicate entry at index {_one_based(idx[1:][repeated][0])}")
+        rows = idx[:, 0]  # taken before idx is made read-only, so it stays writeable
         idx.flags.writeable = False
         vals.flags.writeable = False
         for name, value in (("order", order), ("dim", dim), ("idx", idx), ("vals", vals),
-                            ("cols", tuple(idx.T)), ("max_abs", max_abs)):
+                            ("cols", tuple(idx.T)), ("_rows", rows), ("max_abs", max_abs)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -173,6 +187,12 @@ def _of_packed(order: int, packed: np.ndarray, max_abs: float) -> DenseTensor:
     T = object.__new__(DenseTensor)
     T._keep(order, packed, max_abs)
     return T
+
+
+def _of_rows(order: int, dim: int, rows) -> DenseTensor:
+    """The DenseTensor whose rows T(i, ...) are `rows`, an iterable of dim
+    arrays of shape (dim,)^(order-1), packed as they arrive (`_pack`)."""
+    return object.__new__(DenseTensor)._pack(order, dim, rows)
 
 
 # COO is kept while COO_ENTRY_COST * (nonzero packed sums) < n C(n+m-2, m-1).
@@ -343,7 +363,8 @@ def _contract(T: Tensor, x: np.ndarray, values: np.ndarray | None = None) -> np.
 
     COO sums over the stored entries: it gathers x through the contiguous
     index column `cols[k]` of each trailing mode k, multiplies `vals` by
-    the gathered factors in mode order and bins the products by row.
+    the gathered factors in mode order and bins the products by row
+    (`_rows`, which np.bincount takes without a copy).
     Dense is one matrix-vector product with the packed matrix `T.packed`,
     n x C(n+m-2, m-1), against the products z of x over its sorted
     trailing multi-indices; T x^{m-1} depends on T only through those sums.
@@ -356,11 +377,10 @@ def _contract(T: Tensor, x: np.ndarray, values: np.ndarray | None = None) -> np.
     `magnitudes`).
     """
     if isinstance(T, SparseTensor):
-        first, *rest = T.cols
         w = T.vals if values is None else values
-        for c in rest:
+        for c in T.cols[1:]:
             w = w * x[c]
-        return np.bincount(first, weights=w, minlength=T.dim)
+        return np.bincount(T._rows, weights=w, minlength=T.dim)
     z = x
     if T.order > 2:
         layout = _packing(T.dim, T.order)
@@ -453,19 +473,30 @@ def symmetrize(T: DenseTensor) -> DenseTensor:
     has that mean, and P_sym[i, u] sums count[u] of them.  The terms are
     added in increasing q and then scaled, so the result is P_sym up to a
     few roundings per entry, not the bits of a sum over n^m arrays.
+
+    P_sym is built one row at a time: beside P, R and P_sym it holds a few
+    vectors of one row's length, so its peak is about 3 packed matrices.
     """
     n, m = T.dim, T.order
     layout = _packing(n, m)
     R = T.packed / layout.count
-    acc = R.copy()
-    for q in range(m - 1):  # w_{q+1}, the trailing index u_{q+1}, put first
-        flat = np.arange(n)[:, None]  # becomes (i, u without u_{q+1}) of each (i, u), flattened
+    # rest[q] is u without u_{q+1} of each column u, flattened, for the
+    # term that puts w_{q+1} first; behind row i it is a trailing
+    # multi-index, whose packed column is column.reshape(n, -1)[i, rest[q]].
+    rest = []
+    for q in range(m - 1):
+        flat = 0
         for k, c in enumerate(layout.cols):
             if k != q:
                 flat = flat * n + c
-        acc += R[layout.cols[q], layout.column[flat]]
-    acc *= layout.count / m
-    return _of_packed(m, acc, _max_abs(acc))
+        rest.append(flat)
+    out, scale = np.empty_like(R), layout.count / m
+    for i, (row, column) in enumerate(zip(out, layout.column.reshape(n, -1))):
+        row[:] = R[i]
+        for c, flat in zip(layout.cols, rest):
+            row += R[c, column[flat]]
+        row *= scale
+    return _of_packed(m, out, _max_abs(out))
 
 
 def row_sums(T: Tensor) -> np.ndarray:

@@ -145,26 +145,26 @@ class TestPackedContraction:
 
     @pytest.fixture
     def events(self, monkeypatch):
-        """Each dense tensor built from an array, as ("pack", tensor), and
-        each solver step, in order."""
-        log, construct, step = [], DenseTensor.__init__, solvers.Stepper.step
+        """Each dense tensor packed from its rows, by the constructor or a
+        generator, as ("pack", tensor), and each solver step, in order."""
+        log, pack, step = [], DenseTensor._pack, solvers.Stepper.step
 
-        def packing(T, array):
+        def packing(T, order, dim, rows):
             log.append(("pack", T))
-            return construct(T, array)
+            return pack(T, order, dim, rows)
 
         def stepping(self, xpow, F):
             log.append(("step", None))
             return step(self, xpow, F)
 
-        monkeypatch.setattr(DenseTensor, "__init__", packing)
+        monkeypatch.setattr(DenseTensor, "_pack", packing)
         monkeypatch.setattr(solvers.Stepper, "step", stepping)
         return log
 
     @pytest.mark.parametrize("first, second", [("smeqm", "anewton"), ("anewton", "smeqm")])
     def test_the_constructor_packs_once(self, events, first, second):
-        # the generator packs its draw once, builds its tensor from that
-        # packed matrix, and no run packs again
+        # the generator packs its draw once, row by row, builds its tensor
+        # from that packed matrix, and no run packs again
         inst = gen_problem1(6, 0)
         assert [kind for kind, _ in events] == ["pack"] and events[0][1] is not inst.tensor
         P = inst.tensor.packed
@@ -552,6 +552,30 @@ class TestCooContraction:
             w = w * x[idx[:, k]]
         ref = np.bincount(idx[:, 0], weights=w, minlength=12)
         assert _contract(T, x).tobytes() == ref.tobytes()
+
+    def test_bins_without_an_index_copy(self, monkeypatch):
+        # np.bincount copies a read-only index, nnz * 8 B per contraction; the
+        # row index it bins by is taken as it is, so the binning holds only
+        # its n-vector beyond the products
+        T = gen_problem3(20000).tensor
+        assert isinstance(T, SparseTensor)
+        bincount, peaks = np.bincount, []
+
+        def traced(*args, **kwargs):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = bincount(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+            return out
+
+        monkeypatch.setattr(np, "bincount", traced)
+        tracemalloc.start()
+        try:
+            _contract(T, np.ones(T.dim))
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 1 and peaks[0] < 8 * T.vals.size
+        assert not any(a.flags.writeable for a in (T.idx, T.vals, *T.cols))
 
     def test_columns_follow_taken_entries(self):
         # Some entries of P3, given unsorted to the constructor.
