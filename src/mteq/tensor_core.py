@@ -27,9 +27,10 @@ only here: `_is_number` is the package's one rule for a scalar (also for
 `SolveConfig`), `_order_and_dim` checks the order and dimension,
 `from_entries` the entry fields, and a constructor's one max/min pass
 (row by row for a dense one) rejects an inf or NaN and keeps the largest
-|entry| as `max_abs`, so no solve reads n^m entries for its scale.  `_as_vector` checks a vector's
-length and, if named, finiteness.  A tensor record is read by
-`from_entries` and written by its inverse, `entries`.
+|entry| as `max_abs`, so no solve reads n^m entries for its scale.
+`_as_vector` checks a vector's length and, if named, finiteness.  A
+tensor record is read by `from_entries` and written by its inverse,
+`entries`.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ class DenseTensor:
     def _pack(self, order: int, dim: int, rows) -> "DenseTensor":
         """Pack `rows`, the dim row slabs T(i, ...) of shape (dim,)^(order-1)
         in order of i, into self and return self: the one packer.  Each row
-        is checked finite (`_max_abs`) and binned into its row of P, so only
-        one row is held at a time; `max_abs` is the largest row's."""
+        is checked finite (`_max_abs`) and binned into its row of P as it
+        arrives, and none is kept; `max_abs` is the largest row's."""
         layout = _packing(dim, order)
         packed, max_abs = np.empty((dim, layout.size)), 0.0
         for i, row in enumerate(rows):
