@@ -10,7 +10,11 @@ only code that evaluates anything on T during a run (the start, every
 step and the backward error).  The matrix a method solves with does not
 change during a run, so `_prepared_solve` inverts it once and each
 iteration costs one matrix-vector product, or a division where M is
-diagonal.
+diagonal.  A dense T whose packed matrix is past one core's L2 and within
+two is contracted on two threads where 2 CPUs are usable: the Stepper
+starts one worker thread for the run (`tensor_core._row_split`), and
+solve() joins it before it returns, whatever the outcome.  Every result
+has the same bits with the worker as without.
 
 From a feasible start (x0 in S = {x >= 0 : F(x) <= 0}) with alpha in
 (0, 1], the iterates increase monotonically and stay in S; the driver
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,6 +39,7 @@ from .tensor_core import (
     _contract,
     _is_number,
     _majorization_is_diagonal,
+    _row_split,
     diagonal,
     elementwise_root,
     magnitudes,
@@ -191,6 +197,8 @@ class Stepper:
     and F = F(x), returns (x_new, xpow_new, F_new, F_new.max(), fallback)
     and stores the new eps.
     backward_error(x, F) is the componentwise backward error of x.
+    Every contraction goes through `split`, the run's product
+    (`_row_split`); close() joins its worker thread, if it started one.
     """
 
     def __init__(self, method, T: Tensor, b, alpha, omega=1.0, scale=1.0):
@@ -204,6 +212,7 @@ class Stepper:
         omega = omega if method == "sor" else 1.0  # gs is sor at omega = 1
         self.solve, self.product = _prepared_solve(method, T, omega)
         self.c = alpha * omega
+        self.split = _row_split(T)  # last, so that a constructor that raises starts no thread
 
     def start(self, x0: np.ndarray):
         """Evaluate the start x0, a float64 vector of length n: returns
@@ -231,7 +240,7 @@ class Stepper:
         x solves exactly.  It is a ratio, so it does not depend on how the
         system is scaled.  0/0 counts as 0, and a non-finite F gives inf."""
         num = np.abs(F)
-        den = _contract(self.T, np.abs(x), self.mags) + np.abs(self.b)
+        den = _contract(self.T, np.abs(x), self.mags, product=self.split) + np.abs(self.b)
         omega = _max(np.divide(num, den, out=np.zeros_like(num), where=num != 0.0))
         return math.inf if math.isnan(omega) else float(omega)
 
@@ -246,8 +255,13 @@ class Stepper:
     def _evaluate(self, x):
         """x, x^[m-1], F(x) and F(x).max().  x is a float64 vector of length
         n, so the contraction kernel runs unchecked."""
-        F = _contract(self.T, x) - self.b
+        F = _contract(self.T, x, product=self.split) - self.b
         return x, x**self.p, F, _max(F)
+
+    def close(self) -> None:
+        """End and join the run's worker thread, if it has one."""
+        if self.split is not None:
+            self.split.close()
 
 
 def _prepared_solve(method, T: Tensor, omega=1.0):
@@ -290,13 +304,15 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
     ||F(x_k)||_2 / w <= eta and its componentwise backward error
     omega(x_k) <= OMEGA_TOL; omega is computed only once the first test
     holds, and the outcome reports it for the returned x.  A dense T is
-    contracted through the packed matrix it holds.  An infeasible start is
-    reported in the outcome but iteration proceeds with the monotonicity
-    audit disabled.  A step that yields an inf or NaN ends the run with
-    Status.NON_FINITE; x and the iteration count are then those of the
-    last finite iterate.  A residual whose entries are finite but whose
-    2-norm overflows keeps iterating.  Overflow on the way there is
-    reported by the status, not by numpy warnings.
+    contracted through the packed matrix it holds, on two threads when the
+    Stepper starts a worker, which is joined before solve() returns or
+    raises.  An infeasible start is reported in the outcome but iteration
+    proceeds with the monotonicity audit disabled.  A step that yields an
+    inf or NaN ends the run with Status.NON_FINITE; x and the iteration
+    count are then those of the last finite iterate.  A residual whose
+    entries are finite but whose 2-norm overflows keeps iterating.
+    Overflow on the way there is reported by the status, not by numpy
+    warnings.
     """
     cfg = cfg or SolveConfig()
     n = T.dim
@@ -314,7 +330,7 @@ def solve(T: Tensor, b, x0=None, cfg: SolveConfig | None = None) -> SolveOutcome
         return SolveOutcome(Status.SINGULAR_MATRIX, x, 0, trace, alpha_warning=cfg.alpha > 1.0,
                             scale_factor=w)
 
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with closing(stepper), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x, xpow, F, _ = stepper.start(x)
         # Not the largest entry: F(x0) = (inf, NaN) is infeasible, yet its max is NaN.
         infeasible = bool(np.any(F > AUDIT_TOL * w))

@@ -9,7 +9,7 @@ that returns a tensor returns it in the storage of its input, and
 builds for a COO tensor whose M is diagonal (`_majorization_is_diagonal`).
 The one contraction is T x^{m-1}, with one kernel per storage.
 Indices are 1-based in external formats and 0-based internally.  All
-operations here are pure functions over immutable inputs.
+operations here but a `_RowSplit` are pure functions over immutable inputs.
 
 T x^{m-1} depends on T only through the sums of T(i, ...) over the
 orderings of each trailing multi-index.  A dense tensor is therefore kept
@@ -21,6 +21,11 @@ tensors for high performance" (SIAM J. Sci. Comput., 2014), applied to
 the trailing modes; it holds for every tensor, symmetric or not.  The
 structure tests read the packed sums in either storage (`packed_sums`),
 and `symmetrize` averages a tensor over all orders of its indices on P.
+A run whose P is past one core's L2 and within two (`SPLIT_BYTES`)
+contracts on two threads where 2 CPUs are usable: `_row_split` gives it a
+`_RowSplit`, whose worker thread computes the lower rows of each product
+while the caller computes the upper ones, with the bits of the one-thread
+product.  Nothing else here starts a thread.
 
 Each input is checked once, where it enters, and a tensor and a number
 only here: `_is_number` is the package's one rule for a scalar (also for
@@ -39,6 +44,8 @@ import functools
 import itertools
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -359,7 +366,96 @@ def magnitudes(T: Tensor) -> np.ndarray:
     return np.abs(T.vals if isinstance(T, SparseTensor) else T.packed)
 
 
-def _contract(T: Tensor, x: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
+# A run whose packed matrix has SPLIT_BYTES < nbytes <= 2 * SPLIT_BYTES
+# contracts on two threads (`_row_split`) when 2 CPUs are usable: P then
+# outgrows one core's 2 MiB L2 and streams from L3, but fits in the L2 of
+# two.  OpenBLAS threads a gemv itself from 460,800 entries (P1 from n = 41).
+# Median us of T x^{m-1} on P1 (m = 4) at seed 3 over 8 alternated processes
+# of 2000 contractions each, every product `A @ z` against this rule, on a
+# 2-core x86-64 VM with OpenBLAS 0.3.31:
+#   n              30    35    40    41    45    50
+#   P (MiB)      1.14  2.07  3.50  3.86  5.57  8.43
+#   split          no   yes   yes   yes    no    no
+#   A @ z          63   137   213   170   274   310
+#   this rule      60   130   176   208   258   316
+# Unsplit columns run the same code, so they show the noise.  At n = 41 the
+# split is slower than OpenBLAS's own two threads, whose split at row 21
+# gives other bits on two CPUs than on one; the split keeps the bits.
+SPLIT_BYTES = 2 << 20
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _row_split(T: Tensor) -> "_RowSplit | None":
+    """The product for a run's contractions of T (`_contract`): a
+    `_RowSplit`, which starts a worker thread, when T is dense, its packed
+    matrix is in the window of SPLIT_BYTES and 2 CPUs are usable; else
+    None, and each product is `A @ z`.  The caller closes a `_RowSplit`."""
+    if (isinstance(T, DenseTensor) and SPLIT_BYTES < T.packed.nbytes <= 2 * SPLIT_BYTES
+            and _usable_cpus() >= 2):
+        return _RowSplit(T.dim)
+    return None
+
+
+class _RowSplit:
+    """A @ z for the n-row matrices of one run, on two threads: a worker
+    thread computes rows [h, n) while the caller computes rows [0, h), h
+    the multiple of 4 nearest n/2, each with np.dot into its slice of one
+    vector.  np.dot releases the GIL for the product, where numpy's matmul
+    keeps it for a 2-D x 1-D product.  OpenBLAS computes a gemv's rows in
+    blocks of 4, so a split at a multiple of 4 gives each row the bits of
+    the one-thread `A @ z`.  The worker computes under the caller's
+    np.errstate, so a product warns or raises as `A @ z` would.  It holds
+    only its two queues, not its owner; close() ends and joins it."""
+
+    def __init__(self, n: int):
+        import queue  # here, not at module level: only a split run needs it and its two extension modules
+
+        self.h = 4 * round(n / 8)
+        self._jobs, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+        self._worker = threading.Thread(target=_lower_rows, args=(self._jobs, self._done, self.h),
+                                        name="mteq-rows", daemon=True)
+        self._worker.start()
+
+    def __call__(self, A: np.ndarray, z: np.ndarray) -> np.ndarray:
+        y, h = np.empty(A.shape[0]), self.h
+        self._jobs.put((A, z, y, np.geterr()))
+        try:
+            np.dot(A[:h], z, out=y[:h])
+        finally:
+            error = self._done.get()  # also when the caller's half raised, so no answer is left over
+        if error is not None:
+            raise error
+        return y
+
+    def close(self) -> None:
+        self._jobs.put(None)
+        self._worker.join()
+
+
+def _lower_rows(jobs, done, h: int) -> None:
+    """A `_RowSplit`'s worker: y[h:] = A[h:] @ z under the error state err
+    for each job (A, z, y, err) from the queue `jobs` until None, answering
+    each on the queue `done` with None or the exception raised, which the
+    caller raises."""
+    for A, z, y, err in iter(jobs.get, None):
+        try:
+            with np.errstate(**err):
+                np.dot(A[h:], z, out=y[h:])
+        except Exception as error:  # handed to the caller, which waits on done
+            done.put(error)
+        else:
+            done.put(None)
+
+
+def _contract(T: Tensor, x: np.ndarray, values: np.ndarray | None = None,
+              product: "_RowSplit | None" = None) -> np.ndarray:
     """T x^{m-1}, the one contraction, with one kernel per storage.
 
     COO sums over the stored entries: it gathers x through the contiguous
@@ -375,7 +471,9 @@ def _contract(T: Tensor, x: np.ndarray, values: np.ndarray | None = None) -> np.
     m = 2, z is x.  x must already be a float64 vector of length n; it is
     not checked here, so that solve() can contract its own iterates
     without the check.  `values` stands in for T.vals or T.packed (see
-    `magnitudes`).
+    `magnitudes`).  `product` is the run's dense product, `_row_split(T)`:
+    with one, the matrix-vector product is computed on two threads, with
+    the bits of `A @ z`; without one it is `A @ z`.
     """
     if isinstance(T, SparseTensor):
         w = T.vals if values is None else values
@@ -388,7 +486,8 @@ def _contract(T: Tensor, x: np.ndarray, values: np.ndarray | None = None) -> np.
         z = np.outer(x, x).ravel()[layout.pairs]
         for c in layout.cols[2:]:
             z = z * x[c]
-    return (T.packed if values is None else values) @ z
+    A = T.packed if values is None else values
+    return A @ z if product is None else product(A, z)
 
 
 def contract_full(T: Tensor, x) -> np.ndarray:

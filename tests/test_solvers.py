@@ -2,6 +2,8 @@ import csv
 import gc
 import hashlib
 import re
+import sys
+import threading
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -23,6 +25,7 @@ from mteq import (
     residual,
     solve,
 )
+from mteq import tensor_core
 from mteq.problems import gen_problem1, gen_problem3, gen_problem4
 from mteq.solvers import AUDIT_TOL, METHODS, OMEGA_TOL, Stepper
 from mteq.tensor_core import system_scale
@@ -532,17 +535,20 @@ class TestSolveBehaviour:
         assert np.geterr() == before
 
     @pytest.mark.parametrize("method", ["smeqm", "jacobi", "gs", "sor", "anewton"])
-    def test_leaves_no_reference_cycle(self, method):
+    def test_leaves_no_reference_cycle(self, monkeypatch, method):
         # a cycle would keep each finished solve's factors, trace and
-        # magnitudes of the tensor alive until a full garbage collection
-        inst = gen_problem1(6, 2)
-        gc.collect()
-        gc.disable()
-        try:
-            solve(inst.tensor, inst.rhs, None, SolveConfig(method=method))
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        # magnitudes of the tensor alive until a full garbage collection;
+        # at n = 40 the run has a worker thread, which must not point back
+        # at the stepper that owns it
+        monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: 2)
+        for inst in (gen_problem1(6, 2), gen_problem1(40, 2)):
+            gc.collect()
+            gc.disable()
+            try:
+                solve(inst.tensor, inst.rhs, None, SolveConfig(method=method))
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
 
     def test_overflowing_norm_keeps_max_iter(self):
         inst = gen_problem4(3, 1)
@@ -592,6 +598,105 @@ class TestSolveBehaviour:
         assert out.status is Status.CONVERGED
         assert out.iterations == 0
         assert out.res2 == 0.0
+
+
+@pytest.fixture(scope="module")
+def p1_n40():
+    """P1 at n = 40, whose 3.5 MiB packed matrix a run contracts on two threads."""
+    return gen_problem1(40, 3)
+
+
+def outcome_bits(out):
+    """Everything a solve returns but the trace's wall times, as bytes and values."""
+    trace = out.trace
+    return (out.status, out.iterations, out.x.tobytes(), out.res2, out.omega, trace.res2, trace.resinf,
+            trace.mono_violation, trace.feas_violation, trace.eps_fallback)
+
+
+class TestSplitContraction:
+    """A dense run whose packed matrix is past one core's L2 and within two
+    contracts on a worker thread as well (`tensor_core._row_split`)."""
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        """The threads started, with 2 usable CPUs whatever the machine has."""
+        monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: 2)
+        started, start = [], threading.Thread.start
+
+        def starting(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", starting)
+        return started
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_same_outcome_on_one_cpu(self, monkeypatch, p1_n40, method, alpha):
+        cfg = SolveConfig(method=method, alpha=alpha, omega=1.3 if method == "sor" else 1.0, max_iter=25)
+        outcomes = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(tensor_core, "_usable_cpus", lambda c=cpus: c)
+            outcomes.append(outcome_bits(solve(p1_n40.tensor, p1_n40.rhs, None, cfg)))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("ending", ["converged", "max_iter", "raises"])
+    def test_joins_its_worker(self, monkeypatch, starts, p1_n40, ending):
+        threads = threading.active_count()
+        if ending == "raises":
+            step = Stepper.step
+
+            def failing(stepper, xpow, F):
+                step(stepper, xpow, F)
+                raise RuntimeError("step failed")
+
+            monkeypatch.setattr(Stepper, "step", failing)
+            with pytest.raises(RuntimeError, match="step failed"):
+                solve(p1_n40.tensor, p1_n40.rhs, None, SolveConfig(method="anewton"))
+        else:
+            cfg = SolveConfig(method="anewton", max_iter=3000 if ending == "converged" else 5)
+            out = solve(p1_n40.tensor, p1_n40.rhs, None, cfg)
+            assert out.status is (Status.CONVERGED if ending == "converged" else Status.MAX_ITER)
+        assert len(starts) == 1 and not starts[0].is_alive()
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("case", ["P3", "P1 n = 10", "P1 n = 50", "one CPU"])
+    def test_starts_no_thread(self, monkeypatch, case):
+        # COO never splits, nor a packed matrix within one L2 or past two, nor a run on one CPU
+        monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: 1 if case == "one CPU" else 2)
+
+        def refused(thread):
+            raise AssertionError(f"started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        inst = {"P3": lambda: gen_problem3(50), "P1 n = 10": lambda: gen_problem1(10, 3),
+                "P1 n = 50": lambda: gen_problem1(50, 3), "one CPU": lambda: gen_problem1(40, 3)}[case]()
+        out = solve(inst.tensor, inst.rhs, None, SolveConfig(method="anewton", max_iter=5))
+        assert out.iterations >= 1
+
+    def test_concurrent_solves_agree(self, starts, p1_n40):
+        # two solves of one system at once, each with its own worker: four
+        # threads on at most two cores, switching every 10 us
+        cfg = SolveConfig(method="anewton")
+        expected = outcome_bits(solve(p1_n40.tensor, p1_n40.rhs, None, cfg))
+        results = [None, None]
+
+        def run(i):
+            results[i] = outcome_bits(solve(p1_n40.tensor, p1_n40.rhs, None, cfg))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runners = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for t in runners:
+                t.start()
+            for t in runners:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in runners)
+        assert results == [expected, expected]
+        assert len(starts) == 5  # one worker per solve, and the two solving threads
 
 
 class TestTraceCsv:

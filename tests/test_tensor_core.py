@@ -22,7 +22,7 @@ from mteq import (
     residual,
     solve,
 )
-from mteq import solvers
+from mteq import solvers, tensor_core
 from mteq.errors import DimensionMismatch
 from mteq.problems import gen_problem1, gen_problem3
 from mteq.tensor_core import (
@@ -33,6 +33,7 @@ from mteq.tensor_core import (
     _is_number,
     _majorization_is_diagonal,
     _packing,
+    _row_split,
     has_offmajor,
     identity_minus,
     magnitudes,
@@ -214,6 +215,56 @@ class TestPackedContraction:
         T = DenseTensor(A)
         assert T.packed.tobytes() == A.tobytes()
         assert contract_full(T, x).tobytes() == (A @ x).tobytes()
+
+
+class TestRowSplit:
+    @pytest.mark.parametrize("n", [35, 40])
+    def test_split_product_keeps_the_bits(self, monkeypatch, n):
+        # each half of the split is a gemv on whole blocks of 4 rows, so
+        # T x^{m-1} and |T| |x|^{m-1} keep the bits of the one-thread A @ z
+        monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: 2)
+        T = gen_problem1(n, 3).tensor
+        rng = np.random.default_rng(n)
+        xs = (np.zeros(n), rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 0.0, n),
+              np.where(rng.random(n) < 0.3, -0.0, rng.uniform(-2.0, 2.0, n)))
+        split = _row_split(T)
+        try:
+            assert split.h % 4 == 0 and abs(split.h - n / 2) <= 2
+            for x in xs:
+                for v, values in ((x, None), (np.abs(x), magnitudes(T))):
+                    assert _contract(T, v, values, split).tobytes() == _contract(T, v, values).tobytes()
+        finally:
+            split.close()
+
+    @pytest.mark.parametrize("upper", [1.0, 1e306])
+    def test_worker_keeps_the_callers_error_state(self, monkeypatch, upper):
+        # the worker's rows overflow, and with upper = 1e306 the caller's
+        # too: ignored under the caller's np.errstate (solve's), or raised
+        # by the call, as A @ z would
+        monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: 2)
+        K = math.comb(42, 3)
+        T = tensor_core._of_packed(4, np.repeat([[upper], [1e306]], 20, axis=0) * np.ones(K), 1e306)
+        x = np.ones(40)
+        split = _row_split(T)
+        try:
+            with np.errstate(over="ignore"):
+                assert _contract(T, x, product=split).tobytes() == _contract(T, x).tobytes()
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                _contract(T, x, product=split)
+            with np.errstate(over="ignore"):  # no answer of the raised call is left over
+                assert _contract(T, 2.0 * x, product=split).tobytes() == _contract(T, 2.0 * x).tobytes()
+        finally:
+            split.close()
+
+    @pytest.mark.parametrize("n, cpus, splits", [(34, 2, False), (35, 2, True), (41, 2, True),
+                                                 (42, 2, False), (40, 1, False)])
+    def test_window(self, monkeypatch, n, cpus, splits):
+        # P1 splits from n = 35, P past 2 MiB, to n = 41, P within 4 MiB, on 2 CPUs
+        monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: cpus)
+        split = _row_split(tensor_core._of_packed(4, np.zeros((n, math.comb(n + 2, 3))), 0.0))
+        assert (split is not None) == splits
+        if split is not None:
+            split.close()
 
 
 class TestResidual:
