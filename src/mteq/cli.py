@@ -12,7 +12,7 @@ import numpy as np
 from . import problems, structure, tensorio
 from .errors import MteqError, NotZTensor
 from .solvers import METHODS, SolveConfig, Status, solve
-from .tensor_core import _majorization_is_diagonal, diagonal, majorization
+from .tensor_core import _majorization_unless_diagonal, diagonal
 
 EXIT_CODES = {
     Status.CONVERGED: 0,
@@ -119,11 +119,12 @@ def cmd_analyze(args) -> int:
         print(f"existence: {structure.existence_sufficient(T, b).value}")
     except MteqError as exc:
         print(f"existence: error ({exc})")
-    if _majorization_is_diagonal(T):  # max|d| / min|d|, as the SVD of M gives
+    M = _majorization_unless_diagonal(T)
+    if M is None:  # max|d| / min|d|, as the SVD of M gives
         d = np.abs(diagonal(T))
         cond = d.max() / d.min() if d.min() else np.inf
     else:
-        cond = np.linalg.cond(majorization(T))
+        cond = np.linalg.cond(M)
     print(f"majorization_cond_estimate: {cond:.6g}")
     return 0
 

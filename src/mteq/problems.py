@@ -7,11 +7,19 @@ bit-for-bit.  A dense generator makes its tensor one row slab
 B(i, ...) of n^3 entries at a time, drawn or from its formula, and packs
 each as it comes (`tensor_core._of_rows`), so no n^4 array is ever built;
 P1's symmetrization and s*I - B are computed on packed matrices
-(`tensor_core.symmetrize`, `identity_minus`).
+(`tensor_core.symmetrize`, `identity_minus`).  A generator makes any range
+of rows on request: a formula's from the row index, a draw's from the
+Philox stream advanced to the range's first row (`_draws`), since Philox
+is counter-based (Salmon et al., "Parallel random numbers: as easy as 1,
+2, 3", SC 2011).  So the packing, and P1's symmetrization, run on two
+threads for a large tensor where 2 CPUs are usable, with the bits of one
+(`tensor_core._by_rows`), and every thread is joined before the generator
+returns or raises.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -36,16 +44,28 @@ class ProblemInstance:
     known_solutions: tuple = field(default_factory=tuple)
 
 
-def _rng(problem: str, n: int, seed: int) -> np.random.Generator:
+def _rng(problem: str, n: int, seed: int, start: int = 0) -> np.random.Generator:
+    """The Philox stream of (problem, n, seed) after its first `start`
+    doubles.  A double takes one 64-bit output, and Philox makes them in
+    blocks of 4 from a counter, so the stream is advanced start // 4
+    blocks and start % 4 doubles are drawn: the state that drawing `start`
+    doubles leaves, bit for bit."""
     code = _PROBLEM_CODES[problem]
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([code, n, seed])))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([code, n, seed])))
+    if start:
+        rng.bit_generator.advance(start // 4)
+        rng.random(start % 4)
+    return rng
 
 
-def _draws(rng: np.random.Generator, n: int):
-    """The rows B(i, ...) of an n^4 uniform(0,1) draw, one n^3 draw each.
-    The generator fills doubles in sequence, so they are the rows of
-    rng.random((n,) * 4) bit for bit, and the draws after them match too."""
-    for _ in range(n):
+def _draws(problem: str, n: int, seed: int, lo: int, hi: int):
+    """The rows B(i, ...), lo <= i < hi, of the n^4 uniform(0,1) draw of
+    (problem, n, seed), one n^3 draw each from the stream positioned at row lo
+    (`_rng`).  The generator fills doubles in sequence, so any row range
+    gives the rows of rng.random((n,) * 4) bit for bit, and the draws
+    after the tensor, from `_rng(problem, n, seed, n**4)`, match too."""
+    rng = _rng(problem, n, seed, lo * n**3)
+    for _ in range(lo, hi):
         yield rng.random((n,) * 3)
 
 
@@ -53,12 +73,11 @@ def gen_problem1(n: int, seed: int) -> ProblemInstance:
     """Fourth-order symmetric strong M-tensor with uniform(0,1) entries."""
     if n < 2:
         raise ValueError("problem 1 requires n >= 2")
-    rng = _rng("P1", n, seed)
     # i.i.d. uniform(0,1) draws averaged over all index permutations.
     # Averaging concentrates the row sums, which is what makes these
     # instances hard at alpha = 1 and makes over-relaxation pay off.
-    B = symmetrize(_of_rows(4, n, _draws(rng, n)))
-    rhs = rng.random(n)
+    B = symmetrize(_of_rows(4, n, functools.partial(_draws, "P1", n, seed)))
+    rhs = _rng("P1", n, seed, n**4).random(n)
     return ProblemInstance(identity_minus(B, 1.01 * B.packed.sum(axis=1).max()), rhs, "P1", n, seed)
 
 
@@ -73,7 +92,7 @@ def gen_problem2(n: int) -> ProblemInstance:
     # order: row i1 is i1 plus the sums of the trailing indices.
     i = np.arange(1, n + 1, dtype=np.float64)
     trailing = i[:, None, None] + i[:, None] + i
-    B = _of_rows(4, n, (np.abs(np.sin(i1 + trailing)) for i1 in i))
+    B = _of_rows(4, n, lambda lo, hi: (np.abs(np.sin(i1 + trailing)) for i1 in i[lo:hi]))
     tensor = identity_minus(B, float(n) ** 3)
     rhs = _rng("P2", n, 0).random(n)
     return ProblemInstance(tensor, rhs, "P2", n, seed=0)
@@ -108,17 +127,16 @@ def gen_problem4(n: int, seed: int) -> ProblemInstance:
     """Like problem 1 but with i.i.d. entries and no symmetry."""
     if n < 2:
         raise ValueError("problem 4 requires n >= 2")
-    rng = _rng("P4", n, seed)
-    sums = []  # each row's sum as drawn, the bits of B.reshape(n, -1).sum(axis=1)
+    sums = np.empty(n)  # each row's sum as drawn, the bits of B.reshape(n, -1).sum(axis=1)
 
-    def rows():
-        for row in _draws(rng, n):
-            sums.append(row.sum())
+    def rows(lo, hi):
+        for i, row in enumerate(_draws("P4", n, seed, lo, hi), lo):
+            sums[i] = row.sum()
             yield row
 
-    B = _of_rows(4, n, rows())
-    rhs = rng.random(n)
-    return ProblemInstance(identity_minus(B, 1.01 * max(sums)), rhs, "P4", n, seed)
+    B = _of_rows(4, n, rows)
+    rhs = _rng("P4", n, seed, n**4).random(n)
+    return ProblemInstance(identity_minus(B, 1.01 * sums.max()), rhs, "P4", n, seed)
 
 
 # The exact fixture systems: id -> (order, dim, entries [i1, ..., im, value]

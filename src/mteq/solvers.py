@@ -38,12 +38,11 @@ from .tensor_core import (
     _as_vector,
     _contract,
     _is_number,
-    _majorization_is_diagonal,
+    _majorization_unless_diagonal,
     _row_split,
     diagonal,
     elementwise_root,
     magnitudes,
-    majorization,
     system_scale,
 )
 
@@ -197,8 +196,8 @@ class Stepper:
     and F = F(x), returns (x_new, xpow_new, F_new, F_new.max(), fallback)
     and stores the new eps.
     backward_error(x, F) is the componentwise backward error of x.
-    Every contraction goes through `split`, the run's product
-    (`_row_split`); close() joins its worker thread, if it started one.
+    Every contraction goes through `split`, the run's `_row_split`;
+    close() joins its worker thread, if it started one.
     """
 
     def __init__(self, method, T: Tensor, b, alpha, omega=1.0, scale=1.0):
@@ -240,7 +239,7 @@ class Stepper:
         x solves exactly.  It is a ratio, so it does not depend on how the
         system is scaled.  0/0 counts as 0, and a non-finite F gives inf."""
         num = np.abs(F)
-        den = _contract(self.T, np.abs(x), self.mags, product=self.split) + np.abs(self.b)
+        den = _contract(self.T, np.abs(x), self.mags, split=self.split) + np.abs(self.b)
         omega = _max(np.divide(num, den, out=np.zeros_like(num), where=num != 0.0))
         return math.inf if math.isnan(omega) else float(omega)
 
@@ -255,7 +254,7 @@ class Stepper:
     def _evaluate(self, x):
         """x, x^[m-1], F(x) and F(x).max().  x is a float64 vector of length
         n, so the contraction kernel runs unchecked."""
-        F = _contract(self.T, x, product=self.split) - self.b
+        F = _contract(self.T, x, split=self.split) - self.b
         return x, x**self.p, F, _max(F)
 
     def close(self) -> None:
@@ -273,12 +272,11 @@ def _prepared_solve(method, T: Tensor, omega=1.0):
     gs and sor invert P = diag(d) + omega tril(M, -1), omega 1 for gs, and
     keep the lower triangle of the result; each step is then one product."""
     d = diagonal(T)
-    diag = method == "jacobi" or _majorization_is_diagonal(T)
-    if (diag or method in ("gs", "sor")) and np.any(d == 0.0):
+    M = None if method == "jacobi" else _majorization_unless_diagonal(T)
+    if (M is None or method in ("gs", "sor")) and np.any(d == 0.0):
         raise SingularMatrix("majorization matrix has a zero diagonal entry")
-    if diag:
+    if M is None:
         return (lambda v: v / d), (lambda v: d * v)
-    M = majorization(T)
     if method in ("gs", "sor"):
         P = np.tril(M, -1) * omega + np.diag(d)
         Pinv = np.tril(np.linalg.inv(P))

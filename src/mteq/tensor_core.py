@@ -6,7 +6,7 @@ entries (`SparseTensor`).  Every tensor built from entries is stored as
 `cheaper_storage` picks; every primitive here accepts both, a primitive
 that returns a tensor returns it in the storage of its input, and
 `majorization` returns a dense n x n array for either, which no solve
-builds for a COO tensor whose M is diagonal (`_majorization_is_diagonal`).
+builds for a COO tensor whose M is diagonal (`_majorization_unless_diagonal`).
 The one contraction is T x^{m-1}, with one kernel per storage.
 Indices are 1-based in external formats and 0-based internally.  All
 operations here but a `_RowSplit` are pure functions over immutable inputs.
@@ -21,11 +21,13 @@ tensors for high performance" (SIAM J. Sci. Comput., 2014), applied to
 the trailing modes; it holds for every tensor, symmetric or not.  The
 structure tests read the packed sums in either storage (`packed_sums`),
 and `symmetrize` averages a tensor over all orders of its indices on P.
-A run whose P is past one core's L2 and within two (`SPLIT_BYTES`)
-contracts on two threads where 2 CPUs are usable: `_row_split` gives it a
-`_RowSplit`, whose worker thread computes the lower rows of each product
-while the caller computes the upper ones, with the bits of the one-thread
-product.  Nothing else here starts a thread.
+Every dense row loop that runs on two threads runs on one `_RowSplit`,
+whose worker thread computes the lower rows while the caller computes the
+upper ones, with the bits of one thread, where 2 CPUs are usable: a run's
+contractions when P is past one core's L2 and within two (`SPLIT_BYTES`,
+`_row_split`), and the packing of a dense tensor's rows and `symmetrize`
+when P is past one L2 (`_by_rows`, which joins its worker before it
+returns).  Nothing else here starts a thread.
 
 Each input is checked once, where it enters, and a tensor and a number
 only here: `_is_number` is the package's one rule for a scalar (also for
@@ -65,10 +67,10 @@ class DenseTensor:
     `packed` (`_pack`, see `_packing`) and keeps no reference to it;
     `max_abs` is the array's largest |entry|.  A generator hands `_pack`
     its rows as it makes them (`_of_rows`), so it never holds an n^m
-    array: packing holds P and one row of n^{m-1} entries.  One built
-    from a packed matrix alone (`identity_minus`, `symmetrize`) is the
-    tensor of its packed records (`entries`), and its `max_abs` is the
-    largest |packed entry|.
+    array: packing holds P and one row of n^{m-1} entries per thread.
+    One built from a packed matrix alone (`identity_minus`, `symmetrize`)
+    is the tensor of its packed records (`entries`), and its `max_abs` is
+    the largest |packed entry|.
     """
 
     __slots__ = ("order", "dim", "packed", "max_abs")
@@ -78,19 +80,27 @@ class DenseTensor:
         n = arr.shape[0] if arr.ndim else 0
         if any(s != n for s in arr.shape):
             raise ValueError("all tensor modes must have equal dimension")
-        self._pack(*_order_and_dim(arr.ndim, n), arr)
+        self._pack(*_order_and_dim(arr.ndim, n), lambda lo, hi: arr[lo:hi])
 
     def _pack(self, order: int, dim: int, rows) -> "DenseTensor":
-        """Pack `rows`, the dim row slabs T(i, ...) of shape (dim,)^(order-1)
-        in order of i, into self and return self: the one packer.  Each row
-        is checked finite (`_max_abs`) and binned into its row of P as it
-        arrives, and none is kept; `max_abs` is the largest row's."""
+        """Pack the dim row slabs T(i, ...) of shape (dim,)^(order-1) into
+        self and return self: the one packer.  rows(lo, hi) gives the rows
+        lo <= i < hi in order of i; each is checked finite (`_max_abs`) and
+        binned into its row of P as it arrives, and none is kept, so rows
+        may make them as asked.  The row loop is `_by_rows`'s: on two
+        threads for a P past SPLIT_BYTES, each row's bits the same either
+        way; `max_abs` is the largest row's."""
         layout = _packing(dim, order)
-        packed, max_abs = np.empty((dim, layout.size)), 0.0
-        for i, row in enumerate(rows):
-            max_abs = max(max_abs, _max_abs(row))
-            packed[i] = np.bincount(layout.column, weights=row.reshape(-1), minlength=layout.size)
-        self._keep(order, packed, max_abs)
+        packed = np.empty((dim, layout.size))
+
+        def pack(lo: int, hi: int) -> float:
+            max_abs = 0.0
+            for i, row in enumerate(rows(lo, hi), lo):
+                max_abs = max(max_abs, _max_abs(row))
+                packed[i] = np.bincount(layout.column, weights=row.reshape(-1), minlength=layout.size)
+            return max_abs
+
+        self._keep(order, packed, max(_by_rows(pack, packed)))
         return self
 
     def _keep(self, order: int, packed: np.ndarray, max_abs: float) -> None:
@@ -170,6 +180,9 @@ class SparseTensor:
 
         Unlisted positions are zero.  Fields must be real numbers, not bools
         (TypeError); indices integers in 1..dim, values finite, none repeated.
+        The records are dropped once their float table exists, so a caller
+        that hands over its only reference (`tensorio.read_tensor`) has them
+        freed before the tensor is built.
         """
         order, dim = _order_and_dim(order, dim)
         records = entries if isinstance(entries, list) else list(entries)
@@ -180,6 +193,7 @@ class SparseTensor:
             if len(rec) != order + 1:
                 raise ValueError(f"entry record has {len(rec) - 1} indices, expected {order}")
         table = np.array(records, dtype=np.float64).reshape(-1, order + 1)
+        del entries, records  # one Python list per record, several times the table's bytes
         idx = table[:, :order]
         bad = np.any((idx < 1) | (idx > dim) | (idx != np.floor(idx)), axis=1)
         if np.any(bad):
@@ -198,8 +212,10 @@ def _of_packed(order: int, packed: np.ndarray, max_abs: float) -> DenseTensor:
 
 
 def _of_rows(order: int, dim: int, rows) -> DenseTensor:
-    """The DenseTensor whose rows T(i, ...) are `rows`, an iterable of dim
-    arrays of shape (dim,)^(order-1), packed as they arrive (`_pack`)."""
+    """The DenseTensor whose rows T(i, ...), arrays of shape
+    (dim,)^(order-1), are made by rows(lo, hi) for lo <= i < hi in order of
+    i, packed as they arrive (`_pack`).  A range may start at any row a
+    `_RowSplit` splits at, and on another thread."""
     return object.__new__(DenseTensor)._pack(order, dim, rows)
 
 
@@ -381,6 +397,10 @@ def magnitudes(T: Tensor) -> np.ndarray:
 # Unsplit columns run the same code, so they show the noise.  At n = 41 the
 # split is slower than OpenBLAS's own two threads, whose split at row 21
 # gives other bits on two CPUs than on one; the split keeps the bits.
+# Packing a dense tensor's rows and `symmetrize` make no BLAS call, so they
+# split from SPLIT_BYTES up, with no upper bound (`_by_rows`).  On P1 at
+# n = 40 (same VM, medians of 20 alternated calls) the draw and packing
+# take 20.6 ms on one thread and 13.5 on two, `symmetrize` 9.2 and 8.4.
 SPLIT_BYTES = 2 << 20
 
 
@@ -393,7 +413,7 @@ def _usable_cpus() -> int:
 
 
 def _row_split(T: Tensor) -> "_RowSplit | None":
-    """The product for a run's contractions of T (`_contract`): a
+    """The split for a run's contractions of T (`_contract`): a
     `_RowSplit`, which starts a worker thread, when T is dense, its packed
     matrix is in the window of SPLIT_BYTES and 2 CPUs are usable; else
     None, and each product is `A @ z`.  The caller closes a `_RowSplit`."""
@@ -403,59 +423,81 @@ def _row_split(T: Tensor) -> "_RowSplit | None":
     return None
 
 
+def _by_rows(job, P: np.ndarray) -> list:
+    """The results of job(lo, hi), a row loop over the rows lo <= i < hi of
+    P that builds them, in row order: from a `_RowSplit`, started and
+    joined here, when P is past SPLIT_BYTES and 2 CPUs are usable, else
+    [job(0, n)] on the calling thread alone.  A loop that makes no BLAS
+    call has no upper bound to its split (see SPLIT_BYTES)."""
+    if P.nbytes <= SPLIT_BYTES or _usable_cpus() < 2:
+        return [job(0, P.shape[0])]
+    split = _RowSplit(P.shape[0])
+    try:
+        return split(job)
+    finally:
+        split.close()
+
+
 class _RowSplit:
-    """A @ z for the n-row matrices of one run, on two threads: a worker
-    thread computes rows [h, n) while the caller computes rows [0, h), h
-    the multiple of 4 nearest n/2, each with np.dot into its slice of one
-    vector.  np.dot releases the GIL for the product, where numpy's matmul
-    keeps it for a 2-D x 1-D product.  OpenBLAS computes a gemv's rows in
-    blocks of 4, so a split at a multiple of 4 gives each row the bits of
-    the one-thread `A @ z`.  The worker computes under the caller's
-    np.errstate, so a product warns or raises as `A @ z` would.  It holds
-    only its two queues, not its owner; close() ends and joins it."""
+    """The one worker for a dense row loop over n rows, on two threads:
+    split(job) calls job(h, n) on a worker thread while the caller calls
+    job(0, h), h the multiple of 4 nearest n/2, and returns both results
+    in row order.  A job writes rows [lo, hi) of its output alone, and
+    releases the GIL where it can (np.dot, np.bincount, Philox draws), so
+    the halves overlap.  A dense product is one job: np.dot of each half
+    into its slice of one vector, where numpy's matmul keeps the GIL for a
+    2-D x 1-D product.  OpenBLAS computes a gemv's rows in blocks of 4, so
+    a split at a multiple of 4 gives each row the bits of the one-thread
+    `A @ z`.  The worker runs each job under the caller's np.errstate, so
+    it warns or raises as the caller would.  When a half raises, split
+    raises the caller's exception, else the worker's: that of the lowest
+    failing rows, as a one-thread loop would.  It holds only its two
+    queues, not its owner; close() ends and joins the worker."""
 
     def __init__(self, n: int):
         import queue  # here, not at module level: only a split run needs it and its two extension modules
 
         self.h = 4 * round(n / 8)
         self._jobs, self._done = queue.SimpleQueue(), queue.SimpleQueue()
-        self._worker = threading.Thread(target=_lower_rows, args=(self._jobs, self._done, self.h),
+        self._worker = threading.Thread(target=_lower_rows, args=(self._jobs, self._done, self.h, n),
                                         name="mteq-rows", daemon=True)
         self._worker.start()
 
-    def __call__(self, A: np.ndarray, z: np.ndarray) -> np.ndarray:
-        y, h = np.empty(A.shape[0]), self.h
-        self._jobs.put((A, z, y, np.geterr()))
+    def __call__(self, job) -> list:
+        self._jobs.put((job, np.geterr()))
         try:
-            np.dot(A[:h], z, out=y[:h])
+            upper = job(0, self.h)
         finally:
-            error = self._done.get()  # also when the caller's half raised, so no answer is left over
+            error, lower = self._done.get()  # also when the caller's half raised, so no answer is left over
         if error is not None:
             raise error
-        return y
+        return [upper, lower]
 
     def close(self) -> None:
         self._jobs.put(None)
         self._worker.join()
 
 
-def _lower_rows(jobs, done, h: int) -> None:
-    """A `_RowSplit`'s worker: y[h:] = A[h:] @ z under the error state err
-    for each job (A, z, y, err) from the queue `jobs` until None, answering
-    each on the queue `done` with None or the exception raised, which the
-    caller raises."""
-    for A, z, y, err in iter(jobs.get, None):
+def _lower_rows(jobs, done, h: int, n: int) -> None:
+    """A `_RowSplit`'s worker: job(h, n) for each (job, err) from the queue
+    `jobs` until None, under the caller's numpy error state err, set only
+    when it differs from the last job's.  Each job is answered on the
+    queue `done` with (None, its result) or (the exception raised, None)."""
+    state = None
+    for job, err in iter(jobs.get, None):
+        if err != state:
+            np.seterr(**err)
+            state = err
         try:
-            with np.errstate(**err):
-                np.dot(A[h:], z, out=y[h:])
+            result = job(h, n)
         except Exception as error:  # handed to the caller, which waits on done
-            done.put(error)
+            done.put((error, None))
         else:
-            done.put(None)
+            done.put((None, result))
 
 
 def _contract(T: Tensor, x: np.ndarray, values: np.ndarray | None = None,
-              product: "_RowSplit | None" = None) -> np.ndarray:
+              split: "_RowSplit | None" = None) -> np.ndarray:
     """T x^{m-1}, the one contraction, with one kernel per storage.
 
     COO sums over the stored entries: it gathers x through the contiguous
@@ -471,9 +513,9 @@ def _contract(T: Tensor, x: np.ndarray, values: np.ndarray | None = None,
     m = 2, z is x.  x must already be a float64 vector of length n; it is
     not checked here, so that solve() can contract its own iterates
     without the check.  `values` stands in for T.vals or T.packed (see
-    `magnitudes`).  `product` is the run's dense product, `_row_split(T)`:
-    with one, the matrix-vector product is computed on two threads, with
-    the bits of `A @ z`; without one it is `A @ z`.
+    `magnitudes`).  `split` is the run's `_row_split(T)`: with one, the
+    matrix-vector product is computed on two threads, with the bits of
+    `A @ z`; without one it is `A @ z`.
     """
     if isinstance(T, SparseTensor):
         w = T.vals if values is None else values
@@ -487,7 +529,11 @@ def _contract(T: Tensor, x: np.ndarray, values: np.ndarray | None = None,
         for c in layout.cols[2:]:
             z = z * x[c]
     A = T.packed if values is None else values
-    return A @ z if product is None else product(A, z)
+    if split is None:
+        return A @ z
+    y = np.empty(T.dim)
+    split(lambda lo, hi: np.dot(A[lo:hi], z, out=y[lo:hi]))
+    return y
 
 
 def contract_full(T: Tensor, x) -> np.ndarray:
@@ -574,8 +620,11 @@ def symmetrize(T: DenseTensor) -> DenseTensor:
     added in increasing q and then scaled, so the result is P_sym up to a
     few roundings per entry, not the bits of a sum over n^m arrays.
 
-    P_sym is built one row at a time: beside P, R and P_sym it holds a few
-    vectors of one row's length, so its peak is about 3 packed matrices.
+    P_sym is built one row at a time, each row from R alone, so the rows
+    are independent, and the loop is `_by_rows`'s: on two threads for a P
+    past SPLIT_BYTES, with the same bits.  Beside P, R and P_sym each
+    thread holds a few vectors of one row's length, so the peak is about 3
+    packed matrices.
     """
     n, m = T.dim, T.order
     layout = _packing(n, m)
@@ -583,20 +632,30 @@ def symmetrize(T: DenseTensor) -> DenseTensor:
     # rest[q] is u without u_{q+1} of each column u, flattened, for the
     # term that puts w_{q+1} first; behind row i it is a trailing
     # multi-index, whose packed column is column.reshape(n, -1)[i, rest[q]].
-    rest = []
+    # The term is gathered from R's flat copy, at lead[q] = w_{q+1} * size
+    # plus that column: one np.take, much faster than R[w_{q+1}, column].
+    rest, lead = [], []
     for q in range(m - 1):
         flat = 0
         for k, c in enumerate(layout.cols):
             if k != q:
                 flat = flat * n + c
-        rest.append(flat)
-    out, scale = np.empty_like(R), layout.count / m
-    for i, (row, column) in enumerate(zip(out, layout.column.reshape(n, -1))):
-        row[:] = R[i]
-        for c, flat in zip(layout.cols, rest):
-            row += R[c, column[flat]]
-        row *= scale
-    return _of_packed(m, out, _max_abs(out))
+        rest.append(np.broadcast_to(flat, (layout.size,)))
+        lead.append(layout.cols[q] * layout.size)
+    out, scale, columns = np.empty_like(R), layout.count / m, layout.column.reshape(n, -1)
+
+    def mean(lo: int, hi: int) -> float:
+        for i in range(lo, hi):
+            row, column = out[i], columns[i]
+            row[:] = R[i]
+            for flat, start in zip(rest, lead):
+                index = column.take(flat)
+                index += start
+                row += R.take(index)
+            row *= scale
+        return _max_abs(out[lo:hi])
+
+    return _of_packed(m, out, max(_by_rows(mean, out)))
 
 
 def row_sums(T: Tensor) -> np.ndarray:
@@ -626,13 +685,14 @@ def majorization(T: Tensor) -> np.ndarray:
     return M
 
 
-def _majorization_is_diagonal(T: Tensor) -> bool:
-    """Whether T has no nonzero (i, j, ..., j) entry with j != i, so that M
-    is diag(diagonal(T)); for a COO T read from its entries, with no M."""
+def _majorization_unless_diagonal(T: Tensor) -> np.ndarray | None:
+    """None when T has no nonzero (i, j, ..., j) entry with j != i, so that
+    M is diag(diagonal(T)), else M = majorization(T), built once; a COO T
+    is judged from its entries, with no M."""
     if isinstance(T, SparseTensor):
-        return not np.any(T.vals[_major_mask(T) & (T.cols[0] != T.cols[1])])
+        return majorization(T) if np.any(T.vals[_major_mask(T) & (T.cols[0] != T.cols[1])]) else None
     M = majorization(T)
-    return bool(np.count_nonzero(M) == np.count_nonzero(M.diagonal()))
+    return None if np.count_nonzero(M) == np.count_nonzero(M.diagonal()) else M
 
 
 def has_offmajor(T: Tensor) -> bool:

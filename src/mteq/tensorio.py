@@ -20,10 +20,12 @@ def write_tensor(path, T: Tensor) -> None:
 
 def read_tensor(path) -> Tensor:
     """Read a tensor file through `SparseTensor.from_entries`, which checks
-    it, into the storage `cheaper_storage` picks, as a generator does."""
+    it, into the storage `cheaper_storage` picks, as a generator does.  The
+    parsed records are popped from the document and handed over, so they
+    are freed as soon as from_entries has their float table."""
     doc = json.loads(Path(path).read_text())
     try:
-        return cheaper_storage(SparseTensor.from_entries(doc["order"], doc["dim"], doc["entries"]))
+        return cheaper_storage(SparseTensor.from_entries(doc["order"], doc["dim"], doc.pop("entries")))
     except KeyError as exc:
         raise ValueError(f"malformed tensor file: missing key {exc.args[0]!r}") from None
     except TypeError as exc:  # not an object, or entries not a list of number lists

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from mteq import (
     residual,
 )
 from mteq.tensor_core import diagonal
-from mteq import tensor_core
+from mteq import problems, tensor_core
 from mteq.problems import BOUNDARY_VALUE, EARTH_MASS, GRAVITATIONAL_CONSTANT
 from reference import dense_array, semi_symmetrize
 
@@ -188,6 +189,76 @@ class TestGenerationMemory:
     @pytest.mark.parametrize("problem", ["1", "4", "2"], ids=["P1", "P4", "P2"])
     def test_no_array_is_held_after_generation(self, problem):
         assert self.ratios(problem)[1] <= 0.3
+
+
+class TestSplitGeneration:
+    """A dense tensor whose packed matrix is past SPLIT_BYTES is packed, and
+    P1 symmetrized, on two threads where 2 CPUs are usable
+    (`tensor_core._by_rows`): P1 and P4 draw the worker's rows from a
+    Philox stream advanced to its first row.  Every bit is that of one
+    thread, and each worker is joined before generation returns or raises."""
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        started, start = [], threading.Thread.start
+
+        def starting(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", starting)
+        return started
+
+    @pytest.mark.parametrize("problem, n", [("1", 35), ("1", 40), ("1", 60), ("2", 35), ("2", 40),
+                                            ("4", 35), ("4", 40)])
+    def test_same_bits_on_one_cpu_and_two(self, monkeypatch, starts, problem, n):
+        # at n = 35 the tensor's n^4 draws end inside a block of 4 Philox
+        # outputs, which the right side's draws go on from
+        got = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(tensor_core, "_usable_cpus", lambda c=cpus: c)
+            inst = generate(problem, n, 3)
+            got.append((inst.tensor.packed.tobytes(), inst.tensor.max_abs, inst.rhs.tobytes()))
+        assert got[0] == got[1]
+        # the run on 2 CPUs split its packing, and P1's its symmetrization
+        assert len(starts) == (2 if problem == "1" else 1) and not any(t.is_alive() for t in starts)
+
+    @pytest.mark.parametrize("bad", [{30}, {5}, {5, 30}], ids=["worker", "caller", "both"])
+    def test_a_failing_row_raises_as_on_one_thread(self, monkeypatch, starts, bad):
+        # rows below h = 20 are the caller's.  A NaN row fails the finiteness
+        # check with the one-thread error, and a row maker that raises names
+        # its row: the lowest failing row's error wins, as on one thread
+        def draws(problem, n, seed, lo, hi):
+            for i in range(lo, hi):
+                yield np.full((n,) * 3, np.nan if i in bad else 0.5)
+
+        def failing(lo, hi):
+            for i in range(lo, hi):
+                if i in bad:
+                    raise LookupError(f"row {i}")
+                yield np.zeros((40,) * 3)
+
+        monkeypatch.setattr(problems, "_draws", draws)
+        threads = threading.active_count()
+        for cpus in (1, 2):
+            monkeypatch.setattr(tensor_core, "_usable_cpus", lambda c=cpus: c)
+            with pytest.raises(ValueError, match="tensor entries must be finite"):
+                generate("4", 40, 3)
+            with pytest.raises(LookupError, match=f"row {min(bad)}$"):
+                tensor_core._of_rows(4, 40, failing)
+        assert len(starts) == 2 and not any(t.is_alive() for t in starts)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("n, cpus", [(30, 2), (40, 1)], ids=["P1 n = 30", "one CPU"])
+    def test_starts_no_thread(self, monkeypatch, n, cpus):
+        # P1's packed matrix is 1.14 MiB at n = 30, within SPLIT_BYTES
+        monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: cpus)
+
+        def refused(thread):
+            raise AssertionError(f"started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        assert generate("1", n, 3).n == n
 
 
 class TestFixtures:

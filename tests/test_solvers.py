@@ -318,6 +318,22 @@ class TestDiagonalMajorization:
         assert out.x.tobytes() == ref.x.tobytes()
 
 
+    @pytest.mark.parametrize("system", ["P1-n6", "guard", "P3-n50"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_builds_m_at_most_once(self, monkeypatch, method, system):
+        # a dense M is built once, both to judge whether it is diagonal and
+        # to invert it; jacobi, and a COO T whose M is diagonal, build none
+        built, majorization = [], tensor_core.majorization
+        monkeypatch.setattr(tensor_core, "majorization", lambda T: built.append(T) or majorization(T))
+        if system == "guard":
+            T, b = guard_system()
+        else:
+            inst = gen_problem1(6, 0) if system == "P1-n6" else gen_problem3(50)
+            T, b = inst.tensor, inst.rhs
+        Stepper(method, T, b, 1.0, 1.3).close()
+        assert len(built) == (0 if method == "jacobi" or system == "P3-n50" else 1)
+
+
 class TestStepWrappersRunSolvesCode:
     """Steps taken one at a time from x0 = 0 give solve()'s iterates bit for
     bit: for anewton a Stepper driven by hand on the system as given, with
@@ -662,15 +678,17 @@ class TestSplitContraction:
 
     @pytest.mark.parametrize("case", ["P3", "P1 n = 10", "P1 n = 50", "one CPU"])
     def test_starts_no_thread(self, monkeypatch, case):
-        # COO never splits, nor a packed matrix within one L2 or past two, nor a run on one CPU
+        # COO never splits, nor a packed matrix within one L2 or past two, nor
+        # a run on one CPU; the system is generated first, since generating
+        # P1 at n = 40 or 50 may start a thread of its own
+        inst = {"P3": lambda: gen_problem3(50), "P1 n = 10": lambda: gen_problem1(10, 3),
+                "P1 n = 50": lambda: gen_problem1(50, 3), "one CPU": lambda: gen_problem1(40, 3)}[case]()
         monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: 1 if case == "one CPU" else 2)
 
         def refused(thread):
             raise AssertionError(f"started thread {thread.name}")
 
         monkeypatch.setattr(threading.Thread, "start", refused)
-        inst = {"P3": lambda: gen_problem3(50), "P1 n = 10": lambda: gen_problem1(10, 3),
-                "P1 n = 50": lambda: gen_problem1(50, 3), "one CPU": lambda: gen_problem1(40, 3)}[case]()
         out = solve(inst.tensor, inst.rhs, None, SolveConfig(method="anewton", max_iter=5))
         assert out.iterations >= 1
 
@@ -696,7 +714,9 @@ class TestSplitContraction:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in runners)
         assert results == [expected, expected]
-        assert len(starts) == 5  # one worker per solve, and the two solving threads
+        # one worker per solve, counted by name apart from the two solving
+        # threads; p1_n40, a module fixture, was generated before the patch
+        assert [t.name for t in starts].count("mteq-rows") == 3
 
 
 class TestTraceCsv:

@@ -2,6 +2,7 @@
 solves from x0 = 0, and the tensor file round trip."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +261,29 @@ class TestFileRoundTrip:
         assert out.status is Status.MAX_ITER and out.iterations == 5
         assert out.trace.max_violation() <= 1e-12
         assert out.trace.max_feas_violation() <= 1e-12
+
+    def test_records_are_freed_before_the_tensor_is_built(self, tmp_path, monkeypatch):
+        # the parsed records, a list of Python numbers each, are dropped once
+        # their float table exists: when the COO constructor starts, less is
+        # held than the records alone take
+        path = tensorio.write_instance(tmp_path / "p1", gen_problem1(12, 3))["tensor"]
+        text = path.read_text()
+        tracemalloc.start()
+        try:
+            records = json.loads(text)["entries"]
+            size = tracemalloc.get_traced_memory()[0]
+            del records
+            held, post_init = [], SparseTensor.__post_init__
+
+            def building(T):
+                held.append(tracemalloc.get_traced_memory()[0])
+                post_init(T)
+
+            monkeypatch.setattr(SparseTensor, "__post_init__", building)
+            tensorio.read_tensor(path)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1 and held[0] < 0.8 * size
 
     @pytest.mark.parametrize(
         "key, value",

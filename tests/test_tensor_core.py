@@ -31,7 +31,7 @@ from mteq.tensor_core import (
     diagonal,
     _contract,
     _is_number,
-    _majorization_is_diagonal,
+    _majorization_unless_diagonal,
     _packing,
     _row_split,
     has_offmajor,
@@ -240,21 +240,27 @@ class TestRowSplit:
     def test_worker_keeps_the_callers_error_state(self, monkeypatch, upper):
         # the worker's rows overflow, and with upper = 1e306 the caller's
         # too: ignored under the caller's np.errstate (solve's), or raised
-        # by the call, as A @ z would
+        # by the call, as A @ z would.  The worker sets the state only when
+        # the caller's differs from the last job's: three times per kind
         monkeypatch.setattr(tensor_core, "_usable_cpus", lambda: 2)
         K = math.comb(42, 3)
         T = tensor_core._of_packed(4, np.repeat([[upper], [1e306]], 20, axis=0) * np.ones(K), 1e306)
         x = np.ones(40)
         split = _row_split(T)
+        seterr, changes = np.seterr, []
+        monkeypatch.setattr(np, "seterr", lambda **err: changes.append(err) or seterr(**err))
         try:
-            with np.errstate(over="ignore"):
-                assert _contract(T, x, product=split).tobytes() == _contract(T, x).tobytes()
-            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-                _contract(T, x, product=split)
-            with np.errstate(over="ignore"):  # no answer of the raised call is left over
-                assert _contract(T, 2.0 * x, product=split).tobytes() == _contract(T, 2.0 * x).tobytes()
+            for kind in ("over", "all"):
+                with np.errstate(**{kind: "ignore"}):
+                    for _ in range(3):
+                        assert _contract(T, x, split=split).tobytes() == _contract(T, x).tobytes()
+                with np.errstate(**{kind: "raise"}), pytest.raises(FloatingPointError):
+                    _contract(T, x, split=split)
+                with np.errstate(**{kind: "ignore"}):  # no answer of the raised call is left over
+                    assert _contract(T, 2.0 * x, split=split).tobytes() == _contract(T, 2.0 * x).tobytes()
         finally:
             split.close()
+        assert [err["over"] for err in changes] == ["ignore", "raise", "ignore"] * 2
 
     @pytest.mark.parametrize("n, cpus, splits", [(34, 2, False), (35, 2, True), (41, 2, True),
                                                  (42, 2, False), (40, 1, False)])
@@ -409,8 +415,10 @@ class TestHasOffmajor:
         off = arr[j]  # a copy of M
         np.fill_diagonal(off, 0.0)
         expected = not np.any(off)
-        assert _majorization_is_diagonal(DenseTensor(arr)) is expected
-        assert _majorization_is_diagonal(coo(arr)) is expected
+        for T in (DenseTensor(arr), coo(arr)):
+            M = _majorization_unless_diagonal(T)
+            assert (M is None) is expected
+            assert M is None or M.tobytes() == majorization(T).tobytes()
 
 
 class TestIdentityTensor:
