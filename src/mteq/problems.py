@@ -19,7 +19,6 @@ returns or raises.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -76,7 +75,7 @@ def gen_problem1(n: int, seed: int) -> ProblemInstance:
     # i.i.d. uniform(0,1) draws averaged over all index permutations.
     # Averaging concentrates the row sums, which is what makes these
     # instances hard at alpha = 1 and makes over-relaxation pay off.
-    B = symmetrize(_of_rows(4, n, functools.partial(_draws, "P1", n, seed)))
+    B = symmetrize(_of_rows(4, n, lambda lo, hi: _draws("P1", n, seed, lo, hi)))
     rhs = _rng("P1", n, seed, n**4).random(n)
     return ProblemInstance(identity_minus(B, 1.01 * B.packed.sum(axis=1).max()), rhs, "P1", n, seed)
 

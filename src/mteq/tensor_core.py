@@ -398,9 +398,11 @@ def magnitudes(T: Tensor) -> np.ndarray:
 # split is slower than OpenBLAS's own two threads, whose split at row 21
 # gives other bits on two CPUs than on one; the split keeps the bits.
 # Packing a dense tensor's rows and `symmetrize` make no BLAS call, so they
-# split from SPLIT_BYTES up, with no upper bound (`_by_rows`).  On P1 at
-# n = 40 (same VM, medians of 20 alternated calls) the draw and packing
-# take 20.6 ms on one thread and 13.5 on two, `symmetrize` 9.2 and 8.4.
+# split from SPLIT_BYTES up, with no upper bound (`_by_rows`).  Median ms on
+# P1 over 40 alternated calls, one thread against two, on the same VM:
+#   n                     40           60
+#   draw and packing   19.7 / 12.8  95.7 / 55.3
+#   symmetrize          8.7 / 7.2   48.3 / 32.4
 SPLIT_BYTES = 2 << 20
 
 
