@@ -59,13 +59,13 @@ def _rng(problem: str, n: int, seed: int, start: int = 0) -> np.random.Generator
 
 def _draws(problem: str, n: int, seed: int, lo: int, hi: int):
     """The rows B(i, ...), lo <= i < hi, of the n^4 uniform(0,1) draw of
-    (problem, n, seed), one n^3 draw each from the stream positioned at row lo
-    (`_rng`).  The generator fills doubles in sequence, so any row range
-    gives the rows of rng.random((n,) * 4) bit for bit, and the draws
-    after the tensor, from `_rng(problem, n, seed, n**4)`, match too."""
-    rng = _rng(problem, n, seed, lo * n**3)
+    (problem, n, seed), each into one n^3 buffer that the packer bins before
+    it asks for the next, from the stream at row lo (`_rng`).  Doubles come
+    in sequence, so any row range gives the rows of rng.random((n,) * 4)
+    bit for bit, as do the draws after the tensor, `_rng(..., n**4)`."""
+    rng, row = _rng(problem, n, seed, lo * n**3), np.empty((n,) * 3)
     for _ in range(lo, hi):
-        yield rng.random((n,) * 3)
+        yield rng.random(out=row)
 
 
 def gen_problem1(n: int, seed: int) -> ProblemInstance:
@@ -100,9 +100,9 @@ def gen_problem2(n: int) -> ProblemInstance:
 def gen_problem3(n: int) -> ProblemInstance:
     """Discretized boundary-value problem for motion under gravity.
 
-    Row i couples x_i to its grid neighbors through -1/3 entries at mixed
-    index positions; the boundary rows pin x_1 and x_n to 6.37e6.  It is
-    stored as its file is read, by `cheaper_storage`: COO from n = 6.
+    Row i couples x_i to each grid neighbor through -1/3 entries at three
+    mixed index positions, one packed sum; the boundary rows pin x_1 and
+    x_n to 6.37e6.  COO from n = 6, as its file is read (`cheaper_storage`).
     """
     if n < 3:
         raise ValueError("problem 3 requires n >= 3")

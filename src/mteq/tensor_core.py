@@ -2,7 +2,7 @@
 
 A tensor of order m and dimension n is stored either densely, as its packed
 matrix (`DenseTensor`), or in coordinate form, as the list of its nonzero
-entries (`SparseTensor`).  Every tensor built from entries is stored as
+packed sums (`SparseTensor`).  Every tensor built from entries is stored as
 `cheaper_storage` picks; every primitive here accepts both, a primitive
 that returns a tensor returns it in the storage of its input, and
 `majorization` returns a dense n x n array for either, which no solve
@@ -12,15 +12,15 @@ Indices are 1-based in external formats and 0-based internally.  All
 operations here but a `_RowSplit` are pure functions over immutable inputs.
 
 T x^{m-1} depends on T only through the sums of T(i, ...) over the
-orderings of each trailing multi-index.  A dense tensor is therefore kept
-as its packed matrix `DenseTensor.packed`: n x C(n+m-2, m-1), one column
-per sorted trailing multi-index holding those sums, about (m-1)! times
-fewer entries than n^m, and no n^m array.  This is the packed symmetric
-storage of Schatz, Low, van de Geijn & Kolda, "Exploiting symmetry in
-tensors for high performance" (SIAM J. Sci. Comput., 2014), applied to
-the trailing modes; it holds for every tensor, symmetric or not.  The
-structure tests read the packed sums in either storage (`packed_sums`),
-and `symmetrize` averages a tensor over all orders of its indices on P.
+orderings of each trailing multi-index, and both storages keep those sums
+alone: a COO tensor the nonzero ones, a dense tensor its packed matrix
+`DenseTensor.packed`, n x C(n+m-2, m-1), one column per sorted trailing
+multi-index, about (m-1)! times fewer entries than n^m.  This is the packed
+symmetric storage of Schatz, Low, van de Geijn & Kolda, "Exploiting
+symmetry in tensors for high performance" (SIAM J. Sci. Comput., 2014), on
+the trailing modes, for every tensor, symmetric or not.  The structure
+tests read the sums in either storage (`packed_sums`), and `symmetrize`
+averages a tensor over all orders of its indices on P.
 Every dense row loop that runs on two threads runs on one `_RowSplit`,
 whose worker thread computes the lower rows while the caller computes the
 upper ones, with the bits of one thread, where 2 CPUs are usable: a run's
@@ -37,7 +37,7 @@ only here: `_is_number` is the package's one rule for a scalar (also for
 |entry| as `max_abs`, so no solve reads n^m entries for its scale.
 `_as_vector` checks a vector's length and, if named, finiteness.  A
 tensor record is read by `from_entries` and written by its inverse,
-`entries`.
+`entries`: one per nonzero packed sum, the same from either storage.
 """
 
 from __future__ import annotations
@@ -100,13 +100,13 @@ class DenseTensor:
                 packed[i] = np.bincount(layout.column, weights=row.reshape(-1), minlength=layout.size)
             return max_abs
 
-        self._keep(order, packed, max(_by_rows(pack, packed)))
-        return self
+        return self._keep(order, packed, max(_by_rows(pack, packed)))
 
-    def _keep(self, order: int, packed: np.ndarray, max_abs: float) -> None:
+    def _keep(self, order: int, packed: np.ndarray, max_abs: float) -> "DenseTensor":
         packed.flags.writeable = False
         for name, value in (("order", order), ("dim", packed.shape[0]), ("packed", packed), ("max_abs", max_abs)):
             object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot set {name!r}: a DenseTensor is read-only")
@@ -116,29 +116,29 @@ class DenseTensor:
 
     @classmethod
     def from_sparse(cls, T: "SparseTensor") -> "DenseTensor":
-        """The dense copy of a COO tensor, packed from its entries with no
-        n^m array: each entry is binned at row * K + its packed column."""
+        """The dense copy of a COO tensor: each sum at its row and packed column."""
         layout = _packing(T.dim, T.order)
-        index = layout.column[np.ravel_multi_index(T.cols[1:], (T.dim,) * (T.order - 1))]
-        index += T.cols[0] * layout.size
-        packed = np.bincount(index, weights=T.vals, minlength=T.dim * layout.size)
-        return _of_packed(T.order, packed.reshape(T.dim, layout.size), T.max_abs)
+        packed = np.zeros((T.dim, layout.size))
+        packed[T.cols[0], layout.column[np.ravel_multi_index(T.cols[1:], (T.dim,) * (T.order - 1))]] = T.vals
+        return _of_packed(T.order, packed, T.max_abs)
 
 
 @dataclass(frozen=True, eq=False)
 class SparseTensor:
     """Order-m, dimension-n real tensor in coordinate (COO) storage.
 
-    Row k of `idx` (nnz x m, 0-based) is the multi-index of `vals[k]`;
-    unlisted positions are zero.  Entries are kept in lexicographic index
-    order.  `idx` is stored column-major, and `cols[k]` is its k-th column,
-    the contiguous index array of mode k that the contraction gathers
-    through; `max_abs` is the largest |entry|.  idx, cols and vals are
-    read-only; `_rows` is cols[0] as a writeable view of the same memory,
-    which the contraction bins by and nothing writes: np.bincount copies a
-    read-only index on every call.  The layout follows Bader &
-    Kolda, "Efficient MATLAB computations with sparse and factored tensors"
-    (SIAM J. Sci. Comput., 2007).
+    The constructor checks the entries as given, then keeps their nonzero
+    packed sums (`_grouped`): row k of `idx` (nnz x m, 0-based), in
+    lexicographic order, is a row and a sorted trailing multi-index, and
+    `vals[k]` the sum of T over its orderings.  `idx` is stored
+    column-major, and `cols[k]` is its k-th column, the contiguous index
+    array of mode k that the contraction gathers through; `max_abs` is the
+    largest |entry| given.  idx, cols and vals are read-only; `_rows` is
+    cols[0] as a writeable view of the same memory, which the contraction
+    bins by and nothing writes: np.bincount copies a read-only index on
+    every call.  The layout follows Bader & Kolda, "Efficient MATLAB
+    computations with sparse and factored tensors" (SIAM J. Sci. Comput.,
+    2007).
     """
 
     order: int
@@ -163,16 +163,22 @@ class SparseTensor:
         if np.any(outside):
             raise ValueError(f"index {_one_based(idx[outside][0])} out of range for dim {dim}")
         perm = np.lexsort(idx.T[::-1])
-        idx, vals = np.asfortranarray(idx[perm], dtype=np.intp), vals[perm]
+        idx, vals = idx[perm], vals[perm]
         repeated = np.all(idx[1:] == idx[:-1], axis=1)
         if np.any(repeated):
             raise ValueError(f"duplicate entry at index {_one_based(idx[1:][repeated][0])}")
+        if np.any(idx[:, 1:-1] > idx[:, 2:]):  # else each entry is its own sum, as in packed records
+            idx, vals = _grouped(idx, vals)
+        self._keep(order, dim, np.asfortranarray(idx[vals != 0.0], dtype=np.intp), vals[vals != 0.0], max_abs)
+
+    def _keep(self, order: int, dim: int, idx: np.ndarray, vals: np.ndarray, max_abs: float) -> "SparseTensor":
         rows = idx[:, 0]  # taken before idx is made read-only, so it stays writeable
         idx.flags.writeable = False
         vals.flags.writeable = False
         for name, value in (("order", order), ("dim", dim), ("idx", idx), ("vals", vals),
                             ("cols", tuple(idx.T)), ("_rows", rows), ("max_abs", max_abs)):
             object.__setattr__(self, name, value)
+        return self
 
     @classmethod
     def from_entries(cls, order: int, dim: int, entries) -> "SparseTensor":
@@ -204,11 +210,19 @@ class SparseTensor:
 Tensor = DenseTensor | SparseTensor
 
 
+def _grouped(idx: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys (row, sorted trailing multi-index), sorted, of entries
+    in lexicographic index order, and their sums, binned from 0.0 as in `_pack`."""
+    keys = np.column_stack((idx[:, 0], np.sort(idx[:, 1:], axis=1)))
+    order = np.lexsort(keys.T[::-1])  # stable, so each group stays in increasing index
+    keys = keys[order]
+    first = np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)]
+    return keys[first], np.bincount(np.cumsum(first) - 1, weights=vals[order])
+
+
 def _of_packed(order: int, packed: np.ndarray, max_abs: float) -> DenseTensor:
     """The DenseTensor of a new packed matrix that nothing else holds."""
-    T = object.__new__(DenseTensor)
-    T._keep(order, packed, max_abs)
-    return T
+    return object.__new__(DenseTensor)._keep(order, packed, max_abs)
 
 
 def _of_rows(order: int, dim: int, rows) -> DenseTensor:
@@ -219,25 +233,20 @@ def _of_rows(order: int, dim: int, rows) -> DenseTensor:
     return object.__new__(DenseTensor)._pack(order, dim, rows)
 
 
-# COO is kept while COO_ENTRY_COST * (nonzero packed sums) < n C(n+m-2, m-1).
+# COO is kept while COO_ENTRY_COST * (stored packed sums) < n C(n+m-2, m-1).
 # A COO contraction (numpy gathers and a bincount) costs about as much per
 # stored entry as the packed dense one (one BLAS pass over P) does for 10-40
 # entries of P, for m = 2..6 (2-core x86-64 VM, OpenBLAS).  Both sides count
-# packed entries, so a tensor reads back from its file of packed records in
+# packed sums, so a tensor reads back from its file of packed records in
 # the storage it was written from.  Any value in [15.9, 24) keeps P3 dense
 # for n <= 5 and COO from n = 6 (11 and 14 sums against 175 and 336).
 COO_ENTRY_COST = 20
 
 
 def cheaper_storage(T: SparseTensor) -> Tensor:
-    """T itself when a contraction over its stored entries costs less than
-    one over the packed matrix, else its dense copy.  No more packed sums
-    than stored entries are nonzero, so the entries are grouped into their
-    sums (`packed_sums`) only when the stored count cannot decide."""
+    """T, or its dense copy when contracting the packed matrix costs less."""
     size = T.dim * math.comb(T.dim + T.order - 2, T.order - 1)
-    if COO_ENTRY_COST * T.vals.size < size or COO_ENTRY_COST * np.count_nonzero(packed_sums(T)[0]) < size:
-        return T
-    return DenseTensor.from_sparse(T)
+    return T if COO_ENTRY_COST * T.vals.size < size else DenseTensor.from_sparse(T)
 
 
 def _is_number(kind: type, count: bool = False) -> bool:
@@ -297,10 +306,10 @@ def _as_vector(x, n: int, name: str | None = None) -> np.ndarray:
 
 def entries(T: Tensor) -> list[tuple]:
     """The records (i1, ..., im, value), 1-based, that `from_entries` builds
-    T from, in lexicographic index order: a COO tensor's stored entries, or
-    a dense tensor's packed records, one per nonzero packed sum P[i, u], at
-    (i, the sorted trailing multi-index of u).  Read back, the packed
-    records give T's packed matrix bit for bit, each sum being one entry."""
+    T from, in lexicographic index order: one per nonzero packed sum P[i, u],
+    at (i, the sorted trailing multi-index of u), so a COO tensor and its
+    dense copy give the same records.  Read back, they give T's packed
+    matrix bit for bit, each sum being one entry."""
     if isinstance(T, SparseTensor):
         idx, vals = T.idx, T.vals
     else:
@@ -316,21 +325,13 @@ def entries(T: Tensor) -> list[tuple]:
 def packed_sums(T: Tensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """T's packed sums as (vals, major, starts) in either storage: vals row
     by row, row i from vals[starts[i]], and major marks the sums at
-    (i, j, ..., j).  A dense T gives its packed matrix, zeros included; a
-    COO T groups its entries by (row, sorted trailing multi-index) and bins
-    each group in increasing index from 0.0, as packing does, so both give
-    the same nonzero sums in every row."""
+    (i, j, ..., j).  A dense T gives its packed matrix, zeros included, a
+    COO T its stored sums, so both give the same nonzero sums in every row."""
     if isinstance(T, DenseTensor):
         major = np.zeros(T.packed.shape[1], dtype=bool)
         major[_packing(T.dim, T.order).major] = True
         return T.packed.ravel(), np.tile(major, T.dim), np.arange(T.dim) * major.size
-    keys, vals = np.column_stack((T.cols[0], np.sort(T.idx[:, 1:], axis=1))), T.vals
-    if not np.array_equal(keys, T.idx):  # else each entry is its own sum, as in packed records
-        order = np.lexsort(keys.T[::-1])  # stable, so each group stays in increasing index
-        keys = keys[order]
-        first = np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)]
-        keys, vals = keys[first], np.bincount(np.cumsum(first) - 1, weights=vals[order])
-    return vals, keys[:, 1] == keys[:, -1], np.searchsorted(keys[:, 0], np.arange(T.dim))
+    return T.vals, _major_mask(T), np.searchsorted(T.cols[0], np.arange(T.dim))
 
 
 class _Layout(NamedTuple):
@@ -374,11 +375,10 @@ def _packing(n: int, m: int) -> _Layout:
 
 
 def magnitudes(T: Tensor) -> np.ndarray:
-    """|v| for the values v that T x^{m-1} is computed from: the stored
-    entries of a COO tensor, the packed matrix of a dense one.  Passed to
-    `_contract` as `values` with |x| for x, they give |T| |x|^{m-1}.  On a
-    Z-tensor the packing of |T| is |T.packed|, since each packed entry sums
-    entries of one sign; on any tensor |T.packed| is never larger."""
+    """|v| for the packed sums v that T x^{m-1} is computed from: a COO
+    tensor's `vals`, a dense one's packed matrix.  Passed to `_contract` as
+    `values` with |x| for x, they give |T| |x|^{m-1} on a Z-tensor, whose
+    sums each add entries of one sign, and never more on any tensor."""
     return np.abs(T.vals if isinstance(T, SparseTensor) else T.packed)
 
 
@@ -502,7 +502,7 @@ def _contract(T: Tensor, x: np.ndarray, values: np.ndarray | None = None,
               split: "_RowSplit | None" = None) -> np.ndarray:
     """T x^{m-1}, the one contraction, with one kernel per storage.
 
-    COO sums over the stored entries: it gathers x through the contiguous
+    COO sums over the stored sums: it gathers x through the contiguous
     index column `cols[k]` of each trailing mode k, multiplies `vals` by
     the gathered factors in mode order and bins the products by row
     (`_rows`, which np.bincount takes without a copy).
@@ -568,12 +568,12 @@ def elementwise_root(v, m: int) -> np.ndarray:
 
 
 def _major_mask(T: SparseTensor) -> np.ndarray:
-    """Which stored entries sit at (i, j, ..., j) positions."""
-    return np.all(T.idx[:, 1:] == T.idx[:, 1:2], axis=1)
+    """Which stored sums sit at (i, j, ..., j): their trailing index is sorted."""
+    return T.cols[1] == T.cols[-1]
 
 
 def _diagonal_mask(T: SparseTensor) -> np.ndarray:
-    """Which stored entries sit on the main diagonal (i, i, ..., i)."""
+    """Which stored sums sit on the main diagonal (i, i, ..., i)."""
     return np.all(T.idx == T.idx[:, :1], axis=1)
 
 
@@ -690,7 +690,7 @@ def majorization(T: Tensor) -> np.ndarray:
 def _majorization_unless_diagonal(T: Tensor) -> np.ndarray | None:
     """None when T has no nonzero (i, j, ..., j) entry with j != i, so that
     M is diag(diagonal(T)), else M = majorization(T), built once; a COO T
-    is judged from its entries, with no M."""
+    is judged from its stored sums, with no M."""
     if isinstance(T, SparseTensor):
         return majorization(T) if np.any(T.vals[_major_mask(T) & (T.cols[0] != T.cols[1])]) else None
     M = majorization(T)
@@ -718,6 +718,6 @@ def scale_system(T: Tensor, b) -> ScaledSystem:
     """The system divided through by w = system_scale(T, b), a copy: the
     reference that solve()'s residuals F / w are checked against."""
     w = system_scale(T, b)
-    scaled = (SparseTensor(T.order, T.dim, T.idx, T.vals / w) if isinstance(T, SparseTensor)
-              else _of_packed(T.order, T.packed / w, T.max_abs / w))
+    scaled = (object.__new__(SparseTensor)._keep(T.order, T.dim, T.idx.copy("F"), T.vals / w, T.max_abs / w)
+              if isinstance(T, SparseTensor) else _of_packed(T.order, T.packed / w, T.max_abs / w))
     return ScaledSystem(scaled, _as_vector(b, T.dim) / w, w)

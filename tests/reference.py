@@ -76,10 +76,10 @@ def coo(arr):
 
 
 def dense_array(T):
-    """The n^m array of T's records (`entries`): a COO tensor's own
-    entries, or a dense tensor's packed records, each packed sum at its
-    sorted trailing multi-index.  It has T's packed matrix, and so T's
-    T x^{m-1}; a dense tensor keeps no array of its own."""
+    """The n^m array of T's records (`entries`), the same in either
+    storage: each nonzero packed sum at its sorted trailing multi-index.
+    It has T's packed matrix, and so T's T x^{m-1}; a dense tensor keeps no
+    array of its own."""
     if isinstance(T, DenseTensor):
         T = SparseTensor.from_entries(T.order, T.dim, entries(T))
     arr = np.zeros((T.dim,) * T.order)
@@ -97,3 +97,15 @@ def forbid_n_by_n_zeros(monkeypatch, n):
         return zeros(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "zeros", small_zeros)
+
+
+def packed_records(idx, vals):
+    """The nonzero packed sums of COO entries (idx, vals), plainly: each
+    entry, in lexicographic index order, added from 0.0 into the sum at its
+    row and sorted trailing multi-index; as ((row, *trailing), sum) pairs
+    in lexicographic order."""
+    sums = {}
+    for k in sorted(range(len(vals)), key=lambda k: tuple(idx[k])):
+        key = (int(idx[k][0]), *sorted(int(i) for i in idx[k][1:]))
+        sums[key] = sums.get(key, 0.0) + float(vals[k])
+    return sorted((key, v) for key, v in sums.items() if v != 0.0)

@@ -82,8 +82,12 @@ class TestProblem3:
         assert inst.rhs[0] == inst.rhs[-1] == BOUNDARY_VALUE**3
 
     def test_interior_row_structure(self):
-        inst = gen_problem3(6)  # COO, so its entries are the generated ones
-        A = dense_array(inst.tensor)
+        # COO, which holds the three orderings of each -1/3 coupling as one
+        # packed sum at the sorted trailing index; averaged over the
+        # trailing orderings, each ordering is -1/3 again
+        inst = gen_problem3(6)
+        assert dense_array(inst.tensor)[2, 1, 2, 2] == -1.0
+        A = semi_symmetrize(dense_array(inst.tensor))
         assert A[2, 2, 2, 2] == 2.0
         assert A[2, 1, 2, 2] == pytest.approx(-1.0 / 3.0)
         assert A[2, 2, 3, 2] == pytest.approx(-1.0 / 3.0)

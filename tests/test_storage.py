@@ -37,10 +37,11 @@ from mteq.tensor_core import (
     has_offmajor,
     identity_minus,
     magnitudes,
+    packed_sums,
     row_sums,
     scale_system,
 )
-from reference import coo, dense_array, dense_contract, semi_symmetrize
+from reference import coo, dense_array, dense_contract, packed_records, semi_symmetrize
 
 METHODS = ("smeqm", "jacobi", "gs", "sor", "anewton")
 RTOL = 1e-12
@@ -211,14 +212,14 @@ class TestFileRoundTrip:
     @settings(max_examples=40, deadline=None)
     @given(system=st.one_of(sparse_systems(), sparse_systems(signed=True)))
     def test_exact(self, system, tmp_path_factory):
-        # the COO tensor writes its entries and the dense one its packed
-        # records, so the files differ, but both read back to the same
-        # packed sums, in the storage cheaper_storage picks for either
+        # both storages write the same packed records, which read back to
+        # the same packed sums, in the storage cheaper_storage picks
         Td, Tc, _ = system
         path_c = tmp_path_factory.mktemp("coo") / "t.json"
         path_d = tmp_path_factory.mktemp("dense") / "t.json"
         tensorio.write_tensor(path_c, Tc)
         tensorio.write_tensor(path_d, Td)
+        assert path_c.read_bytes() == path_d.read_bytes()
         back_c, back_d = tensorio.read_tensor(path_c), tensorio.read_tensor(path_d)
         assert type(back_c) is type(back_d) is type(cheaper_storage(Tc))
         for back in (back_c, back_d):
@@ -386,8 +387,8 @@ class TestStorageChoice:
     @pytest.mark.parametrize("nnz, storage", [(15, SparseTensor), (16, DenseTensor)])
     def test_cheaper_storage_boundary(self, nnz, storage):
         # the packed matrix has 8 * C(9, 2) = 288 entries, 14.4 times
-        # COO_ENTRY_COST: COO holds 14 packed sums, not 15.  Two of the nnz
-        # entries share a sum, so the stored count, 15 or 16, cannot decide
+        # COO_ENTRY_COST.  Two of the nnz entries share a sum, which the COO
+        # tensor stores once: 14 sums are kept as COO, 15 are not
         assert COO_ENTRY_COST == 20
         Td, Tc = both_storages(self.entries_in_sums(nnz, nnz - 1))
         chosen = cheaper_storage(Tc)
@@ -396,22 +397,29 @@ class TestStorageChoice:
 
     @pytest.fixture
     def no_grouping(self, monkeypatch):
+        """Call it to make the COO constructor's grouping fail from then on."""
         def group(*args):
             raise AssertionError("the entries were grouped into packed sums")
 
-        monkeypatch.setattr(tensor_core, "packed_sums", group)
+        return lambda: monkeypatch.setattr(tensor_core, "_grouped", group)
 
     def test_stored_count_decides_alone(self, no_grouping):
-        # 14 entries, 14 * COO_ENTRY_COST < 288: no more sums are nonzero
+        # 14 entries, each its own packed sum at its sorted trailing index,
+        # so none is grouped; 14 * COO_ENTRY_COST < 288 keeps them as COO
+        no_grouping()
         Tc = coo(self.entries_in_sums(14, 14))
         assert cheaper_storage(Tc) is Tc
 
     @pytest.mark.parametrize("n", [10, 50, 2000])
     def test_problem3_file_is_read_without_grouping(self, n, tmp_path, no_grouping):
-        # from n = 8, P3's 7n - 12 entries decide alone, as at the n = 10
-        # and n = 50 that the benchmark reads
+        # the file holds P3's packed records, each its own sum, so reading
+        # it groups nothing, as at the n = 10 and n = 50 that the benchmark
+        # reads; generating P3 does group its three orderings per coupling
         paths = tensorio.write_instance(tmp_path / "p3", gen_problem3(n))
+        no_grouping()
         assert isinstance(tensorio.read_tensor(paths["tensor"]), SparseTensor)
+        with pytest.raises(AssertionError, match="grouped"):
+            gen_problem3(n)
 
     @pytest.mark.parametrize(
         "inst, storage",
@@ -422,6 +430,45 @@ class TestStorageChoice:
         back = tensorio.read_tensor(tmp_path / "t.json")
         assert type(back) is storage
         np.testing.assert_array_equal(dense_array(back), dense_array(inst.tensor))
+
+
+@st.composite
+def orderings(draw):
+    """(m, n, idx, vals): distinct COO entries of order 2..5 at n <= 4, drawn
+    2 n^(m-1) times, so that many share a packed sum, with values from a
+    set that holds zeros of both signs and pairs that cancel."""
+    m, n = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    idx = np.unique(rng.integers(0, n, (2 * n ** (m - 1), m)), axis=0)
+    vals = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1 / 3, -1 / 3, 0.1, -0.7], len(idx))
+    return m, n, rng.permutation(idx), vals
+
+
+class TestPackedCoo:
+    @settings(max_examples=80, deadline=None)
+    @given(data=orderings())
+    def test_one_stored_form(self, data, tmp_path_factory):
+        # a COO tensor stores its nonzero packed sums, so it has the records
+        # and the file of its dense copy, and its sums are the plain grouping
+        # of its entries, bit for bit; max_abs stays the largest |entry| given
+        m, n, idx, vals = data
+        T = SparseTensor(m, n, idx, vals)
+        D = DenseTensor.from_sparse(T)
+        assert entries(T) == entries(D)
+        ref = packed_records(idx, vals)
+        assert [tuple(k) for k in T.idx.tolist()] == [k for k, _ in ref]
+        assert packed_sums(T)[0].tobytes() == np.array([v for _, v in ref]).tobytes()
+        assert T.max_abs == np.abs(vals).max(initial=0.0)
+        path_c = tmp_path_factory.mktemp("coo") / "t.json"
+        path_d = tmp_path_factory.mktemp("dense") / "t.json"
+        tensorio.write_tensor(path_c, T)
+        tensorio.write_tensor(path_d, D)
+        assert path_c.read_bytes() == path_d.read_bytes()
+
+    def test_sums_that_cancel_are_dropped(self):
+        T = SparseTensor(3, 2, [[0, 0, 1], [0, 1, 0], [1, 1, 0], [1, 1, 1]], [0.5, -0.5, 0.0, 2.0])
+        np.testing.assert_array_equal(T.idx, [[1, 1, 1]])
+        np.testing.assert_array_equal(T.vals, [2.0])
 
 
 class TestSparseTensor:
