@@ -14,7 +14,7 @@ is counter-based (Salmon et al., "Parallel random numbers: as easy as 1,
 2, 3", SC 2011).  So the packing, and P1's symmetrization, run on two
 threads for a large tensor where 2 CPUs are usable, with the bits of one
 (`tensor_core._by_rows`), and every thread is joined before the generator
-returns or raises.
+returns or raises.  P3 is made as its packed records, none grouped.
 """
 
 from __future__ import annotations
@@ -101,24 +101,21 @@ def gen_problem3(n: int) -> ProblemInstance:
     """Discretized boundary-value problem for motion under gravity.
 
     Row i couples x_i to each grid neighbor through -1/3 entries at three
-    mixed index positions, one packed sum; the boundary rows pin x_1 and
-    x_n to 6.37e6.  COO from n = 6, as its file is read (`cheaper_storage`).
+    mixed index positions, made as their packed sum -1, which is what
+    grouping gives exactly, ((0 - 1/3) - 1/3) - 1/3; so the constructor
+    groups none of the 3n - 4 records.  The boundary rows pin x_1 and x_n
+    to 6.37e6.  COO from n = 6, as its file is read (`cheaper_storage`).
     """
     if n < 3:
         raise ValueError("problem 3 requires n >= 3")
-    interior = np.arange(1, n - 1)
-    idx = [np.repeat(np.arange(n)[:, None], 4, axis=1)]
-    vals = [np.r_[1.0, np.full(n - 2, 2.0), 1.0]]
-    for j in (interior - 1, interior + 1):
-        for pos in (1, 2, 3):
-            block = np.repeat(interior[:, None], 4, axis=1)
-            block[:, pos] = j
-            idx.append(block)
-            vals.append(np.full(n - 2, -1.0 / 3.0))
-    tensor = cheaper_storage(SparseTensor(4, n, np.concatenate(idx), np.concatenate(vals)))
+    rows = np.r_[0, np.repeat(np.arange(1, n - 1), 3), n - 1]
+    idx = np.repeat(rows[:, None], 4, axis=1)  # (i, i, i, i) for each record of row i
+    idx[1:-1:3, 1] -= 1  # (i, i-1, i, i)
+    idx[3:-1:3, 3] += 1  # (i, i, i, i+1)
+    vals = np.r_[1.0, np.tile([-1.0, 2.0, -1.0], n - 2), 1.0]
+    tensor = cheaper_storage(SparseTensor(4, n, idx, vals))
     rhs = np.full(n, GRAVITATIONAL_CONSTANT * EARTH_MASS / (n - 1) ** 2)
-    rhs[0] = BOUNDARY_VALUE**3
-    rhs[n - 1] = BOUNDARY_VALUE**3
+    rhs[[0, -1]] = BOUNDARY_VALUE**3
     return ProblemInstance(tensor, rhs, "P3", n)
 
 

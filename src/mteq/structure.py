@@ -77,8 +77,9 @@ def mtensor_certificate(T: Tensor, use_power_method: bool = False) -> MTensorCer
     Row i of B sums to s minus row i of T, so the bound is read from T's
     own correctly rounded row sums; B is built only for the power
     estimate.  The verdict compares s with the rounded bound, not the row
-    sums with 0: P3's interior rows sum to 2^-53, and 2 - 2^-53 rounds to
-    its s = 2, so P3 stays Unknown.
+    sums with 0: a row sum of 2^-53 would give the bound 2 - 2^-53, which
+    rounds to s = 2.  P3's interior rows sum to exactly 0.0, so its bound
+    is s = 2 and P3 stays Unknown.
     """
     if not is_z_tensor(T):
         raise NotZTensor("tensor has a positive off-diagonal entry")

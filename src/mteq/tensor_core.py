@@ -128,17 +128,17 @@ class SparseTensor:
     """Order-m, dimension-n real tensor in coordinate (COO) storage.
 
     The constructor checks the entries as given, then keeps their nonzero
-    packed sums (`_grouped`): row k of `idx` (nnz x m, 0-based), in
-    lexicographic order, is a row and a sorted trailing multi-index, and
-    `vals[k]` the sum of T over its orderings.  `idx` is stored
-    column-major, and `cols[k]` is its k-th column, the contiguous index
+    packed sums: row k of `idx` (nnz x m, 0-based), in lexicographic order, is
+    a row and a sorted trailing multi-index, and `vals[k]` the sum of T over
+    its orderings.  Records in that form, a generator's or a file's, are kept;
+    others (an old file's, a dense array's) are grouped (`_grouped`).  `idx` is
+    stored column-major, and `cols[k]` is its k-th column, the contiguous index
     array of mode k that the contraction gathers through; `max_abs` is the
     largest |entry| given.  idx, cols and vals are read-only; `_rows` is
-    cols[0] as a writeable view of the same memory, which the contraction
-    bins by and nothing writes: np.bincount copies a read-only index on
-    every call.  The layout follows Bader & Kolda, "Efficient MATLAB
-    computations with sparse and factored tensors" (SIAM J. Sci. Comput.,
-    2007).
+    cols[0] as a writeable view of the same memory, which the contraction bins
+    by and nothing writes: np.bincount copies a read-only index on every call.
+    The layout follows Bader & Kolda, "Efficient MATLAB computations with
+    sparse and factored tensors" (SIAM J. Sci. Comput., 2007).
     """
 
     order: int
@@ -169,7 +169,8 @@ class SparseTensor:
             raise ValueError(f"duplicate entry at index {_one_based(idx[1:][repeated][0])}")
         if np.any(idx[:, 1:-1] > idx[:, 2:]):  # else each entry is its own sum, as in packed records
             idx, vals = _grouped(idx, vals)
-        self._keep(order, dim, np.asfortranarray(idx[vals != 0.0], dtype=np.intp), vals[vals != 0.0], max_abs)
+        nonzero = vals != 0.0
+        self._keep(order, dim, np.asfortranarray(idx[nonzero], dtype=np.intp), vals[nonzero], max_abs)
 
     def _keep(self, order: int, dim: int, idx: np.ndarray, vals: np.ndarray, max_abs: float) -> "SparseTensor":
         rows = idx[:, 0]  # taken before idx is made read-only, so it stays writeable

@@ -22,13 +22,14 @@ def read_tensor(path) -> Tensor:
     """Read a tensor file through `SparseTensor.from_entries`, which checks
     it, into the storage `cheaper_storage` picks, as a generator does.  The
     parsed records are popped from the document and handed over, so they
-    are freed as soon as from_entries has their float table."""
-    doc = json.loads(Path(path).read_text())
+    are freed as soon as from_entries has their float table.  Too deep a
+    document, or an integer too large for a float, is malformed too."""
     try:
+        doc = json.loads(Path(path).read_text())
         return cheaper_storage(SparseTensor.from_entries(doc["order"], doc["dim"], doc.pop("entries")))
     except KeyError as exc:
         raise ValueError(f"malformed tensor file: missing key {exc.args[0]!r}") from None
-    except TypeError as exc:  # not an object, or entries not a list of number lists
+    except (TypeError, OverflowError, RecursionError) as exc:  # TypeError: not an object, or a non-number field
         raise ValueError(f"malformed tensor file: {exc}") from None
 
 

@@ -219,6 +219,8 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err == "error: tensor 'order' must be an integer, got 3.7\n"
 
+    BIG = "1" + "0" * 399  # a 400-digit integer, past the float range
+
     @pytest.mark.parametrize(
         "doc",
         ["[1, 2]", '{"order": 2, "dim": 2, "entries": 5}', '{"order": 2, "dim": 2, "entries": [5]}',
@@ -226,9 +228,14 @@ class TestSolve:
          # numpy would read "2" as 2.0 and true as 1, and the system would solve
          '{"order": 2, "dim": 2, "entries": [[1, 1, "2"], [2, 2, 1.0]]}',
          '{"order": 2, "dim": 2, "entries": [[1, 1, 1.0], [2, 2, true]]}',
-         '{"order": 2, "dim": 2, "entries": [[1, 1, 1.0], [2, 2, null]]}'],
+         '{"order": 2, "dim": 2, "entries": [[1, 1, 1.0], [2, 2, null]]}',
+         '{"order": 2, "dim": 2, "entries": [[1, 1, 1.0], [2, %s, 1.0]]}' % BIG,
+         '{"order": 2, "dim": 2, "entries": [[1, 1, 1.0], [2, 2, %s]]}' % BIG,
+         '{"order": 2, "dim": %s, "entries": [[1, 1, 1.0], [2, 2, 1.0]]}' % BIG,
+         "[" * 100_000 + "]" * 100_000],
         ids=["list", "entries-int", "record-int", "record-object",
-             "field-string", "field-true", "field-null"],
+             "field-string", "field-true", "field-null",
+             "index-400-digits", "value-400-digits", "dim-400-digits", "nested-100000"],
     )
     def test_malformed_tensor_file_is_parse_error(self, doc, tmp_path, capsys):
         (tmp_path / "t.json").write_text(doc)
@@ -240,6 +247,14 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err.startswith("error: malformed tensor file: ")
         assert captured.err.count("\n") == 1
+
+    def test_undecodable_json_keeps_its_message(self, tmp_path, capsys):
+        (tmp_path / "t.json").write_text("not json")
+        tensorio.write_vector(tmp_path / "b.txt", np.ones(2))
+        code = cli.main(["solve", "--tensor", str(tmp_path / "t.json"),
+                         "--rhs", str(tmp_path / "b.txt")])
+        assert code == 65
+        assert capsys.readouterr().err == "error: Expecting value: line 1 column 1 (char 0)\n"
 
     @pytest.mark.parametrize("key", ["order", "dim", "entries"])
     def test_missing_key_is_named(self, key, tmp_path, capsys):

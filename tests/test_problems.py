@@ -146,6 +146,22 @@ class TestGeneratedBits:
     def test_generated_tensor_digest(self, make, digest):
         assert hashlib.sha256(make().tensor.packed.tobytes()).hexdigest() == digest
 
+    # P3 is made as its packed sums, which must be what grouping each
+    # coupling's three -1/3 orderings gives: the digests are of the latter
+    @pytest.mark.parametrize(
+        "n, digest",
+        [(5, "f9763a675fd8f975d7ec1906a68b9b7a7caabd839d00567ee90fb588e9b8e6f1"),
+         (50, "58687e86fe8f47c74d9f2c64f4b45bca7a411a2ebddfbc5bccb9c8a61a6ab85b"),
+         (10**4, "4ac371a1811a9dc8a83a98b88a0a0e3da70c0555157f00a5aea7b1f733877ac9")],
+        ids=["P3-n5-dense", "P3-n50-coo", "P3-n10000-coo"],
+    )
+    def test_problem3_digest(self, n, digest):
+        T = gen_problem3(n).tensor
+        stored = T.packed.tobytes() if isinstance(T, DenseTensor) else T.idx.tobytes() + T.vals.tobytes()
+        assert (type(T) is DenseTensor) == (n < 6)
+        assert T.max_abs == 2.0
+        assert hashlib.sha256(stored).hexdigest() == digest
+
     def test_rhs_digest(self):
         # the right side is drawn after the tensor's n^4 values
         assert hashlib.sha256(gen_problem1(40, 3).rhs.tobytes()).hexdigest() == (
